@@ -1,20 +1,21 @@
 """Temporal action models and their side of the model-property catalogue.
 
-Action models mirror Kripke models, with events instead of worlds and a
-precondition formula per event.  The temporal properties (history and
-past preservation, time-advancing) call into the validity oracle, which
-is injected lazily to avoid an import cycle with the logic module.
+An action model is a frame (see `kripke.Frame`) with events in place of
+worlds and a precondition formula per event; canonicalisation, the
+successor, parent and depth views and the frame properties are the ones
+Kripke models use.  The temporal properties (history and past
+preservation, time-advancing) call into the validity oracle, which is
+injected lazily to avoid an import cycle with the logic module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from .formula import Formula, Signature, check_ident, implies
-from .kripke import (PropertyReport, _canon_pairs, _depth_table,
-                     check_frame_property)
+from .kripke import Frame, PropertyReport, check_frame_property, is_restricted
 
 FLAT = "♭"
 
@@ -34,7 +35,7 @@ def _check_event_name(e: str):
 
 
 @dataclass(frozen=True)
-class ActionModel:
+class ActionModel(Frame):
     sig: Signature
     events: tuple
     epistemic: tuple  # ((agent, ((x, y), ...)), ...)
@@ -42,73 +43,21 @@ class ActionModel:
     pre: "Dict[str, Formula]"  # stored canonically as ((event, formula), ...)
     name: str = field(default="U", compare=False)
 
+    _KIND = "event"
+    _check_name = staticmethod(_check_event_name)
+    nodes = property(lambda self: self.events)
+    require_event = Frame._require
+
     def __post_init__(self):
-        events = tuple(sorted(set(self.events)))
-        if not events:
-            raise ValueError("an action model needs at least one event")
-        eset = set(events)
-        for e in events:
-            _check_event_name(e)
-        epi_in = dict(self.epistemic)
-        epi = []
-        for a in self.sig.agents:
-            pairs = _canon_pairs(epi_in.get(a, ()))
-            for x, y in pairs:
-                if x not in eset or y not in eset:
-                    raise ValueError(f"epistemic arrow {x}->{y} off the event set")
-            epi.append((a, pairs))
-        extra = set(epi_in) - set(self.sig.agents)
-        if extra:
-            raise ValueError(f"unknown agents in epistemic relation: {sorted(extra)}")
-        yesterday = _canon_pairs(self.yesterday)
-        for x, y in yesterday:
-            if x not in eset or y not in eset:
-                raise ValueError(f"yesterday arrow {x}->{y} off the event set")
+        object.__setattr__(self, "events", self._canonicalise())
         pre_in = dict(self.pre)
-        if set(pre_in) != eset:
+        if set(pre_in) != self._nodeset:
             raise ValueError("exactly one precondition per event required")
-        pre = tuple((e, pre_in[e]) for e in events)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "epistemic", tuple(epi))
-        object.__setattr__(self, "yesterday", yesterday)
-        object.__setattr__(self, "pre", pre)
-
-    # -- derived views -----------------------------------------------------
-
-    @cached_property
-    def epi(self) -> Dict[str, FrozenSet[Tuple[str, str]]]:
-        return {a: frozenset(pairs) for a, pairs in self.epistemic}
-
-    @cached_property
-    def _succ(self) -> Dict[str, Dict[str, tuple]]:
-        out = {}
-        for a, pairs in self.epistemic:
-            m: Dict[str, list] = {e: [] for e in self.events}
-            for x, y in pairs:
-                m[x].append(y)
-            out[a] = {e: tuple(vs) for e, vs in m.items()}
-        return out
-
-    @cached_property
-    def _parents(self) -> Dict[str, tuple]:
-        m: Dict[str, list] = {e: [] for e in self.events}
-        for x, y in self.yesterday:
-            m[y].append(x)
-        return {e: tuple(vs) for e, vs in m.items()}
+        object.__setattr__(self, "pre", tuple((e, pre_in[e]) for e in self.events))
 
     @cached_property
     def pre_map(self) -> Dict[str, Formula]:
         return dict(self.pre)
-
-    def succ(self, agent: str, e: str) -> tuple:
-        return self._succ[agent][e]
-
-    def yesterdays(self, e: str) -> tuple:
-        return self._parents[e]
-
-    def require_event(self, e: str):
-        if e not in set(self.events):
-            raise KeyError(f"unknown event {e!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +71,7 @@ class PointedAction:
 
 def action_depth(U: ActionModel, e: str):
     U.require_event(e)
-    return _depth_table(U.events, U.yesterday)[e]
+    return U._depths[e]
 
 
 def is_past_state(U: ActionModel, s: str) -> bool:
@@ -223,7 +172,7 @@ def check_time_advancing(A: PointedAction,
 def check_action_property(U: ActionModel, prop: str) -> PropertyReport:
     if prop not in ACTION_PROPERTIES:
         raise ValueError(f"unknown action property {prop!r}")
-    return check_frame_property(prop, U.events, U.epi, U.yesterday, None)
+    return check_frame_property(prop, U)
 
 
 def is_lrdetl_action(U: ActionModel,
@@ -233,13 +182,9 @@ def is_lrdetl_action(U: ActionModel,
     vacuous here since actions carry no valuation."""
     from .formula import actions_in
 
-    for prop in ("depth_definedness", "knowledge_of_past",
-                 "knowledge_of_initial_time", "uniqueness_of_past",
-                 "perfect_recall"):
-        rep = check_action_property(U, prop)
-        if not rep.holds:
-            return PropertyReport("lrdetl_action", False,
-                                  (U.name, prop) + rep.witness)
+    rep = is_restricted(U)
+    if not rep.holds:
+        return PropertyReport("lrdetl_action", False, (U.name,) + rep.witness)
     hp = check_history_preservation(U, validity)
     if not hp.holds:
         return PropertyReport("lrdetl_action", False,

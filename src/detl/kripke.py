@@ -1,16 +1,21 @@
-"""Finite Kripke models with a yesterday relation.
+"""Finite Kripke models with a yesterday relation, on a frame core shared
+with action models.
 
-The yesterday relation stores pairs (x, y) meaning x lies one tick before
-y.  Depth of a world is the length of the longest history (a backward
-path that cannot be extended further into the past) ending at it, and is
-infinite when a backward-reachable cycle makes histories unbounded.
+A frame is a set of nodes (the worlds of a Kripke model, the events of an
+action model) with per-agent epistemic arrows and a yesterday relation of
+pairs (x, y) meaning x lies one tick before y.  `Frame` canonicalises and
+validates both relations once and caches the views that evaluation,
+property checks and depth queries read.  Depth of a node is the length of
+the longest history (a backward path that cannot be extended further into
+the past) ending at it, and is infinite when a backward-reachable cycle
+makes histories unbounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .formula import Signature, check_ident
 
@@ -39,8 +44,119 @@ class PropertyReport:
         return self.holds
 
 
-def _canon_pairs(pairs) -> tuple:
-    return tuple(sorted(set(map(tuple, pairs))))
+def _canon_pairs(pairs, nodes: set, relation: str, kind: str) -> tuple:
+    out = tuple(sorted(set(map(tuple, pairs))))
+    for x, y in out:
+        if x not in nodes or y not in nodes:
+            raise ValueError(f"{relation} arrow {x}->{y} off the {kind} set")
+    return out
+
+
+class Frame:
+    """Nodes, per-agent epistemic arrows and a yesterday relation: the
+    structure Kripke models (worlds) and action models (events) share.
+
+    Subclasses are frozen dataclasses with fields `sig`, the node tuple,
+    `epistemic` and `yesterday`.  They expose the node tuple as `nodes`,
+    name a node in messages with `_KIND` and check a node name with
+    `_check_name`.  Every view below is computed once per model.
+    """
+
+    val = None  # the valuation view of a Kripke model; action models have none
+
+    def _canonicalise(self) -> tuple:
+        """Sort and deduplicate the relations in place and return the
+        sorted node tuple; reject an empty node set, a bad node name, an
+        unknown agent and any arrow off the node set."""
+        kind = self._KIND
+        nodes = tuple(sorted(set(self.nodes)))
+        if not nodes:
+            raise ValueError(f"a model needs at least one {kind}")
+        for n in nodes:
+            self._check_name(n)
+        nset = set(nodes)
+        epi_in = dict(self.epistemic)
+        epi = tuple((a, _canon_pairs(epi_in.get(a, ()), nset, "epistemic", kind))
+                    for a in self.sig.agents)
+        extra = set(epi_in) - set(self.sig.agents)
+        if extra:
+            raise ValueError(f"unknown agents in epistemic relation: {sorted(extra)}")
+        object.__setattr__(self, "epistemic", epi)
+        object.__setattr__(self, "yesterday",
+                           _canon_pairs(self.yesterday, nset, "yesterday", kind))
+        return nodes
+
+    # -- derived views -----------------------------------------------------
+
+    @cached_property
+    def epi(self) -> Dict[str, FrozenSet[Tuple[str, str]]]:
+        return {a: frozenset(pairs) for a, pairs in self.epistemic}
+
+    @cached_property
+    def _nodeset(self) -> FrozenSet[str]:
+        return frozenset(self.nodes)
+
+    @cached_property
+    def _succ(self) -> Dict[str, Dict[str, tuple]]:
+        """Per agent, the sorted successors of every node."""
+        out = {}
+        for a, pairs in self.epistemic:
+            m: Dict[str, list] = {n: [] for n in self.nodes}
+            for x, y in pairs:
+                m[x].append(y)
+            out[a] = {n: tuple(vs) for n, vs in m.items()}
+        return out
+
+    @cached_property
+    def _parents(self) -> Dict[str, tuple]:
+        """The sorted yesterday-predecessors of every node."""
+        m: Dict[str, list] = {n: [] for n in self.nodes}
+        for x, y in self.yesterday:
+            m[y].append(x)
+        return {n: tuple(vs) for n, vs in m.items()}
+
+    @cached_property
+    def _depths(self) -> dict:
+        """Longest-backward-path length per node; INFINITE past any ⇝-cycle.
+
+        Kahn's algorithm over the yesterday edges: the nodes it never
+        reaches, which keep INFINITE, are those whose past meets a cycle.
+        """
+        indeg = {n: len(ps) for n, ps in self._parents.items()}
+        children: Dict[str, list] = {n: [] for n in self.nodes}
+        for x, y in self.yesterday:
+            children[x].append(y)
+        depth = dict.fromkeys(self.nodes, INFINITE)
+        queue = [n for n in self.nodes if indeg[n] == 0]
+        for n in queue:
+            depth[n] = 0
+        while queue:
+            n = queue.pop()
+            for c in children[n]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    depth[c] = 1 + max(depth[p] for p in self._parents[c])
+                    queue.append(c)
+        return depth
+
+    @cached_property
+    def _restricted(self) -> PropertyReport:
+        for prop in RESTRICTED_PROPERTIES:
+            rep = check_frame_property(prop, self, self.val)
+            if not rep.holds:
+                return PropertyReport("restricted", False, (prop,) + rep.witness)
+        return PropertyReport("restricted", True)
+
+    def succ(self, agent: str, n: str) -> tuple:
+        return self._succ[agent][n]
+
+    def yesterdays(self, n: str) -> tuple:
+        """Nodes one tick before n."""
+        return self._parents[n]
+
+    def _require(self, n: str):
+        if n not in self._nodeset:
+            raise KeyError(f"unknown {self._KIND} {n!r}")
 
 
 def _check_world_name(w: str):
@@ -54,100 +170,38 @@ def _check_world_name(w: str):
 
 
 @dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(Frame):
     sig: Signature
     worlds: tuple
     epistemic: tuple  # ((agent, ((x, y), ...)), ...) for every agent in sig
     yesterday: tuple  # ((x, y), ...) with x one tick before y
     valuation: tuple  # ((atom, (w, ...)), ...) for every atom in sig
 
+    _KIND = "world"
+    _check_name = staticmethod(_check_world_name)
+    nodes = property(lambda self: self.worlds)
+    require_world = Frame._require
+
     def __post_init__(self):
-        worlds = tuple(sorted(set(self.worlds)))
-        if not worlds:
-            raise ValueError("a model needs at least one world")
-        wset = set(worlds)
-        for w in worlds:
-            _check_world_name(w)
-        epi_in = dict(self.epistemic)
-        epi = []
-        for a in self.sig.agents:
-            pairs = _canon_pairs(epi_in.get(a, ()))
-            for x, y in pairs:
-                if x not in wset or y not in wset:
-                    raise ValueError(f"epistemic arrow {x}->{y} off the world set")
-            epi.append((a, pairs))
-        extra = set(epi_in) - set(self.sig.agents)
-        if extra:
-            raise ValueError(f"unknown agents in epistemic relation: {sorted(extra)}")
-        yesterday = _canon_pairs(self.yesterday)
-        for x, y in yesterday:
-            if x not in wset or y not in wset:
-                raise ValueError(f"yesterday arrow {x}->{y} off the world set")
+        object.__setattr__(self, "worlds", self._canonicalise())
         val_in = dict(self.valuation)
         val = []
         for p in self.sig.atoms:
             ws = tuple(sorted(set(val_in.get(p, ()))))
-            if not set(ws) <= wset:
+            if not set(ws) <= self._nodeset:
                 raise ValueError(f"valuation of {p} mentions unknown worlds")
             val.append((p, ws))
         extra = set(val_in) - set(self.sig.atoms)
         if extra:
             raise ValueError(f"unknown atoms in valuation: {sorted(extra)}")
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "epistemic", tuple(epi))
-        object.__setattr__(self, "yesterday", yesterday)
         object.__setattr__(self, "valuation", tuple(val))
-
-    # -- derived views -----------------------------------------------------
-
-    @cached_property
-    def epi(self) -> Dict[str, FrozenSet[Tuple[str, str]]]:
-        return {a: frozenset(pairs) for a, pairs in self.epistemic}
-
-    @cached_property
-    def _succ(self) -> Dict[str, Dict[str, tuple]]:
-        out = {}
-        for a, pairs in self.epistemic:
-            m: Dict[str, list] = {w: [] for w in self.worlds}
-            for x, y in pairs:
-                m[x].append(y)
-            out[a] = {w: tuple(vs) for w, vs in m.items()}
-        return out
-
-    @cached_property
-    def _parents(self) -> Dict[str, tuple]:
-        m: Dict[str, list] = {w: [] for w in self.worlds}
-        for x, y in self.yesterday:
-            m[y].append(x)
-        return {w: tuple(vs) for w, vs in m.items()}
-
-    @cached_property
-    def _children(self) -> Dict[str, tuple]:
-        m: Dict[str, list] = {w: [] for w in self.worlds}
-        for x, y in self.yesterday:
-            m[x].append(y)
-        return {w: tuple(vs) for w, vs in m.items()}
 
     @cached_property
     def val(self) -> Dict[str, FrozenSet[str]]:
         return {p: frozenset(ws) for p, ws in self.valuation}
 
-    def succ(self, agent: str, w: str) -> tuple:
-        return self._succ[agent][w]
-
-    def yesterdays(self, w: str) -> tuple:
-        """Worlds one tick before w."""
-        return self._parents[w]
-
-    def tomorrows(self, w: str) -> tuple:
-        return self._children[w]
-
     def atoms_at(self, w: str) -> FrozenSet[str]:
         return frozenset(p for p, ws in self.valuation if w in ws)
-
-    def require_world(self, w: str):
-        if w not in set(self.worlds):
-            raise KeyError(f"unknown world {w!r}")
 
 
 @dataclass(frozen=True)
@@ -159,41 +213,9 @@ class PointedModel:
         self.model.require_world(self.point)
 
 
-# ---------------------------------------------------------------------------
-# depth
-
-@lru_cache(maxsize=None)
-def _depth_table(nodes: tuple, yesterday: tuple) -> dict:
-    """Longest-backward-path length per node; INFINITE past any ⇝-cycle.
-
-    Kahn's algorithm over the yesterday edges: nodes left unprocessed are
-    exactly those backward-reachable from a cycle.
-    """
-    indeg = {n: 0 for n in nodes}
-    children: Dict[str, list] = {n: [] for n in nodes}
-    for x, y in yesterday:
-        indeg[y] += 1
-        children[x].append(y)
-    depth = {n: 0 for n in nodes}
-    queue = [n for n in nodes if indeg[n] == 0]
-    done = set()
-    while queue:
-        n = queue.pop()
-        done.add(n)
-        for c in children[n]:
-            depth[c] = max(depth[c], depth[n] + 1)
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    for n in nodes:
-        if n not in done:
-            depth[n] = INFINITE
-    return depth
-
-
 def depth(M: KripkeModel, w: str):
     M.require_world(w)
-    return _depth_table(M.worlds, M.yesterday)[w]
+    return M._depths[w]
 
 
 def is_initial(M: KripkeModel, w: str) -> bool:
@@ -204,43 +226,35 @@ def is_initial(M: KripkeModel, w: str) -> bool:
 # ---------------------------------------------------------------------------
 # properties, shared between Kripke and action models
 
-def check_frame_property(prop: str, nodes: tuple, epi: Mapping[str, Iterable],
-                         yesterday: Iterable, valuation=None) -> PropertyReport:
-    """Evaluate one defining condition over an arbitrary two-sorted frame.
+def check_frame_property(prop: str, frame: Frame,
+                         valuation=None) -> PropertyReport:
+    """Evaluate one defining condition over a frame's cached views.
 
-    Works for Kripke models (valuation given) and action models (valuation
-    None, persistence vacuous).  Witnesses list the violating items in the
-    order the condition quantifies them.
+    Works for Kripke models (valuation given, as `val`) and action models
+    (valuation None, persistence vacuous).  Witnesses list the violating
+    items in the order the condition quantifies them.
     """
-    yesterday = set(map(tuple, yesterday))
-    parents: Dict[str, list] = {n: [] for n in nodes}
-    for x, y in yesterday:
-        parents[y].append(x)
-    succ: Dict[str, Dict[str, set]] = {
-        a: {n: set() for n in nodes} for a in epi}
-    for a, pairs in epi.items():
-        for x, y in pairs:
-            succ[a][x].add(y)
-    depths = _depth_table(nodes, tuple(sorted(yesterday)))
+    nodes, yesterday = frame.nodes, frame.yesterday
+    parents, succ, agents = frame._parents, frame._succ, sorted(frame._succ)
 
     if prop == "persistence_of_facts":
         if valuation is not None:
-            for w, w2 in sorted(yesterday):
-                for p, ws in valuation:
+            for w, w2 in yesterday:
+                for p, ws in valuation.items():
                     if (w in ws) != (w2 in ws):
                         return PropertyReport(prop, False, (w, w2, p))
         return PropertyReport(prop, True)
 
     if prop == "depth_definedness":
         for n in nodes:
-            if depths[n] == INFINITE:
+            if frame._depths[n] == INFINITE:
                 return PropertyReport(prop, False, (n,))
         return PropertyReport(prop, True)
 
     if prop == "knowledge_of_past":
-        for w2, w in sorted(yesterday):
-            for a in sorted(succ):
-                for v in sorted(succ[a][w]):
+        for w2, w in yesterday:
+            for a in agents:
+                for v in succ[a][w]:
                     if not parents[v]:
                         return PropertyReport(prop, False, (w2, w, a, v))
         return PropertyReport(prop, True)
@@ -249,35 +263,35 @@ def check_frame_property(prop: str, nodes: tuple, epi: Mapping[str, Iterable],
         for w in nodes:
             if parents[w]:
                 continue
-            for a in sorted(succ):
-                for v in sorted(succ[a][w]):
+            for a in agents:
+                for v in succ[a][w]:
                     if parents[v]:
                         return PropertyReport(prop, False, (w, a, v))
         return PropertyReport(prop, True)
 
     if prop == "uniqueness_of_past":
         for w in nodes:
-            ps = sorted(parents[w])
+            ps = parents[w]
             if len(ps) > 1:
                 return PropertyReport(prop, False, (w, ps[0], ps[1]))
         return PropertyReport(prop, True)
 
     if prop == "perfect_recall":
-        for w, v in sorted(yesterday):
-            for a in sorted(succ):
-                for v2 in sorted(succ[a][v]):
+        for w, v in yesterday:
+            for a in agents:
+                for v2 in succ[a][v]:
                     if not any(w2 in parents[v2] for w2 in succ[a][w]):
                         return PropertyReport(prop, False, (w, v, a, v2))
         return PropertyReport(prop, True)
 
     if prop == "synchronicity":
-        dd = check_frame_property("depth_definedness", nodes, epi, yesterday,
-                                  valuation)
+        dd = check_frame_property("depth_definedness", frame)
         if not dd.holds:
             return PropertyReport(prop, False, dd.witness)
-        for a in sorted(succ):
+        depths = frame._depths
+        for a in agents:
             for w in nodes:
-                for v in sorted(succ[a][w]):
+                for v in succ[a][w]:
                     if depths[w] != depths[v]:
                         return PropertyReport(
                             prop, False, (w, a, v, depths[w], depths[v]))
@@ -287,17 +301,14 @@ def check_frame_property(prop: str, nodes: tuple, epi: Mapping[str, Iterable],
 
 
 def check_property(M: KripkeModel, prop: str) -> PropertyReport:
-    return check_frame_property(prop, M.worlds, M.epi, M.yesterday, M.valuation)
+    return check_frame_property(prop, M, M.val)
 
 
-def is_restricted(M: KripkeModel) -> PropertyReport:
+def is_restricted(M: Frame) -> PropertyReport:
     """Forest-likeness: the six conditions short of synchronicity (which
-    then follows)."""
-    for prop in RESTRICTED_PROPERTIES:
-        rep = check_property(M, prop)
-        if not rep.holds:
-            return PropertyReport("restricted", False, (prop,) + rep.witness)
-    return PropertyReport("restricted", True)
+    then follows), checked once per model.  Persistence of facts is
+    vacuous on an action model."""
+    return M._restricted
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +340,19 @@ def generated_submodel(M: KripkeModel, w: str) -> KripkeModel:
 
 
 def _transitive(pairs: set) -> set:
-    out = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(out):
-            for y2, z in list(out):
-                if y2 == y and (x, z) not in out:
-                    out.add((x, z))
-                    changed = True
+    """Pairs (x, z) with z reachable from x in one or more steps."""
+    succ: Dict[str, set] = {}
+    for x, y in pairs:
+        succ.setdefault(x, set()).add(y)
+    out = set()
+    for x in succ:
+        reach, stack = set(), [x]
+        while stack:
+            for y in succ.get(stack.pop(), ()):
+                if y not in reach:
+                    reach.add(y)
+                    stack.append(y)
+        out.update((x, y) for y in reach)
     return out
 
 

@@ -43,7 +43,7 @@ def reduce_formula(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _reduce_action(U: ActionModel) -> ActionModel:
     return ActionModel(
         sig=U.sig, events=U.events, epistemic=U.epi, yesterday=U.yesterday,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .action import ActionModel
 from .formula import Formula, Signature, parse, pretty
@@ -138,7 +138,6 @@ class Workspace:
     sig: Signature
     models: Dict[str, Tuple[KripkeModel, Optional[str]]] = field(default_factory=dict)
     actions: Dict[str, Tuple[ActionModel, Optional[str]]] = field(default_factory=dict)
-    order: List[str] = field(default_factory=list)
 
     @classmethod
     def load_dir(cls, directory) -> "Workspace":
@@ -162,7 +161,6 @@ class Workspace:
                 ws.models[name] = (obj, point)
             else:
                 ws.actions[name] = (obj, point)
-            ws.order.append(name)
         return ws
 
     def actions_by_name(self) -> Dict[str, ActionModel]:

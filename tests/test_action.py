@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from detl.action import (ActionModel, PointedAction, action_depth,
+from detl.action import (ACTION_PROPERTIES, ActionModel, PointedAction, action_depth,
                          check_action_property, check_history_preservation,
                          check_past_preservation, check_time_advancing,
                          is_atemporal_action, is_epistemic_past_state,
@@ -8,6 +10,7 @@ from detl.action import (ActionModel, PointedAction, action_depth,
 from detl.formula import TOP, parse
 from detl.generate import (DEFAULT_SIG, rand_atemporal_action,
                            rand_forest_action, rand_temporal_action)
+from detl.kripke import KripkeModel, check_property
 from detl.logic import sharp_action
 
 SIG = DEFAULT_SIG
@@ -165,3 +168,35 @@ def test_forest_generator_is_lrdetl(rng):
     for _ in range(20):
         U = rand_forest_action(rng)
         assert is_lrdetl_action(U).holds
+
+
+def test_action_model_validation():
+    with pytest.raises(ValueError):
+        ActionModel(sig=SIG, events=(), epistemic={}, yesterday=(), pre={})
+    with pytest.raises(ValueError):
+        mk_action(("e",), {"e": "true"}, epi={"a": {("e", "x")}})
+    with pytest.raises(ValueError):
+        mk_action(("e",), {"e": "true"}, yesterday={("x", "e")})
+    with pytest.raises(ValueError):
+        ActionModel(sig=SIG, events=("e",), epistemic={"c": {("e", "e")}},
+                    yesterday=(), pre={"e": TOP})
+    with pytest.raises(ValueError):
+        ActionModel(sig=SIG, events=("e", "f"), epistemic={}, yesterday=(),
+                    pre={"e": TOP})
+    with pytest.raises(ValueError):
+        ActionModel(sig=SIG, events=("e",), epistemic={}, yesterday=(),
+                    pre={"e": TOP, "f": TOP})
+    with pytest.raises(ValueError):
+        ActionModel(sig=SIG, events=("e|f",), epistemic={}, yesterday=(),
+                    pre={"e|f": TOP})
+
+
+def test_action_properties_match_kripke_frame():
+    # an action model and a Kripke model on the same graph share every
+    # frame condition, witnesses included
+    for seed in range(60):
+        U = rand_temporal_action(random.Random(seed), max_events=5)
+        M = KripkeModel(sig=U.sig, worlds=U.events, epistemic=U.epi,
+                        yesterday=U.yesterday, valuation={})
+        for prop in ACTION_PROPERTIES:
+            assert check_action_property(U, prop) == check_property(M, prop)

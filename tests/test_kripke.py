@@ -148,6 +148,15 @@ def test_relation_closure_reflexive():
     assert closed.epi["a"] == {("v", "v"), ("w", "w")}
 
 
+def _reachability(pairs, nodes):
+    # Warshall: allow each node in turn as an intermediate step
+    reach = set(pairs)
+    for k in nodes:
+        reach |= {(x, z) for x in nodes for z in nodes
+                  if (x, k) in reach and (k, z) in reach}
+    return reach
+
+
 def test_relation_closure_monotone_idempotent(rng):
     for _ in range(30):
         N = rand_kripke(rng, max_worlds=4, density=0.3)
@@ -155,6 +164,8 @@ def test_relation_closure_monotone_idempotent(rng):
             once = relation_closure(N, mode)
             for a in SIG.agents:
                 assert N.epi[a] <= once.epi[a]
+                if mode == "transitive":
+                    assert once.epi[a] == _reachability(N.epi[a], N.worlds)
             assert relation_closure(once, mode) == once
 
 
