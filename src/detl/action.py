@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Optional
 
-from .formula import Formula, Signature, check_ident, implies
+from .formula import Formula, Signature, actions_in, check_ident, implies
 from .kripke import Frame, PropertyReport, check_frame_property, is_restricted
 
 FLAT = "♭"
@@ -58,6 +58,11 @@ class ActionModel(Frame):
     @cached_property
     def pre_map(self) -> Dict[str, Formula]:
         return dict(self.pre)
+
+    @cached_property
+    def _lrdetl(self) -> PropertyReport:
+        """The lrdetl report under the default validity oracle."""
+        return _check_lrdetl(self, None)
 
 
 @dataclass(frozen=True)
@@ -179,9 +184,14 @@ def is_lrdetl_action(U: ActionModel,
                      validity: Optional[Callable] = None) -> PropertyReport:
     """Membership of U in the forest-like action class, recursively applied
     to the action models inside preconditions.  Persistence of facts is
-    vacuous here since actions carry no valuation."""
-    from .formula import actions_in
+    vacuous here since actions carry no valuation.  Under the default
+    validity oracle the report is computed once per action model."""
+    if validity is None:
+        return U._lrdetl
+    return _check_lrdetl(U, validity)
 
+
+def _check_lrdetl(U: ActionModel, validity: Optional[Callable]) -> PropertyReport:
     rep = is_restricted(U)
     if not rep.holds:
         return PropertyReport("lrdetl_action", False, (U.name,) + rep.witness)

@@ -201,7 +201,7 @@ class KripkeModel(Frame):
         return {p: frozenset(ws) for p, ws in self.valuation}
 
     def atoms_at(self, w: str) -> FrozenSet[str]:
-        return frozenset(p for p, ws in self.valuation if w in ws)
+        return frozenset(p for p, ws in self.val.items() if w in ws)
 
 
 @dataclass(frozen=True)

@@ -216,49 +216,53 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
     """Largest bisimulation between the two models if it links the two
     points, else None.
 
-    Partition refinement over the disjoint union; the refinement relations
-    are the epistemic successors plus the step toward the past (the future
-    direction does not discriminate).
+    Partition refinement over the disjoint union, numbered once; the
+    refinement relations are the epistemic successors plus the step
+    toward the past (the future direction does not discriminate).  Each
+    round splits the blocks on the blocks of every node's successors,
+    until the partition stops refining.
     """
     if A.model.sig != B.model.sig:
         raise ValueError("bisimulation requires a shared signature")
-    sig = A.model.sig
-    nodes = [(0, w) for w in A.model.worlds] + [(1, w) for w in B.model.worlds]
-    models = (A.model, B.model)
-
-    def successors(node, rel):
-        side, w = node
-        M = models[side]
-        if rel == ("Y",):
-            return [(side, v) for v in M.yesterdays(w)]
-        return [(side, v) for v in M.succ(rel[1], w)]
-
-    relations = [("K", a) for a in sig.agents] + [("Y",)]
-    # initial blocks by atom valuation, then split on successor blocks
-    # until the partition stops refining
+    agents = A.model.sig.agents
+    nrel = len(agents) + 1
+    # per node, (successor index, relation) with relation 0 the step
+    # toward the past; initial blocks by atom valuation
+    succ: List[List[Tuple[int, int]]] = []
+    block: List[int] = []
     seed: Dict[FrozenSet[str], int] = {}
-    block = {}
-    for n in nodes:
-        atoms = models[n[0]].atoms_at(n[1])
-        block[n] = seed.setdefault(atoms, len(seed))
+    points = []
+    for pm in (A, B):
+        M = pm.model
+        index = {w: len(succ) + i for i, w in enumerate(M.worlds)}
+        points.append(index[pm.point])
+        for w in M.worlds:
+            out = [(index[v], 0) for v in M.yesterdays(w)]
+            for r, a in enumerate(agents, 1):
+                out.extend((index[v], r) for v in M.succ(a, w))
+            succ.append(out)
+            block.append(seed.setdefault(M.atoms_at(w), len(seed)))
+    count = len(seed)
     while True:
-        fresh: Dict[tuple, int] = {}
-        new_block = {}
-        for n in nodes:
-            key = (block[n],
-                   tuple(frozenset(block[m] for m in successors(n, rel))
-                         for rel in relations))
-            new_block[n] = fresh.setdefault(key, len(fresh))
-        stable = len(set(new_block.values())) == len(set(block.values()))
-        block = new_block
-        if stable:
+        # a node's signature: its block and the (block, relation) of each
+        # successor, packed into one int
+        old, fresh = block, {}
+        block = [fresh.setdefault(
+                     (b, frozenset([old[j] * nrel + r for j, r in out])),
+                     len(fresh))
+                 for b, out in zip(old, succ)]
+        if len(fresh) == count:
             break
-    if block[(0, A.point)] != block[(1, B.point)]:
+        count = len(fresh)
+    if block[points[0]] != block[points[1]]:
         return None
-    pairs = frozenset((w, v)
-                      for w in A.model.worlds for v in B.model.worlds
-                      if block[(0, w)] == block[(1, v)])
-    return Bisimulation(pairs)
+    n = len(A.model.worlds)
+    by_block: Dict[int, List[str]] = {}
+    for v, b in zip(B.model.worlds, block[n:]):
+        by_block.setdefault(b, []).append(v)
+    return Bisimulation(frozenset((w, v)
+                                  for w, b in zip(A.model.worlds, block)
+                                  for v in by_block.get(b, ())))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ from .formula import (And, Atom, Bottom, Box, Formula, Not, Update, Yesterday,
 from .kripke import KripkeModel, is_restricted
 
 SEP = "|"
+# models each update cache keeps: the products and ⊕ models that the
+# queries on one model reach, with room to spare (24 in the benchmark's
+# model-check workload)
+UPDATE_CACHE = 128
 
 
 class EmptyProductError(ValueError):
@@ -82,7 +86,21 @@ def _ev(M: KripkeModel, w: str, f: Formula) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@lru_cache(maxsize=1024)
+def _joined_arrows(M: KripkeModel, U: ActionModel, surviving: list) -> dict:
+    """Per agent, the arrows (v, t) -> (v2, t2) between surviving pairs
+    with v -> v2 in M and t -> t2 in U.  Joining the two successor lists
+    of each pair costs the arrows, not the surviving pairs squared."""
+    names = {(v, t): pair_name(v, t) for v, t in surviving}
+    epistemic = {}
+    for a in M.sig.agents:
+        ms, us = M._succ[a], U._succ[a]
+        epistemic[a] = {(x, names[v2, t2])
+                        for (v, t), x in names.items()
+                        for v2 in ms[v] for t2 in us[t] if (v2, t2) in names}
+    return epistemic
+
+
+@lru_cache(maxsize=UPDATE_CACHE)
 def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     """The product M[U]: surviving pairs, componentwise epistemic arrows,
     asynchronous yesterday arrows."""
@@ -92,12 +110,7 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     if not surviving:
         raise EmptyProductError("no world satisfies any precondition")
     alive = set(surviving)
-    epistemic = {}
-    for a in M.sig.agents:
-        me, ue = M.epi[a], U.epi[a]
-        epistemic[a] = {(pair_name(v, t), pair_name(v2, t2))
-                        for v, t in surviving for v2, t2 in surviving
-                        if (v, v2) in me and (t, t2) in ue}
+    epistemic = _joined_arrows(M, U, surviving)
     yesterday = set()
     for v, t in surviving:
         if is_past_state(U, t):
@@ -121,7 +134,7 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
 # ---------------------------------------------------------------------------
 # YDEL
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=UPDATE_CACHE)
 def ydel_update(M: KripkeModel, U: ActionModel,
                 permissive: bool = False) -> KripkeModel:
     """M ⊕ U: the update hardcodes a ♭-copy of M as the shared yesterday
@@ -138,16 +151,10 @@ def ydel_update(M: KripkeModel, U: ActionModel,
                  if _ev_ydel(M, v, U.pre_map[t])]
     flats = [(v, FLAT) for v in M.worlds]
     worlds = flats + surviving
-    alive = set(surviving)
-    epistemic = {}
-    for a in M.sig.agents:
-        me, ue = M.epi[a], U.epi[a]
-        arrows = {(pair_name(v, FLAT), pair_name(v2, FLAT))
-                  for v, v2 in me}
-        arrows |= {(pair_name(v, t), pair_name(v2, t2))
-                   for v, t in surviving for v2, t2 in surviving
-                   if (v, v2) in me and (t, t2) in ue}
-        epistemic[a] = arrows
+    epistemic = _joined_arrows(M, U, surviving)
+    for a, arrows in epistemic.items():
+        arrows.update((pair_name(v, FLAT), pair_name(v2, FLAT))
+                      for v, v2 in M.epi[a])
     yesterday = {(pair_name(v, FLAT), pair_name(v, t)) for v, t in surviving}
     yesterday |= {(pair_name(v, FLAT), pair_name(v2, FLAT))
                   for v, v2 in M.yesterday}

@@ -11,7 +11,7 @@ from detl.kripke import KripkeModel, PointedModel
 from detl.logic import (TableauLimit, bisimilar, is_valid,
                         language_equivalence_probe, reduce_formula,
                         sharp_action, sharp_formula, validity)
-from detl.semantics import evaluate, product_update
+from detl.semantics import evaluate, product_update, ydel_update
 
 from conftest import verify_bisimulation
 
@@ -147,6 +147,55 @@ def test_bisim_vs_probe(rng):
             assert wit is None
             assert evaluate(N1, A.point, probe.distinguishing) != \
                 evaluate(N2, B.point, probe.distinguishing)
+
+
+def _greatest_bisimulation(MA, MB):
+    """The greatest bisimulation between two models: from all of A×B,
+    delete pairs that disagree on atoms or fail forth or back under an
+    agent or the step into the past, until none does."""
+    def atoms(M, w):
+        return {p for p, ws in M.valuation if w in ws}
+
+    def moves(M, w):
+        return [M.yesterdays(w)] + [M.succ(a, w) for a in M.sig.agents]
+
+    R = {(w, v) for w in MA.worlds for v in MB.worlds
+         if atoms(MA, w) == atoms(MB, v)}
+    changed = True
+    while changed:
+        changed = False
+        for w, v in sorted(R):
+            for mw, mv in zip(moves(MA, w), moves(MB, v)):
+                if not (all(any((w2, v2) in R for v2 in mv) for w2 in mw)
+                        and all(any((w2, v2) in R for w2 in mw) for v2 in mv)):
+                    R.discard((w, v))
+                    changed = True
+                    break
+    return R
+
+
+def test_bisimilar_is_greatest_fixpoint():
+    rng = random.Random(5)
+    outcomes = set()
+    for i in range(40):
+        N = rand_kripke(rng, max_worlds=4)
+        V = rand_atemporal_action(rng)
+        # a random model, an update of N, and N ⊕ V, whose ♭-copy is
+        # bisimilar to N
+        K = [rand_kripke(rng, max_worlds=4), product_update(N, V),
+             ydel_update(N, V, True)][i % 3]
+        R = _greatest_bisimulation(N, K)
+        for w in N.worlds:
+            for v in K.worlds:
+                A, B = PointedModel(N, w), PointedModel(K, v)
+                wit = bisimilar(A, B)
+                outcomes.add(wit is not None)
+                if (w, v) not in R:
+                    assert wit is None
+                    continue
+                assert wit.relation == R
+                verify_bisimulation(A, B, wit.relation)
+    assert outcomes == {True, False}
 
 
 def test_probe_disagrees_on_atoms(M):

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from detl.action import ActionModel, check_history_preservation, \
-    action_depth
+    action_depth, is_past_state
 from detl.formula import TOP, parse
 from detl.generate import (DEFAULT_SIG, rand_atemporal_action,
                            rand_forest_action, rand_kripke, rand_restricted,
@@ -101,6 +103,73 @@ def test_componentwise_law(rng):
                         for v, t in alive for v2, t2 in alive
                         if (v, v2) in N.epi[a] and (t, t2) in U.epi[a]}
             assert P.epi[a] == expected
+
+
+def _product_by_definition(M, U):
+    """M[U] straight from the definition, every arrow tested on every
+    pair of surviving pairs."""
+    alive = [(v, t) for v in M.worlds for t in U.events
+             if evaluate(M, v, U.pre_map[t])]
+    m_yesterday, u_yesterday = set(M.yesterday), set(U.yesterday)
+    return KripkeModel(
+        sig=M.sig,
+        worlds=[pair_name(v, t) for v, t in alive],
+        epistemic={a: {(pair_name(v, t), pair_name(v2, t2))
+                       for v, t in alive for v2, t2 in alive
+                       if (v, v2) in M.epi[a] and (t, t2) in U.epi[a]}
+                   for a in M.sig.agents},
+        yesterday={(pair_name(v2, t2), pair_name(v, t))
+                   for v, t in alive for v2, t2 in alive
+                   if (t2 == t and is_past_state(U, t)
+                       and (v2, v) in m_yesterday)
+                   or (v2 == v and (t2, t) in u_yesterday)},
+        valuation={p: {pair_name(v, t) for v, t in alive if v in ws}
+                   for p, ws in M.val.items()})
+
+
+def _oplus_by_definition(M, U):
+    """M ⊕ U straight from the definition: a ♭-copy of M, one tick
+    before the surviving pairs, whose arrows are tested pair by pair."""
+    alive = [(v, t) for v in M.worlds for t in U.events
+             if eval_ydel(M, v, U.pre_map[t], permissive=True)]
+    flats = [(v, "♭") for v in M.worlds]
+    m_yesterday = set(M.yesterday)
+    return KripkeModel(
+        sig=M.sig,
+        worlds=[pair_name(v, t) for v, t in flats + alive],
+        epistemic={a: {(pair_name(v, t), pair_name(v2, t2))
+                       for v, t in flats + alive for v2, t2 in flats + alive
+                       if (v, v2) in M.epi[a]
+                       and (t == t2 == "♭" or (t, t2) in U.epi[a])}
+                   for a in M.sig.agents},
+        yesterday={(pair_name(v2, "♭"), pair_name(v, t))
+                   for v, t in flats + alive for v2, _ in flats
+                   if (t == "♭" and (v2, v) in m_yesterday)
+                   or (t != "♭" and v2 == v)},
+        valuation={p: {pair_name(v, t) for v, t in flats + alive if v in ws}
+                   for p, ws in M.val.items()})
+
+
+def test_updates_equal_definition():
+    rng = random.Random(11)
+    for _ in range(60):
+        # any model by any temporal action
+        N, U = rand_kripke(rng, max_worlds=5), rand_temporal_action(rng)
+        try:
+            P = product_update(N, U)
+        except EmptyProductError:
+            assert not any(evaluate(N, v, U.pre_map[t])
+                           for v in N.worlds for t in U.events)
+        else:
+            assert P == _product_by_definition(N, U)
+        # ⊕ on restricted models, and permissive ⊕ on any model
+        R, V = rand_restricted(rng), rand_atemporal_action(rng)
+        assert ydel_update(R, V) == _oplus_by_definition(R, V)
+        assert product_update(R, V) == _product_by_definition(R, V)
+        assert ydel_update(N, V, True) == _oplus_by_definition(N, V)
+        # restricted models by forest actions
+        F = rand_forest_action(rng)
+        assert product_update(R, F) == _product_by_definition(R, F)
 
 
 def test_depth_additivity_under_history_preservation(rng):
