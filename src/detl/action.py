@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Optional
 
-from .formula import Formula, Signature, actions_in, check_ident, implies
+from .formula import (Formula, Signature, Update, check_ident, implies,
+                      subformulas)
 from .kripke import Frame, PropertyReport, check_frame_property, is_restricted
 
 FLAT = "♭"
@@ -47,6 +48,7 @@ class ActionModel(Frame):
     _check_name = staticmethod(_check_event_name)
     nodes = property(lambda self: self.events)
     require_event = Frame._require
+    __hash__ = Frame.__hash__  # kept by the dataclass decorator
 
     def __post_init__(self):
         object.__setattr__(self, "events", self._canonicalise())
@@ -199,9 +201,12 @@ def _check_lrdetl(U: ActionModel, validity: Optional[Callable]) -> PropertyRepor
     if not hp.holds:
         return PropertyReport("lrdetl_action", False,
                               (U.name, "history_preservation") + hp.witness)
+    # in preorder, so the witness is the first failing action as written;
+    # each inner action's check recurses into its own preconditions
     for _, pre in U.pre:
-        for inner in actions_in(pre):
-            rep = is_lrdetl_action(inner, validity)
-            if not rep.holds:
-                return rep
+        for g in subformulas(pre):
+            if isinstance(g, Update):
+                rep = is_lrdetl_action(g.action, validity)
+                if not rep.holds:
+                    return rep
     return PropertyReport("lrdetl_action", True)

@@ -387,6 +387,11 @@ def main(argv=None) -> int:
             logic.TableauLimit) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # the parser and the evaluator loop over runs of prefix operators
+        # and negations; other walks still recurse once per nesting level
+        print("ERROR: input nested too deeply", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

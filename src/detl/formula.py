@@ -4,13 +4,24 @@ Formulas are built from ``false``, atoms, negation, conjunction, the
 knowledge box ``[a]``, the yesterday box ``[Y]`` and the update modality
 ``[U@s]``.  Everything else (``true``, ``|``, ``->``, ``<->``, diamonds)
 is sugar that the parser expands and the printer folds back.
+
+Formulas are hash-consed: a constructor call returns the one node with
+that structure, so structurally equal formulas are the same object,
+equality and hashing are O(1), and a formula's content is a DAG whose
+shared subformulas memo tables can key on.  Every node carries the atoms,
+agents and action models occurring in it, computed once from its
+children when it is built.  The intern table holds its nodes weakly: a
+node lives as long as a caller or a parent node holds it, so a long run
+of fresh formulas (parsing queries, reducing them) leaves the table no
+larger than what is still in use.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .action import ActionModel
@@ -47,10 +58,71 @@ class Signature:
             check_ident(p, "atom")
 
 
-class Formula:
-    """Base class; all connectives are frozen dataclasses below."""
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that remembers its table key."""
 
-    __slots__ = ()
+    __slots__ = ("key",)
+
+
+#: the intern table, structural key -> weak reference to the one node
+_NODES: Dict[tuple, _Ref] = {}
+
+_EMPTY: FrozenSet = frozenset()
+_EMPTY_OCC = (_EMPTY, _EMPTY, _EMPTY)  # no atoms, agents or actions
+_set = object.__setattr__
+
+
+def _forget(ref: _Ref):
+    # the node died; drop its entry unless a new node already took the key
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+def _node(cls, key: tuple, occ: tuple) -> "Formula":
+    """A new node of class cls under key, with its occurrence sets; the
+    caller sets the fields."""
+    node = object.__new__(cls)
+    _set(node, "_occ", occ)
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _NODES[key] = ref
+    return node
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """The union of two (atoms, agents, actions) triples, reusing either
+    one that already holds the other, so nodes share their triples."""
+    if a is b:
+        return a
+    out = (a[0] | b[0], a[1] | b[1], a[2] | b[2])
+    return a if out == a else b if out == b else out
+
+
+class Formula:
+    """Base class of the connectives below.
+
+    Nodes are hash-consed and immutable: `==` is `is` and hashing is by
+    identity.  `atoms`, `agents` and `actions` are the frozensets of atom
+    names, agent names and action models occurring in the node,
+    preconditions of its action models included; they are one triple per
+    node, shared with its children where it is the same.
+    """
+
+    __slots__ = ("_occ", "__weakref__")
+
+    atoms = property(lambda self: self._occ[0])
+    agents = property(lambda self: self._occ[1])
+    actions = property(lambda self: self._occ[2])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        args = ", ".join(repr(getattr(self, n)) for n in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -59,47 +131,101 @@ class Formula:
         return Not(self)
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        key = (cls,)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        return _node(cls, key, _EMPTY_OCC) if node is None else node
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _node(cls, key, (frozenset((name,)), _EMPTY, _EMPTY))
+            _set(node, "name", name)
+        return node
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
+
+    def __new__(cls, sub: Formula):
+        key = (cls, sub)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _node(cls, key, sub._occ)
+            _set(node, "sub", sub)
+        return node
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _node(cls, key, _join(left._occ, right._occ))
+            _set(node, "left", left)
+            _set(node, "right", right)
+        return node
 
 
-@dataclass(frozen=True)
 class Box(Formula):
-    agent: str
-    sub: Formula
+    __slots__ = ("agent", "sub")
+
+    def __new__(cls, agent: str, sub: Formula):
+        key = (cls, agent, sub)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            occ = sub._occ
+            if agent not in occ[1]:
+                occ = (occ[0], occ[1] | {agent}, occ[2])
+            node = _node(cls, key, occ)
+            _set(node, "agent", agent)
+            _set(node, "sub", sub)
+        return node
 
 
-@dataclass(frozen=True)
 class Yesterday(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
+    __new__ = Not.__new__  # built like Not, keyed on its own class
 
 
-@dataclass(frozen=True)
 class Update(Formula):
-    action: "ActionModel"
-    event: str
-    sub: Formula
+    """[action@event]sub.  Keyed on the action and its name: action
+    models that differ only in name are equal, but each node prints its
+    own action's name."""
 
-    def __post_init__(self):
-        if self.event not in self.action.events:
-            raise ValueError(f"event {self.event!r} not in action model")
+    __slots__ = ("action", "event", "sub")
+
+    def __new__(cls, action: "ActionModel", event: str, sub: Formula):
+        key = (cls, action, action.name, event, sub)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            if event not in action.events:
+                raise ValueError(f"event {event!r} not in action model")
+            occ = _join(sub._occ, (_EMPTY, frozenset(action.sig.agents),
+                                   frozenset((action,))))
+            for _, pre in action.pre:
+                occ = _join(occ, pre._occ)
+            node = _node(cls, key, occ)
+            _set(node, "action", action)
+            _set(node, "event", event)
+            _set(node, "sub", sub)
+        return node
 
 
 BOT = Bottom()
@@ -142,43 +268,30 @@ def conj(formulas) -> Formula:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformulas of f, preorder, not descending into preconditions."""
-    yield f
-    if isinstance(f, (Not, Box, Yesterday, Update)):
-        yield from subformulas(f.sub)
-    elif isinstance(f, And):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    """All subformulas of f, preorder, not descending into preconditions;
+    a subformula occurring twice is yielded twice."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, And):
+            stack.append(g.right)
+            stack.append(g.left)
+        elif isinstance(g, (Not, Box, Yesterday, Update)):
+            stack.append(g.sub)
 
 
-def actions_in(f: Formula) -> Iterator["ActionModel"]:
-    """All action models occurring in f, including inside preconditions."""
-    for g in subformulas(f):
-        if isinstance(g, Update):
-            yield g.action
-            for _, pre in g.action.pre:
-                yield from actions_in(pre)
+def actions_in(f: Formula) -> FrozenSet["ActionModel"]:
+    """The action models occurring in f, including inside preconditions."""
+    return f.actions
 
 
-def atoms_in(f: Formula):
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            out.add(g.name)
-        elif isinstance(g, Update):
-            for _, pre in g.action.pre:
-                out |= atoms_in(pre)
-    return out
+def atoms_in(f: Formula) -> FrozenSet[str]:
+    return f.atoms
 
 
-def agents_in(f: Formula):
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, Box):
-            out.add(g.agent)
-        elif isinstance(g, Update):
-            out |= set(g.action.sig.agents)
-    return out
+def agents_in(f: Formula) -> FrozenSet[str]:
+    return f.agents
 
 
 def is_atemporal(f: Formula) -> bool:
@@ -187,12 +300,12 @@ def is_atemporal(f: Formula) -> bool:
     [Y] connectives in the formula itself are fine; the restriction is on
     the action models only.
     """
-    return all(not u.yesterday for u in actions_in(f))
+    return all(not u.yesterday for u in f.actions)
 
 
 def is_setl(f: Formula) -> bool:
     """True iff f contains no update modality at all."""
-    return all(not isinstance(g, Update) for g in subformulas(f))
+    return not f.actions
 
 
 def y_nesting_depth(f: Formula) -> int:
@@ -237,24 +350,21 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+# leading whitespace, then an identifier, an operator or any other
+# character, which is an error; a token's position is where its leading
+# whitespace starts
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_♭][A-Za-z0-9_♭]*)"
-    r"|(?P<op><->|->|[~&|()\[\]<>@]))"
-)
+    r"(\s*)(?:([A-Za-z_♭][A-Za-z0-9_♭]*)|(<->|->|[~&|()\[\]<>@])|(\S))")
 
 
 def _tokenize(text: str):
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        kind = "ident" if m.group("ident") else "op"
-        tokens.append((kind, m.group().strip(), m.start()))
-        pos = m.end()
+    for space, ident, op, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append(("ident", ident, pos) if ident else ("op", op, pos))
+        pos += len(space) + len(ident or op)
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -309,38 +419,42 @@ class _Parser:
         return left
 
     def unary(self) -> Formula:
+        """Prefix operators, then an atom, a constant or a parenthesised
+        formula.  The prefixes are collected in a loop and applied inside
+        out, so a long run of them does not recurse."""
+        prefixes = []
         kind, val, pos = self.next()
-        if val == "~":
-            return Not(self.unary())
+        while val in ("~", "[", "<"):
+            if val == "~":
+                prefixes.append((val, None, None, None))
+            else:
+                close = "]" if val == "[" else ">"
+                prefixes.append((val, *self.modal_head(close)))
+            kind, val, pos = self.next()
         if val == "(":
             f = self.formula()
             self.expect(")")
-            return f
-        if val == "[":
-            box, action, event = self.modal_head("]")
-            body = self.unary()
-            if box == "Y":
-                return Yesterday(body)
-            if action is None:
-                return Box(box, body)
-            return Update(action, event, body)
-        if val == "<":
-            box, action, event = self.modal_head(">")
-            body = self.unary()
-            if box == "Y":
-                return dia_yesterday(body)
-            if action is None:
-                return diamond(box, body)
-            return dia_update(action, event, body)
-        if kind == "ident":
-            if val == "true":
-                return TOP
-            if val == "false":
-                return BOT
+        elif kind == "ident" and val == "true":
+            f = TOP
+        elif kind == "ident" and val == "false":
+            f = BOT
+        elif kind == "ident":
             if val not in self.sig.atoms:
                 raise ParseError(f"unknown atom {val!r}", pos)
-            return Atom(val)
-        raise ParseError(f"unexpected {val or 'end of input'!r}", pos)
+            f = Atom(val)
+        else:
+            raise ParseError(f"unexpected {val or 'end of input'!r}", pos)
+        for op, name, action, event in reversed(prefixes):
+            if op == "~":
+                f = Not(f)
+            elif action is not None:
+                f = (Update(action, event, f) if op == "["
+                     else dia_update(action, event, f))
+            elif name == "Y":
+                f = Yesterday(f) if op == "[" else dia_yesterday(f)
+            else:
+                f = Box(name, f) if op == "[" else diamond(name, f)
+        return f
 
     def modal_head(self, close: str):
         """Parse the inside of [..] or <..>; returns (name, action, event)."""

@@ -13,7 +13,7 @@ makes histories unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -58,8 +58,10 @@ class Frame:
 
     Subclasses are frozen dataclasses with fields `sig`, the node tuple,
     `epistemic` and `yesterday`.  They expose the node tuple as `nodes`,
-    name a node in messages with `_KIND` and check a node name with
-    `_check_name`.  Every view below is computed once per model.
+    name a node in messages with `_KIND`, check a node name with
+    `_check_name` and set `__hash__ = Frame.__hash__` in their body, so
+    the decorator keeps the cached hash.  Every view below is computed
+    once per model.
     """
 
     val = None  # the valuation view of a Kripke model; action models have none
@@ -87,6 +89,16 @@ class Frame:
         return nodes
 
     # -- derived views -----------------------------------------------------
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the compared fields, computed once: update caches
+        and formula nodes key on models."""
+        return hash(tuple(getattr(self, f.name) for f in fields(self)
+                          if f.compare))
 
     @cached_property
     def epi(self) -> Dict[str, FrozenSet[Tuple[str, str]]]:
@@ -181,6 +193,7 @@ class KripkeModel(Frame):
     _check_name = staticmethod(_check_world_name)
     nodes = property(lambda self: self.worlds)
     require_world = Frame._require
+    __hash__ = Frame.__hash__  # kept by the dataclass decorator
 
     def __post_init__(self):
         object.__setattr__(self, "worlds", self._canonicalise())

@@ -10,8 +10,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .action import FLAT, ActionModel, is_atemporal_action, is_past_state
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, TOP,
-                      Update, Yesterday, agents_in, atoms_in, conj, diamond,
-                      dia_yesterday, implies)
+                      Update, Yesterday, conj, diamond, dia_yesterday,
+                      implies)
 from .kripke import KripkeModel, PointedModel
 
 DEFAULT_NODE_LIMIT = 10 ** 6
@@ -25,22 +25,35 @@ def reduce_formula(f: Formula) -> Formula:
 
     Innermost-first: preconditions are reduced before the update that
     carries them is pushed through its body, so the push step only ever
-    sees update-free material.
+    sees update-free material.  One memo, keyed by node and by (action,
+    event, node), serves the whole call, so each shared subformula is
+    reduced and each pushed once per event: the work follows the
+    distinct nodes of the result, not its size as a tree.
     """
+    return _reduce(f, {})
+
+
+def _reduce(f: Formula, memo: dict) -> Formula:
+    out = memo.get(f)
+    if out is not None:
+        return out
     if isinstance(f, (Bottom, Atom)):
-        return f
-    if isinstance(f, Not):
-        return Not(reduce_formula(f.sub))
-    if isinstance(f, And):
-        return And(reduce_formula(f.left), reduce_formula(f.right))
-    if isinstance(f, Box):
-        return Box(f.agent, reduce_formula(f.sub))
-    if isinstance(f, Yesterday):
-        return Yesterday(reduce_formula(f.sub))
-    if isinstance(f, Update):
+        out = f
+    elif isinstance(f, Not):
+        out = Not(_reduce(f.sub, memo))
+    elif isinstance(f, And):
+        out = And(_reduce(f.left, memo), _reduce(f.right, memo))
+    elif isinstance(f, Box):
+        out = Box(f.agent, _reduce(f.sub, memo))
+    elif isinstance(f, Yesterday):
+        out = Yesterday(_reduce(f.sub, memo))
+    elif isinstance(f, Update):
         U = _reduce_action(f.action)
-        return _push(U, f.event, reduce_formula(f.sub))
-    raise TypeError(f"not a formula: {f!r}")
+        out = _push(U, f.event, _reduce(f.sub, memo), memo)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[f] = out
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -50,25 +63,33 @@ def _reduce_action(U: ActionModel) -> ActionModel:
         pre={e: reduce_formula(p) for e, p in U.pre}, name=U.name)
 
 
-def _push(U: ActionModel, s: str, f: Formula) -> Formula:
+def _push(U: ActionModel, s: str, f: Formula, memo: dict) -> Formula:
     """Rewrite [U,s]f into the update-free fragment; f and all of U's
     preconditions are update-free already."""
+    key = (U, s, f)
+    out = memo.get(key)
+    if out is not None:
+        return out
     pre = U.pre_map[s]
     if isinstance(f, (Atom, Bottom)):
-        return implies(pre, f)
-    if isinstance(f, Not):
-        return implies(pre, Not(_push(U, s, f.sub)))
-    if isinstance(f, And):
-        return And(_push(U, s, f.left), _push(U, s, f.right))
-    if isinstance(f, Box):
-        return implies(pre, conj(Box(f.agent, _push(U, s2, f.sub))
-                                 for s2 in U.succ(f.agent, s)))
-    if isinstance(f, Yesterday):
+        out = implies(pre, f)
+    elif isinstance(f, Not):
+        out = implies(pre, Not(_push(U, s, f.sub, memo)))
+    elif isinstance(f, And):
+        out = And(_push(U, s, f.left, memo), _push(U, s, f.right, memo))
+    elif isinstance(f, Box):
+        out = implies(pre, conj(Box(f.agent, _push(U, s2, f.sub, memo))
+                                for s2 in U.succ(f.agent, s)))
+    elif isinstance(f, Yesterday):
         if is_past_state(U, s):
-            return implies(pre, Yesterday(_push(U, s, f.sub)))
-        return implies(pre, conj(_push(U, s2, f.sub)
-                                 for s2 in U.yesterdays(s)))
-    raise TypeError(f"unexpected update inside a reduced body: {f!r}")
+            out = implies(pre, Yesterday(_push(U, s, f.sub, memo)))
+        else:
+            out = implies(pre, conj(_push(U, s2, f.sub, memo)
+                                    for s2 in U.yesterdays(s)))
+    else:
+        raise TypeError(f"unexpected update inside a reduced body: {f!r}")
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -94,54 +115,59 @@ class _Tableau:
             raise TableauLimit("tableau node limit exceeded")
 
     def satisfy(self, pending: list) -> Optional[_TreeWorld]:
+        """A tree model of the (formula, polarity) entries, or None.  A
+        negative entry stands for the formula's negation, so splitting a
+        negated conjunction builds no new nodes."""
         return self._expand(list(pending), frozenset(), frozenset(), {}, ())
 
     def _expand(self, pending, pos, neg, boxes, diamonds):
         while pending:
             self.tick()
-            f = pending.pop()
-            if isinstance(f, Bottom):
-                return None
-            if isinstance(f, Atom):
-                if f.name in neg:
+            f, positive = pending.pop()
+            if positive and isinstance(f, Not):
+                f, positive = f.sub, False
+            if positive:
+                if isinstance(f, Bottom):
                     return None
-                pos = pos | {f.name}
-            elif isinstance(f, And):
-                pending.append(f.left)
-                pending.append(f.right)
-            elif isinstance(f, Box):
-                key = ("K", f.agent)
-                boxes = {**boxes, key: boxes.get(key, ()) + (f.sub,)}
-            elif isinstance(f, Yesterday):
-                key = ("Y",)
-                boxes = {**boxes, key: boxes.get(key, ()) + (f.sub,)}
-            elif isinstance(f, Not):
-                g = f.sub
-                if isinstance(g, Bottom):
-                    pass
-                elif isinstance(g, Atom):
-                    if g.name in pos:
+                if isinstance(f, Atom):
+                    if f.name in neg:
                         return None
-                    neg = neg | {g.name}
-                elif isinstance(g, Not):
-                    pending.append(g.sub)
-                elif isinstance(g, And):
-                    left = self._expand(pending + [Not(g.left)],
-                                        pos, neg, boxes, diamonds)
-                    if left is not None:
-                        return left
-                    pending.append(Not(g.right))
-                elif isinstance(g, Box):
-                    diamonds = diamonds + ((("K", g.agent), Not(g.sub)),)
-                elif isinstance(g, Yesterday):
-                    diamonds = diamonds + ((("Y",), Not(g.sub)),)
+                    pos = pos | {f.name}
+                elif isinstance(f, And):
+                    pending.append((f.left, True))
+                    pending.append((f.right, True))
+                elif isinstance(f, Box):
+                    key = ("K", f.agent)
+                    boxes = {**boxes, key: boxes.get(key, ()) + (f.sub,)}
+                elif isinstance(f, Yesterday):
+                    key = ("Y",)
+                    boxes = {**boxes, key: boxes.get(key, ()) + (f.sub,)}
                 else:
-                    raise TypeError(f"update reached the tableau: {g!r}")
+                    raise TypeError(f"update reached the tableau: {f!r}")
+            elif isinstance(f, Bottom):
+                pass
+            elif isinstance(f, Atom):
+                if f.name in pos:
+                    return None
+                neg = neg | {f.name}
+            elif isinstance(f, Not):
+                pending.append((f.sub, True))
+            elif isinstance(f, And):
+                left = self._expand(pending + [(f.left, False)],
+                                    pos, neg, boxes, diamonds)
+                if left is not None:
+                    return left
+                pending.append((f.right, False))
+            elif isinstance(f, Box):
+                diamonds = diamonds + ((("K", f.agent), f.sub),)
+            elif isinstance(f, Yesterday):
+                diamonds = diamonds + ((("Y",), f.sub),)
             else:
                 raise TypeError(f"update reached the tableau: {f!r}")
         children = []
         for rel, g in diamonds:
-            sub = self.satisfy([g, *boxes.get(rel, ())])
+            sub = self.satisfy([(g, False),
+                                *((b, True) for b in boxes.get(rel, ()))])
             if sub is None:
                 return None
             children.append((rel, sub))
@@ -190,10 +216,10 @@ def validity(f: Formula, max_nodes: int = DEFAULT_NODE_LIMIT):
     g = reduce_formula(f)
     # signature from the original formula too: reduction can drop atoms
     # (vacuous boxes) and countermodels must still evaluate the original
-    agents = sorted(agents_in(f) | agents_in(g)) or ["a"]
-    atoms = sorted(atoms_in(f) | atoms_in(g))
+    agents = sorted(f.agents | g.agents) or ["a"]
+    atoms = sorted(f.atoms | g.atoms)
     sig = Signature(tuple(agents), tuple(atoms))
-    tree = _Tableau(max_nodes).satisfy([Not(g)])
+    tree = _Tableau(max_nodes).satisfy([(g, False)])
     if tree is None:
         return True, None
     return False, _tree_to_model(tree, sig)

@@ -13,8 +13,7 @@ from functools import lru_cache
 
 from .action import FLAT, ActionModel, is_atemporal_action, is_lrdetl_action, \
     is_past_state
-from .formula import (And, Atom, Bottom, Box, Formula, Not, Update, Yesterday,
-                      actions_in, agents_in, atoms_in)
+from .formula import And, Atom, Bottom, Box, Formula, Not, Update, Yesterday
 from .kripke import KripkeModel, is_restricted
 
 SEP = "|"
@@ -47,14 +46,14 @@ def _check_compatible(M: KripkeModel, U: ActionModel):
     if set(U.sig.agents) != set(M.sig.agents):
         raise ValueError("action and model disagree on agents")
     for _, pre in U.pre:
-        if not atoms_in(pre) <= set(M.sig.atoms):
+        if not pre.atoms.issubset(M.sig.atoms):
             raise ValueError("precondition uses atoms outside the model signature")
 
 
 def _check_formula_sig(M: KripkeModel, f: Formula):
-    if not agents_in(f) <= set(M.sig.agents):
+    if not f.agents.issubset(M.sig.agents):
         raise ValueError("formula uses agents outside the model signature")
-    if not atoms_in(f) <= set(M.sig.atoms):
+    if not f.atoms.issubset(M.sig.atoms):
         raise ValueError("formula uses atoms outside the model signature")
 
 
@@ -71,7 +70,11 @@ def _ev(M: KripkeModel, w: str, f: Formula) -> bool:
     if isinstance(f, Atom):
         return w in M.val[f.name]
     if isinstance(f, Not):
-        return not _ev(M, w, f.sub)
+        # a run of negations is folded in a loop, not one call per ~
+        f, negated = f.sub, True
+        while isinstance(f, Not):
+            f, negated = f.sub, not negated
+        return _ev(M, w, f) != negated
     if isinstance(f, And):
         return _ev(M, w, f.left) and _ev(M, w, f.right)
     if isinstance(f, Box):
@@ -176,7 +179,7 @@ def eval_ydel(M: KripkeModel, w: str, f: Formula,
     and formulas whose embedded actions are atemporal."""
     M.require_world(w)
     _check_formula_sig(M, f)
-    for U in actions_in(f):
+    for U in f.actions:
         if not is_atemporal_action(U):
             raise ValueError("formula outside the atemporal-action fragment")
     if not permissive:
@@ -200,7 +203,10 @@ def _ev_ydel(M: KripkeModel, w: str, f: Formula) -> bool:
     if isinstance(f, Atom):
         return w in M.val[f.name]
     if isinstance(f, Not):
-        return not _ev_ydel(M, w, f.sub)
+        f, negated = f.sub, True
+        while isinstance(f, Not):
+            f, negated = f.sub, not negated
+        return _ev_ydel(M, w, f) != negated
     if isinstance(f, And):
         return _ev_ydel(M, w, f.left) and _ev_ydel(M, w, f.right)
     if isinstance(f, Box):
@@ -216,7 +222,7 @@ def eval_rdetl(M: KripkeModel, w: str, f: Formula) -> Verdict:
     M.require_world(w)
     if not is_restricted(M).holds:
         return Verdict.NOT_IN_SCOPE
-    for U in set(actions_in(f)):
+    for U in f.actions:
         if not is_lrdetl_action(U).holds:
             return Verdict.NOT_IN_SCOPE
     return Verdict.TRUE if evaluate(M, w, f) else Verdict.FALSE

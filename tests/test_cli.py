@@ -30,6 +30,23 @@ def test_eval_parse_error(capsys):
     assert main(["eval", "M", "w", "p &"]) == 3
 
 
+@pytest.mark.parametrize("mode", ["detl", "ydel"])
+def test_eval_deep_negation(capsys, mode):
+    # the parser and the evaluators loop over runs of prefix operators,
+    # so depth far past the interpreter's recursion limit is fine
+    code, out = run(capsys, "--mode", mode, "eval", "M8", "w", "~" * 3000 + "p")
+    assert code == 0 and out == "RESULT: true\n"
+
+
+def test_too_deep_is_an_error(capsys):
+    # a deep run of boxes still recurses in the evaluator: a data error
+    # with exit 3, not a traceback that a caller would read as "false"
+    code = main(["eval", "M", "w", "[a]" * 3000 + "p"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("ERROR:") and "Traceback" not in captured.err
+
+
 def test_eval_rdetl_not_in_scope(tmp_path, capsys):
     (tmp_path / "N.json").write_text(json.dumps({
         "type": "kripke", "agents": ["a"], "atoms": ["p"],

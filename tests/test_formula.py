@@ -1,14 +1,18 @@
+import dataclasses
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detl import formula
+from detl.action import ActionModel
 from detl.formula import (And, Atom, BOT, Bottom, Box, Not, ParseError,
                           Signature, TOP, Update, Yesterday, depth_formula,
-                          dia_yesterday, is_atemporal, parse, pretty,
-                          subformulas, y_nesting_depth)
+                          dia_yesterday, is_atemporal, is_setl, parse,
+                          pretty, subformulas, y_nesting_depth)
 from detl.generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
-                           rand_temporal_action)
+                           rand_forest_action, rand_temporal_action)
 
 SIG = DEFAULT_SIG
 
@@ -81,7 +85,7 @@ def test_round_trip_random(seed):
                     for e in U.events)
     f = rand_formula(rng, SIG, depth=4, actions=actions)
     registry = {U.name: U for U, _ in actions}
-    assert parse(pretty(f), SIG, registry) == f
+    assert parse(pretty(f), SIG, registry) is f
 
 
 def test_is_atemporal(ws):
@@ -127,3 +131,97 @@ def test_signature_validation():
         Signature(("a",), ("a",))
     with pytest.raises(ValueError):
         Signature(("Y",), ("p",))
+
+
+def test_equal_formulas_are_one_node():
+    assert Not(Atom("p")) is Not(Atom("p"))
+    assert And(Atom("p"), TOP) is parse("p & true", SIG)
+    assert Box("a", Atom("p")) is not Box("b", Atom("p"))
+    assert hash(Not(Atom("q"))) == hash(Not(Atom("q")))
+
+
+def test_nodes_are_immutable():
+    f = And(Atom("p"), Atom("q"))
+    for name in ("left", "atoms"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, Atom("p"))
+    with pytest.raises(AttributeError):
+        del f.right
+
+
+def _occurring(f):
+    """Atoms, agents and actions of f by a recursive walk that descends
+    into the preconditions of every action model."""
+    atoms, agents, actions = set(), set(), set()
+    children = [getattr(f, n) for n in ("sub", "left", "right")
+                if hasattr(f, n)]
+    if isinstance(f, Atom):
+        atoms.add(f.name)
+    elif isinstance(f, Box):
+        agents.add(f.agent)
+    elif isinstance(f, Update):
+        agents.update(f.action.sig.agents)
+        actions.add(f.action)
+        children += [pre for _, pre in f.action.pre]
+    for g in children:
+        more = _occurring(g)
+        atoms |= more[0]
+        agents |= more[1]
+        actions |= more[2]
+    return atoms, agents, actions
+
+
+def test_occurrence_sets_match_walk():
+    rng = random.Random(3)
+    sig = Signature(("a", "b", "c"), ("p", "q", "r"))
+    for i in range(150):
+        inner = rand_atemporal_action(rng, sig, name="V")
+        # an action whose preconditions hold an update by another action
+        outer = ActionModel(sig=sig, events=("s", "t"),
+                            epistemic={"c": {("s", "t")}}, yesterday=(),
+                            pre={"s": Update(inner, inner.events[0],
+                                             Atom("r")),
+                                 "t": TOP}, name="O")
+        actions = tuple((U, e)
+                        for U in (inner, outer,
+                                  rand_temporal_action(rng, sig, name="W"),
+                                  rand_forest_action(rng, sig, name="F"))
+                        for e in U.events)
+        f = rand_formula(rng, sig, depth=1 + i % 4, actions=actions)
+        atoms, agents, actions = _occurring(f)
+        assert (f.atoms, f.agents, f.actions) == (atoms, agents, actions)
+        assert is_setl(f) == (not actions)
+        assert is_atemporal(f) == all(not U.yesterday for U in actions)
+
+
+def test_subformulas_preorder_with_repeats():
+    p, q = Atom("p"), Atom("q")
+    f = And(Not(p), Box("a", And(p, q)))
+    assert list(subformulas(f)) == [f, Not(p), p, Box("a", And(p, q)),
+                                    And(p, q), p, q]
+    deep = parse("~" * 3000 + "p", SIG)
+    assert len(list(subformulas(deep))) == 3001
+
+
+def test_update_prints_its_own_action_name():
+    rng = random.Random(4)
+    V = rand_atemporal_action(rng, SIG, name="V")
+    W = dataclasses.replace(V, name="W")
+    assert V == W
+    e = V.events[0]
+    f, g = Update(V, e, Atom("p")), Update(W, e, Atom("p"))
+    assert f is not g
+    assert pretty(f) == f"[V@{e}]p" and pretty(g) == f"[W@{e}]p"
+    assert parse(pretty(g), SIG, {"W": W}) is g
+
+
+def test_intern_table_drops_dead_nodes():
+    gc.collect()
+    before = len(formula._NODES)
+    f = Atom("fresh")
+    for i in range(10_000):
+        f = Not(f) if i % 2 else And(f, Box("a", Atom("p")))
+    assert len(formula._NODES) > before + 9_000
+    del f
+    gc.collect()
+    assert len(formula._NODES) == before

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -222,3 +223,15 @@ def test_model_validation():
         loop_model(valuation={"r": {"w"}})
     with pytest.raises(ValueError):
         loop_model(epistemic={"c": {("w", "w")}})
+
+
+def test_hash_computed_once_and_by_value(ws, M):
+    again = KripkeModel(sig=M.sig, worlds=M.worlds, epistemic=M.epi,
+                        yesterday=M.yesterday, valuation=M.val)
+    assert again == M and again is not M
+    assert hash(again) == hash(M)
+    assert M.__dict__["_hash"] == hash(M)
+    U = ws.actions["U2"][0]
+    renamed = dataclasses.replace(U, name="V")
+    # equality ignores the name, so the hash does too
+    assert renamed == U and hash(renamed) == hash(U)
