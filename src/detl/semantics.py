@@ -61,32 +61,79 @@ def evaluate(M: KripkeModel, w: str, f: Formula) -> bool:
     """M, w ⊨ f with the product-update reading of the update modality."""
     M.require_world(w)
     _check_formula_sig(M, f)
-    return _ev(M, w, f)
+    return bool(_ext(M, f, {w}, product_update, {}))
 
 
-def _ev(M: KripkeModel, w: str, f: Formula) -> bool:
-    if isinstance(f, Bottom):
-        return False
+def _ext(M: KripkeModel, f: Formula, D, step, memos: dict) -> set:
+    """The worlds of D where f holds in M, an update modality moving into
+    `step(M, U)`: the product, or M ⊕ U.
+
+    The labelling algorithm of Clarke–Emerson–Sistla, driven by demand:
+    `memos` maps each (model, node) reached within one top-level call to
+    the worlds decided so far and those of them where the node holds, so
+    no pair is decided twice.  Runs of ~ and the left spine of a
+    conjunction, seen through even runs of ~ (which covers |), are walked
+    in loops, not one call per level.
+    """
+    negated = False
+    while isinstance(f, Not):
+        f, negated = f.sub, not negated
     if isinstance(f, Atom):
-        return w in M.val[f.name]
-    if isinstance(f, Not):
-        # a run of negations is folded in a loop, not one call per ~
-        f, negated = f.sub, True
-        while isinstance(f, Not):
-            f, negated = f.sub, not negated
-        return _ev(M, w, f) != negated
-    if isinstance(f, And):
-        return _ev(M, w, f.left) and _ev(M, w, f.right)
-    if isinstance(f, Box):
-        return all(_ev(M, v, f.sub) for v in M.succ(f.agent, w))
-    if isinstance(f, Yesterday):
-        return all(_ev(M, v, f.sub) for v in M.yesterdays(w))
-    if isinstance(f, Update):
-        if not _ev(M, w, f.action.pre_map[f.event]):
-            return True
-        P = product_update(M, f.action)
-        return _ev(P, pair_name(w, f.event), f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+        # leaves are read off the model, not memoised
+        return D - M.val[f.name] if negated else D & M.val[f.name]
+    if isinstance(f, Bottom):
+        return set(D) if negated else set()
+    key = M, f
+    entry = memos.get(key)
+    if entry is None:
+        entry = memos[key] = (set(), set())
+    decided, truths = entry
+    todo = D - decided
+    if todo:
+        if isinstance(f, And):
+            spine = []
+            while isinstance(f, And):
+                spine.append(f.right)
+                f = g = f.left
+                odd = False
+                while isinstance(g, Not):
+                    g, odd = g.sub, not odd
+                if not odd and isinstance(g, And):
+                    f = g
+            spine.append(f)
+            # each conjunct only where the ones left of it hold
+            holds = todo
+            for g in reversed(spine):
+                holds = _ext(M, g, holds, step, memos)
+                if not holds:
+                    break
+        elif isinstance(f, (Box, Yesterday)):
+            succ = M._succ[f.agent] if isinstance(f, Box) else M._parents
+            reach = set().union(*(succ[w] for w in todo))
+            failing = reach - _ext(M, f.sub, reach, step, memos)
+            holds = ({w for w in todo if failing.isdisjoint(succ[w])}
+                     if failing else todo)
+        elif isinstance(f, Update):
+            fire = _ext(M, f.action.pre_map[f.event], todo, step, memos)
+            holds = todo - fire
+            if fire:
+                # the precondition holds somewhere, so the update is not empty
+                pairs = {pair_name(w, f.event): w for w in fire}
+                sat = _ext(step(M, f.action), f.sub, set(pairs), step, memos)
+                holds |= {pairs[x] for x in sat}
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        decided |= todo
+        truths |= holds
+    return D - truths if negated else D & truths
+
+
+def _fired(M: KripkeModel, U: ActionModel, step) -> list:
+    """The pairs (v, t) whose precondition holds at v, each precondition's
+    extension computed once over all worlds."""
+    memos, worlds = {}, set(M.worlds)
+    ext = [(t, _ext(M, U.pre_map[t], worlds, step, memos)) for t in U.events]
+    return [(v, t) for v in M.worlds for t, holds in ext if v in holds]
 
 
 def _joined_arrows(M: KripkeModel, U: ActionModel, surviving: list) -> dict:
@@ -108,8 +155,7 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     """The product M[U]: surviving pairs, componentwise epistemic arrows,
     asynchronous yesterday arrows."""
     _check_compatible(M, U)
-    surviving = [(v, t) for v in M.worlds for t in U.events
-                 if _ev(M, v, U.pre_map[t])]
+    surviving = _fired(M, U, product_update)
     if not surviving:
         raise EmptyProductError("no world satisfies any precondition")
     alive = set(surviving)
@@ -150,8 +196,7 @@ def ydel_update(M: KripkeModel, U: ActionModel,
             raise ValueError(f"ydel update requires a restricted model "
                              f"(fails {rep.witness[0]})")
     _check_compatible(M, U)
-    surviving = [(v, t) for v in M.worlds for t in U.events
-                 if _ev_ydel(M, v, U.pre_map[t])]
+    surviving = _fired(M, U, _oplus)
     flats = [(v, FLAT) for v in M.worlds]
     worlds = flats + surviving
     epistemic = _joined_arrows(M, U, surviving)
@@ -187,33 +232,13 @@ def eval_ydel(M: KripkeModel, w: str, f: Formula,
         if not rep.holds:
             raise ValueError(f"ydel evaluation requires a restricted model "
                              f"(fails {rep.witness[0]})")
-    return _ev_ydel(M, w, f)
+    return bool(_ext(M, f, {w}, _oplus, {}))
 
 
-def _ev_ydel(M: KripkeModel, w: str, f: Formula) -> bool:
-    if isinstance(f, Update):
-        if not _ev_ydel(M, w, f.action.pre_map[f.event]):
-            return True
-        # the updated model is restricted again whenever M was, so the
-        # recursion skips the re-check
-        P = ydel_update(M, f.action, True)
-        return _ev_ydel(P, pair_name(w, f.event), f.sub)
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        return w in M.val[f.name]
-    if isinstance(f, Not):
-        f, negated = f.sub, True
-        while isinstance(f, Not):
-            f, negated = f.sub, not negated
-        return _ev_ydel(M, w, f) != negated
-    if isinstance(f, And):
-        return _ev_ydel(M, w, f.left) and _ev_ydel(M, w, f.right)
-    if isinstance(f, Box):
-        return all(_ev_ydel(M, v, f.sub) for v in M.succ(f.agent, w))
-    if isinstance(f, Yesterday):
-        return all(_ev_ydel(M, v, f.sub) for v in M.yesterdays(w))
-    raise TypeError(f"not a formula: {f!r}")
+def _oplus(M: KripkeModel, U: ActionModel) -> KripkeModel:
+    # the updated model is restricted again whenever M was, so evaluation
+    # skips the re-check
+    return ydel_update(M, U, True)
 
 
 def eval_rdetl(M: KripkeModel, w: str, f: Formula) -> Verdict:

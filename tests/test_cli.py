@@ -38,6 +38,16 @@ def test_eval_deep_negation(capsys, mode):
     assert code == 0 and out == "RESULT: true\n"
 
 
+@pytest.mark.parametrize("mode", ["detl", "ydel", "rdetl"])
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_eval_flat_connective(capsys, mode, op):
+    # a run of & or | is a left spine of conjunctions (seen through ~~ for
+    # |), which the evaluator walks in a loop
+    code, out = run(capsys, "--mode", mode, "eval", "M8", "w",
+                    f" {op} ".join(["p"] * 3000))
+    assert code == 0 and out == "RESULT: true\n"
+
+
 def test_too_deep_is_an_error(capsys):
     # a deep run of boxes still recurses in the evaluator: a data error
     # with exit 3, not a traceback that a caller would read as "false"

@@ -1,13 +1,15 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from detl.action import ActionModel, check_history_preservation, \
     action_depth, is_past_state
-from detl.formula import TOP, parse
+from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
+                          Update, Yesterday, parse, subformulas)
 from detl.generate import (DEFAULT_SIG, rand_atemporal_action,
-                           rand_forest_action, rand_kripke, rand_restricted,
-                           rand_temporal_action)
+                           rand_forest_action, rand_formula, rand_kripke,
+                           rand_restricted, rand_temporal_action)
 from detl.kripke import INFINITE, KripkeModel, depth, is_restricted
 from detl.logic import bisimilar, sharp_action
 from detl.kripke import PointedModel
@@ -105,11 +107,41 @@ def test_componentwise_law(rng):
             assert P.epi[a] == expected
 
 
+def _holds_by_definition(M, w, f, step):
+    """M, w ⊨ f straight from the truth clauses, top-down: every
+    subformula is decided afresh at every world it is reached at, and an
+    update modality moves into step(M, U)."""
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Atom):
+        return w in M.val[f.name]
+    if isinstance(f, Not):
+        return not _holds_by_definition(M, w, f.sub, step)
+    if isinstance(f, And):
+        return (_holds_by_definition(M, w, f.left, step)
+                and _holds_by_definition(M, w, f.right, step))
+    if isinstance(f, Box):
+        return all(_holds_by_definition(M, v, f.sub, step)
+                   for v in M.succ(f.agent, w))
+    if isinstance(f, Yesterday):
+        return all(_holds_by_definition(M, v, f.sub, step)
+                   for v in M.yesterdays(w))
+    assert isinstance(f, Update)
+    if not _holds_by_definition(M, w, f.action.pre_map[f.event], step):
+        return True
+    return _holds_by_definition(step(M, f.action), pair_name(w, f.event),
+                                f.sub, step)
+
+
+# the definition-based updates are cached: the reference evaluator
+# reaches the same update again from every world
+@lru_cache(maxsize=256)
 def _product_by_definition(M, U):
     """M[U] straight from the definition, every arrow tested on every
     pair of surviving pairs."""
     alive = [(v, t) for v in M.worlds for t in U.events
-             if evaluate(M, v, U.pre_map[t])]
+             if _holds_by_definition(M, v, U.pre_map[t],
+                                     _product_by_definition)]
     m_yesterday, u_yesterday = set(M.yesterday), set(U.yesterday)
     return KripkeModel(
         sig=M.sig,
@@ -127,11 +159,13 @@ def _product_by_definition(M, U):
                    for p, ws in M.val.items()})
 
 
+@lru_cache(maxsize=256)
 def _oplus_by_definition(M, U):
     """M ⊕ U straight from the definition: a ♭-copy of M, one tick
     before the surviving pairs, whose arrows are tested pair by pair."""
     alive = [(v, t) for v in M.worlds for t in U.events
-             if eval_ydel(M, v, U.pre_map[t], permissive=True)]
+             if _holds_by_definition(M, v, U.pre_map[t],
+                                     _oplus_by_definition)]
     flats = [(v, "♭") for v in M.worlds]
     m_yesterday = set(M.yesterday)
     return KripkeModel(
@@ -158,7 +192,8 @@ def test_updates_equal_definition():
         try:
             P = product_update(N, U)
         except EmptyProductError:
-            assert not any(evaluate(N, v, U.pre_map[t])
+            assert not any(_holds_by_definition(N, v, U.pre_map[t],
+                                                _product_by_definition)
                            for v in N.worlds for t in U.events)
         else:
             assert P == _product_by_definition(N, U)
@@ -170,6 +205,85 @@ def test_updates_equal_definition():
         # restricted models by forest actions
         F = rand_forest_action(rng)
         assert product_update(R, F) == _product_by_definition(R, F)
+
+
+def _under_updates(rng, actions):
+    """A random body under one or two update modalities.  The body is a
+    conjunction whose other conjunct is one of the first's subformulas,
+    so a memo entry is read again on other worlds."""
+    g = rand_formula(rng, SIG, 3, actions)
+    h = rng.choice(list(subformulas(g)))
+    f = And(g, h) if rng.random() < 0.5 else And(h, g)
+    for _ in range(rng.randint(1, 2)):
+        f = Update(*rng.choice(actions), f)
+    return f
+
+
+def _pointed(actions):
+    return [(U, e) for U in actions for e in U.events]
+
+
+def test_evaluators_equal_definition():
+    rng = random.Random(23)
+    for _ in range(40):
+        # the product reading on any model
+        N = rand_kripke(rng, max_worlds=4)
+        acts = _pointed([rand_temporal_action(rng, name="T"),
+                         rand_atemporal_action(rng)])
+        f = _under_updates(rng, acts)
+        for w in N.worlds:
+            assert evaluate(N, w, f) == _holds_by_definition(
+                N, w, f, _product_by_definition), (N, w, f)
+        # the ⊕ reading on restricted models, and permissive on any model
+        R = rand_restricted(rng)
+        acts = _pointed([rand_atemporal_action(rng),
+                         rand_atemporal_action(rng, name="A")])
+        f = _under_updates(rng, acts)
+        for w in R.worlds:
+            assert eval_ydel(R, w, f) == _holds_by_definition(
+                R, w, f, _oplus_by_definition), (R, w, f)
+        for w in N.worlds:
+            assert eval_ydel(N, w, f, permissive=True) == _holds_by_definition(
+                N, w, f, _oplus_by_definition), (N, w, f)
+        # restricted models by forest actions
+        f = _under_updates(rng, _pointed([rand_forest_action(rng)]))
+        for w in R.worlds:
+            expected = _holds_by_definition(R, w, f, _product_by_definition)
+            assert eval_rdetl(R, w, f) is \
+                (Verdict.TRUE if expected else Verdict.FALSE), (R, w, f)
+
+
+class _CountingDict(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def _complete_model_counting_lookups(n):
+    """The n-world model with every a-arrow and p everywhere, its cached
+    valuation view replaced by a dict that counts look-ups."""
+    worlds = [f"w{i}" for i in range(n)]
+    M = KripkeModel(sig=Signature(("a",), ("p",)), worlds=worlds,
+                    epistemic={"a": {(x, y) for x in worlds for y in worlds}},
+                    yesterday=(), valuation={"p": worlds})
+    M.__dict__["val"] = val = _CountingDict(M.val)
+    return M, val
+
+
+def test_evaluation_decides_each_world_once_per_node():
+    f = Atom("p")
+    for _ in range(6):
+        f = Box("a", f)
+    # at most once per world for each of the 7 nodes
+    M, val = _complete_model_counting_lookups(6)
+    assert evaluate(M, "w0", f)
+    assert val.lookups <= 6 * 7
+    # top-down, the valuation is read at the end of each of the 6^6 paths
+    M, val = _complete_model_counting_lookups(6)
+    assert _holds_by_definition(M, "w0", f, _product_by_definition)
+    assert val.lookups == 6 ** 6
 
 
 def test_depth_additivity_under_history_preservation(rng):
