@@ -64,16 +64,18 @@ def evaluate(M: KripkeModel, w: str, f: Formula) -> bool:
     return bool(_ext(M, f, {w}, product_update, {}))
 
 
-def _ext(M: KripkeModel, f: Formula, D, step, memos: dict) -> set:
+def _ext(M: KripkeModel, f: Formula, D, step, memos: dict,
+         memo: dict = None) -> set:
     """The worlds of D where f holds in M, an update modality moving into
     `step(M, U)`: the product, or M ⊕ U.
 
     The labelling algorithm of Clarke–Emerson–Sistla, driven by demand:
-    `memos` maps each (model, node) reached within one top-level call to
-    the worlds decided so far and those of them where the node holds, so
-    no pair is decided twice.  Runs of ~ and the left spine of a
-    conjunction, seen through even runs of ~ (which covers |), are walked
-    in loops, not one call per level.
+    `memos` maps each model reached within one top-level call to its
+    `memo`, which maps each compound node reached there to the worlds
+    decided so far and those of them where the node holds, so a node
+    shared by several parents (as in reduced formulas) is decided once
+    per world.  Entries hold the very sets passed in and returned, which
+    is sound because no set is changed once it is passed or returned.
     """
     negated = False
     while isinstance(f, Not):
@@ -83,49 +85,59 @@ def _ext(M: KripkeModel, f: Formula, D, step, memos: dict) -> set:
         return D - M.val[f.name] if negated else D & M.val[f.name]
     if isinstance(f, Bottom):
         return set(D) if negated else set()
-    key = M, f
-    entry = memos.get(key)
+    if memo is None:
+        memo = memos.setdefault(M, {})
+    entry = memo.get(f)
     if entry is None:
-        entry = memos[key] = (set(), set())
-    decided, truths = entry
-    todo = D - decided
-    if todo:
-        if isinstance(f, And):
-            spine = []
-            while isinstance(f, And):
-                spine.append(f.right)
-                f = g = f.left
-                odd = False
-                while isinstance(g, Not):
-                    g, odd = g.sub, not odd
-                if not odd and isinstance(g, And):
-                    f = g
-            spine.append(f)
-            # each conjunct only where the ones left of it hold
-            holds = todo
-            for g in reversed(spine):
-                holds = _ext(M, g, holds, step, memos)
-                if not holds:
-                    break
-        elif isinstance(f, (Box, Yesterday)):
-            succ = M._succ[f.agent] if isinstance(f, Box) else M._parents
-            reach = set().union(*(succ[w] for w in todo))
-            failing = reach - _ext(M, f.sub, reach, step, memos)
-            holds = ({w for w in todo if failing.isdisjoint(succ[w])}
-                     if failing else todo)
-        elif isinstance(f, Update):
-            fire = _ext(M, f.action.pre_map[f.event], todo, step, memos)
-            holds = todo - fire
-            if fire:
-                # the precondition holds somewhere, so the update is not empty
-                pairs = {pair_name(w, f.event): w for w in fire}
-                sat = _ext(step(M, f.action), f.sub, set(pairs), step, memos)
-                holds |= {pairs[x] for x in sat}
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        decided |= todo
-        truths |= holds
-    return D - truths if negated else D & truths
+        holds = _decide(M, f, D, step, memos, memo)
+        memo[f] = D, holds
+    else:
+        decided, truths = entry
+        holds, todo = D & truths, D - decided
+        if todo:
+            new = _decide(M, f, todo, step, memos, memo)
+            memo[f] = decided | todo, truths | new
+            holds |= new
+    return D - holds if negated else holds
+
+
+def _decide(M: KripkeModel, f: Formula, D, step, memos: dict,
+            memo: dict) -> set:
+    """The worlds of D where the compound node f holds.  The left spine of
+    a conjunction, seen through even runs of ~ (which covers |), is
+    walked in a loop, not one call per level."""
+    if isinstance(f, And):
+        spine = []
+        while isinstance(f, And):
+            spine.append(f.right)
+            f = g = f.left
+            odd = False
+            while isinstance(g, Not):
+                g, odd = g.sub, not odd
+            if not odd and isinstance(g, And):
+                f = g
+        spine.append(f)
+        # each conjunct only where the ones left of it hold
+        for g in reversed(spine):
+            D = _ext(M, g, D, step, memos, memo)
+            if not D:
+                break
+        return D
+    if isinstance(f, (Box, Yesterday)):
+        succ = M._succ[f.agent] if isinstance(f, Box) else M._parents
+        reach = set().union(*(succ[w] for w in D))
+        failing = reach - _ext(M, f.sub, reach, step, memos, memo)
+        return {w for w in D if failing.isdisjoint(succ[w])} if failing else D
+    if isinstance(f, Update):
+        fire = _ext(M, f.action.pre_map[f.event], D, step, memos, memo)
+        holds = D - fire
+        if fire:
+            # the precondition holds somewhere, so the update is not empty
+            pairs = {pair_name(w, f.event): w for w in fire}
+            sat = _ext(step(M, f.action), f.sub, set(pairs), step, memos)
+            holds |= {pairs[x] for x in sat}
+        return holds
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _fired(M: KripkeModel, U: ActionModel, step) -> list:

@@ -262,28 +262,54 @@ class _CountingDict(dict):
 
 
 def _complete_model_counting_lookups(n):
-    """The n-world model with every a-arrow and p everywhere, its cached
-    valuation view replaced by a dict that counts look-ups."""
+    """The n-world model with every arrow of agents a and b and p
+    everywhere, its cached valuation view replaced by a dict that counts
+    look-ups."""
     worlds = [f"w{i}" for i in range(n)]
-    M = KripkeModel(sig=Signature(("a",), ("p",)), worlds=worlds,
-                    epistemic={"a": {(x, y) for x in worlds for y in worlds}},
-                    yesterday=(), valuation={"p": worlds})
+    every = {(x, y) for x in worlds for y in worlds}
+    M = KripkeModel(sig=Signature(("a", "b"), ("p",)), worlds=worlds,
+                    epistemic={"a": every, "b": every}, yesterday=(),
+                    valuation={"p": worlds})
     M.__dict__["val"] = val = _CountingDict(M.val)
     return M, val
 
 
-def test_evaluation_decides_each_world_once_per_node():
+def test_box_tower_work_is_linear():
     f = Atom("p")
     for _ in range(6):
         f = Box("a", f)
-    # at most once per world for each of the 7 nodes
+    # each box's body is decided once on the union of its domain's
+    # successors, so the valuation is read at most once per node
     M, val = _complete_model_counting_lookups(6)
     assert evaluate(M, "w0", f)
-    assert val.lookups <= 6 * 7
+    assert val.lookups <= 7
     # top-down, the valuation is read at the end of each of the 6^6 paths
     M, val = _complete_model_counting_lookups(6)
     assert _holds_by_definition(M, "w0", f, _product_by_definition)
     assert val.lookups == 6 ** 6
+
+
+def test_shared_subformulas_decided_once():
+    # f_k+1 = [a]f_k & [b]f_k: 3k + 1 distinct nodes, 2^k paths down to
+    # p.  Without the memo p is read once per path; with it, once under
+    # each of its two parents [a]p and [b]p
+    k = 12
+    f = Atom("p")
+    for _ in range(k):
+        f = And(Box("a", f), Box("b", f))
+    for check in (evaluate, eval_ydel):
+        M, val = _complete_model_counting_lookups(6)
+        assert check(M, "w0", f)
+        assert val.lookups <= 2
+    # the same inside an update, where the memo is the product's
+    M, _ = _complete_model_counting_lookups(6)
+    ident = ActionModel(sig=M.sig, events=("e",),
+                        epistemic={a: {("e", "e")} for a in M.sig.agents},
+                        yesterday=(), pre={"e": TOP}, name="I")
+    P = product_update(M, ident)
+    P.__dict__["val"] = val = _CountingDict(P.val)
+    assert evaluate(M, "w0", Update(ident, "e", f))
+    assert val.lookups <= 2
 
 
 def test_depth_additivity_under_history_preservation(rng):
