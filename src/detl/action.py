@@ -62,6 +62,12 @@ class ActionModel(Frame):
         return dict(self.pre)
 
     @cached_property
+    def _sharp(self) -> "ActionModel":
+        """The ♯ translation (see `logic.sharp_action`), built once."""
+        from .logic import _adjoin_flat
+        return _adjoin_flat(self)
+
+    @cached_property
     def _lrdetl(self) -> PropertyReport:
         """The lrdetl report under the default validity oracle."""
         return _check_lrdetl(self, None)

@@ -13,11 +13,12 @@ makes histories unbounded.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .formula import Signature, check_ident
+from .formula import RESERVED, Signature
 
 INFINITE = float("inf")
 
@@ -171,14 +172,16 @@ class Frame:
             raise KeyError(f"unknown {self._KIND} {n!r}")
 
 
+# a world name is an identifier, then one "|event" per update that made it,
+# the event an identifier or the flat marker ♭; one match per name, as
+# every update result checks all its names again
+_IDENT = r"(?!(?:%s)\b)[A-Za-z_][A-Za-z0-9_]*" % "|".join(sorted(RESERVED))
+_WORLD_RE = re.compile(rf"{_IDENT}(?:\|(?:{_IDENT}|♭))*\Z")
+
+
 def _check_world_name(w: str):
-    # composite names from products ("base|event", flat marker) are fine;
-    # plain names follow the identifier rules
-    if "|" in w or "♭" in w:
-        if not w:
-            raise ValueError("empty world name")
-    else:
-        check_ident(w, "world")
+    if not _WORLD_RE.match(w):
+        raise ValueError(f"bad world: {w!r}")
 
 
 @dataclass(frozen=True)

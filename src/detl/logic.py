@@ -296,9 +296,14 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
 
 def sharp_action(U: ActionModel) -> ActionModel:
     """Adjoin a fresh epistemic past state ♭ below every event of an
-    atemporal action."""
+    atemporal action, its preconditions ♯-translated; built once per
+    action model."""
     if not is_atemporal_action(U):
         raise ValueError("♯ is defined on atemporal actions only")
+    return U._sharp
+
+
+def _adjoin_flat(U: ActionModel) -> ActionModel:
     epistemic = {a: set(pairs) | {(FLAT, FLAT)} for a, pairs in U.epi.items()}
     return ActionModel(
         sig=U.sig,
@@ -311,19 +316,33 @@ def sharp_action(U: ActionModel) -> ActionModel:
 
 
 def sharp_formula(f: Formula) -> Formula:
-    if isinstance(f, (Bottom, Atom)):
-        return f
-    if isinstance(f, Not):
-        return Not(sharp_formula(f.sub))
-    if isinstance(f, And):
-        return And(sharp_formula(f.left), sharp_formula(f.right))
-    if isinstance(f, Box):
-        return Box(f.agent, sharp_formula(f.sub))
-    if isinstance(f, Yesterday):
-        return Yesterday(sharp_formula(f.sub))
-    if isinstance(f, Update):
-        return Update(sharp_action(f.action), f.event, sharp_formula(f.sub))
-    raise TypeError(f"not a formula: {f!r}")
+    """f with the action of every update modality replaced by its ♯.  Only
+    the nodes above an update are rebuilt, each shared one once."""
+    return _sharpen(f, {})
+
+
+def _sharpen(f: Formula, memo: dict) -> Formula:
+    # the chain of first children (the left of a conjunction, else the
+    # only one) is walked in a loop, so a long run of & or | or a deep
+    # run of ~ does not recurse; right conjuncts do
+    chain = []
+    while f.actions and f not in memo:
+        chain.append(f)
+        f = f.left if isinstance(f, And) else f.sub
+    out = memo.get(f, f)
+    for g in reversed(chain):
+        if isinstance(g, Not):
+            out = Not(out)
+        elif isinstance(g, And):
+            out = And(out, _sharpen(g.right, memo))
+        elif isinstance(g, Box):
+            out = Box(g.agent, out)
+        elif isinstance(g, Yesterday):
+            out = Yesterday(out)
+        else:
+            out = Update(sharp_action(g.action), g.event, out)
+        memo[g] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

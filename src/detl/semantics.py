@@ -11,15 +11,16 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 
-from .action import FLAT, ActionModel, is_atemporal_action, is_lrdetl_action, \
+from .action import ActionModel, is_atemporal_action, is_lrdetl_action, \
     is_past_state
 from .formula import And, Atom, Bottom, Box, Formula, Not, Update, Yesterday
 from .kripke import KripkeModel, is_restricted
+from .logic import sharp_action, sharp_formula
 
 SEP = "|"
-# models each update cache keeps: the products and ⊕ models that the
-# queries on one model reach, with room to spare (24 in the benchmark's
-# model-check workload)
+# models the product cache keeps, ⊕ results included: the updates that
+# the queries on one model reach, with room to spare (12 products and 6
+# ⊕ models in the benchmark's model-check workload)
 UPDATE_CACHE = 128
 
 
@@ -61,13 +62,12 @@ def evaluate(M: KripkeModel, w: str, f: Formula) -> bool:
     """M, w ⊨ f with the product-update reading of the update modality."""
     M.require_world(w)
     _check_formula_sig(M, f)
-    return bool(_ext(M, f, {w}, product_update, {}))
+    return bool(_ext(M, f, {w}, {}))
 
 
-def _ext(M: KripkeModel, f: Formula, D, step, memos: dict,
-         memo: dict = None) -> set:
+def _ext(M: KripkeModel, f: Formula, D, memos: dict, memo: dict = None) -> set:
     """The worlds of D where f holds in M, an update modality moving into
-    `step(M, U)`: the product, or M ⊕ U.
+    the product.
 
     The labelling algorithm of Clarke–Emerson–Sistla, driven by demand:
     `memos` maps each model reached within one top-level call to its
@@ -89,20 +89,19 @@ def _ext(M: KripkeModel, f: Formula, D, step, memos: dict,
         memo = memos.setdefault(M, {})
     entry = memo.get(f)
     if entry is None:
-        holds = _decide(M, f, D, step, memos, memo)
+        holds = _decide(M, f, D, memos, memo)
         memo[f] = D, holds
     else:
         decided, truths = entry
         holds, todo = D & truths, D - decided
         if todo:
-            new = _decide(M, f, todo, step, memos, memo)
+            new = _decide(M, f, todo, memos, memo)
             memo[f] = decided | todo, truths | new
             holds |= new
     return D - holds if negated else holds
 
 
-def _decide(M: KripkeModel, f: Formula, D, step, memos: dict,
-            memo: dict) -> set:
+def _decide(M: KripkeModel, f: Formula, D, memos: dict, memo: dict) -> set:
     """The worlds of D where the compound node f holds.  The left spine of
     a conjunction, seen through even runs of ~ (which covers |), is
     walked in a loop, not one call per level."""
@@ -119,47 +118,25 @@ def _decide(M: KripkeModel, f: Formula, D, step, memos: dict,
         spine.append(f)
         # each conjunct only where the ones left of it hold
         for g in reversed(spine):
-            D = _ext(M, g, D, step, memos, memo)
+            D = _ext(M, g, D, memos, memo)
             if not D:
                 break
         return D
     if isinstance(f, (Box, Yesterday)):
         succ = M._succ[f.agent] if isinstance(f, Box) else M._parents
         reach = set().union(*(succ[w] for w in D))
-        failing = reach - _ext(M, f.sub, reach, step, memos, memo)
+        failing = reach - _ext(M, f.sub, reach, memos, memo)
         return {w for w in D if failing.isdisjoint(succ[w])} if failing else D
     if isinstance(f, Update):
-        fire = _ext(M, f.action.pre_map[f.event], D, step, memos, memo)
+        fire = _ext(M, f.action.pre_map[f.event], D, memos, memo)
         holds = D - fire
         if fire:
             # the precondition holds somewhere, so the update is not empty
             pairs = {pair_name(w, f.event): w for w in fire}
-            sat = _ext(step(M, f.action), f.sub, set(pairs), step, memos)
+            sat = _ext(product_update(M, f.action), f.sub, set(pairs), memos)
             holds |= {pairs[x] for x in sat}
         return holds
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _fired(M: KripkeModel, U: ActionModel, step) -> list:
-    """The pairs (v, t) whose precondition holds at v, each precondition's
-    extension computed once over all worlds."""
-    memos, worlds = {}, set(M.worlds)
-    ext = [(t, _ext(M, U.pre_map[t], worlds, step, memos)) for t in U.events]
-    return [(v, t) for v in M.worlds for t, holds in ext if v in holds]
-
-
-def _joined_arrows(M: KripkeModel, U: ActionModel, surviving: list) -> dict:
-    """Per agent, the arrows (v, t) -> (v2, t2) between surviving pairs
-    with v -> v2 in M and t -> t2 in U.  Joining the two successor lists
-    of each pair costs the arrows, not the surviving pairs squared."""
-    names = {(v, t): pair_name(v, t) for v, t in surviving}
-    epistemic = {}
-    for a in M.sig.agents:
-        ms, us = M._succ[a], U._succ[a]
-        epistemic[a] = {(x, names[v2, t2])
-                        for (v, t), x in names.items()
-                        for v2 in ms[v] for t2 in us[t] if (v2, t2) in names}
-    return epistemic
 
 
 @lru_cache(maxsize=UPDATE_CACHE)
@@ -167,25 +144,35 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     """The product M[U]: surviving pairs, componentwise epistemic arrows,
     asynchronous yesterday arrows."""
     _check_compatible(M, U)
-    surviving = _fired(M, U, product_update)
+    # each precondition's extension computed once over all worlds
+    memos, worlds = {}, set(M.worlds)
+    ext = [(t, _ext(M, U.pre_map[t], worlds, memos)) for t in U.events]
+    surviving = [(v, t) for v in M.worlds for t, holds in ext if v in holds]
     if not surviving:
         raise EmptyProductError("no world satisfies any precondition")
-    alive = set(surviving)
-    epistemic = _joined_arrows(M, U, surviving)
+    # per agent, join the two successor lists of each surviving pair: the
+    # cost follows the arrows, not the surviving pairs squared
+    names = {(v, t): pair_name(v, t) for v, t in surviving}
+    epistemic = {}
+    for a in M.sig.agents:
+        ms, us = M._succ[a], U._succ[a]
+        epistemic[a] = {(x, names[v2, t2])
+                        for (v, t), x in names.items()
+                        for v2 in ms[v] for t2 in us[t] if (v2, t2) in names}
     yesterday = set()
     for v, t in surviving:
         if is_past_state(U, t):
             for v2 in M.yesterdays(v):
-                if (v2, t) in alive:
-                    yesterday.add((pair_name(v2, t), pair_name(v, t)))
+                if (v2, t) in names:
+                    yesterday.add((names[v2, t], names[v, t]))
         for t2 in U.yesterdays(t):
-            if (v, t2) in alive:
-                yesterday.add((pair_name(v, t2), pair_name(v, t)))
-    valuation = {p: {pair_name(v, t) for v, t in surviving if v in ws}
+            if (v, t2) in names:
+                yesterday.add((names[v, t2], names[v, t]))
+    valuation = {p: {names[v, t] for v, t in surviving if v in ws}
                  for p, ws in M.val.items()}
     return KripkeModel(
         sig=M.sig,
-        worlds=tuple(pair_name(v, t) for v, t in surviving),
+        worlds=tuple(names.values()),
         epistemic=epistemic,
         yesterday=yesterday,
         valuation=valuation,
@@ -193,13 +180,13 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
 
 
 # ---------------------------------------------------------------------------
-# YDEL
+# YDEL: the ⊕ update is the product with the ♯ translation (Sack, "Temporal
+# languages for epistemic programs", 2008)
 
-@lru_cache(maxsize=UPDATE_CACHE)
 def ydel_update(M: KripkeModel, U: ActionModel,
                 permissive: bool = False) -> KripkeModel:
-    """M ⊕ U: the update hardcodes a ♭-copy of M as the shared yesterday
-    of all event worlds."""
+    """M ⊕ U, the ♭-copy of M as the shared yesterday of all event worlds:
+    the product M[U♯]."""
     if not is_atemporal_action(U):
         raise ValueError("ydel update requires an atemporal action")
     if not permissive:
@@ -207,33 +194,14 @@ def ydel_update(M: KripkeModel, U: ActionModel,
         if not rep.holds:
             raise ValueError(f"ydel update requires a restricted model "
                              f"(fails {rep.witness[0]})")
-    _check_compatible(M, U)
-    surviving = _fired(M, U, _oplus)
-    flats = [(v, FLAT) for v in M.worlds]
-    worlds = flats + surviving
-    epistemic = _joined_arrows(M, U, surviving)
-    for a, arrows in epistemic.items():
-        arrows.update((pair_name(v, FLAT), pair_name(v2, FLAT))
-                      for v, v2 in M.epi[a])
-    yesterday = {(pair_name(v, FLAT), pair_name(v, t)) for v, t in surviving}
-    yesterday |= {(pair_name(v, FLAT), pair_name(v2, FLAT))
-                  for v, v2 in M.yesterday}
-    valuation = {p: ({pair_name(v, FLAT) for v in ws} |
-                     {pair_name(v, t) for v, t in surviving if v in ws})
-                 for p, ws in M.val.items()}
-    return KripkeModel(
-        sig=M.sig,
-        worlds=tuple(pair_name(v, t) for v, t in worlds),
-        epistemic=epistemic,
-        yesterday=yesterday,
-        valuation=valuation,
-    )
+    return product_update(M, sharp_action(U))
 
 
 def eval_ydel(M: KripkeModel, w: str, f: Formula,
               permissive: bool = False) -> bool:
-    """Truth with the ⊕ reading of updates; defined on restricted models
-    and formulas whose embedded actions are atemporal."""
+    """Truth with the ⊕ reading of updates, which is the product reading
+    of f♯; defined on restricted models and formulas whose embedded
+    actions are atemporal."""
     M.require_world(w)
     _check_formula_sig(M, f)
     for U in f.actions:
@@ -244,13 +212,7 @@ def eval_ydel(M: KripkeModel, w: str, f: Formula,
         if not rep.holds:
             raise ValueError(f"ydel evaluation requires a restricted model "
                              f"(fails {rep.witness[0]})")
-    return bool(_ext(M, f, {w}, _oplus, {}))
-
-
-def _oplus(M: KripkeModel, U: ActionModel) -> KripkeModel:
-    # the updated model is restricted again whenever M was, so evaluation
-    # skips the re-check
-    return ydel_update(M, U, True)
+    return bool(_ext(M, sharp_formula(f), {w}, {}))
 
 
 def eval_rdetl(M: KripkeModel, w: str, f: Formula) -> Verdict:

@@ -48,6 +48,17 @@ def test_eval_flat_connective(capsys, mode, op):
     assert code == 0 and out == "RESULT: true\n"
 
 
+@pytest.mark.parametrize("text", [" & ".join(["[U8@s]p"] * 3000),
+                                  " | ".join(["[U8@s]p"] * 3000),
+                                  "~" * 3000 + "[U8@s]p"],
+                         ids=["and", "or", "not"])
+def test_eval_ydel_long_run_over_updates(capsys, text):
+    # the ⊕ reading first ♯-translates the formula, which walks such runs
+    # in a loop too
+    code, out = run(capsys, "--mode", "ydel", "eval", "M8", "w", text)
+    assert code == 0 and out == "RESULT: true\n"
+
+
 def test_too_deep_is_an_error(capsys):
     # a deep run of boxes still recurses in the evaluator: a data error
     # with exit 3, not a traceback that a caller would read as "false"

@@ -8,7 +8,8 @@ from detl.generate import DEFAULT_SIG, rand_kripke, rand_restricted
 from detl.kripke import (INFINITE, KripkeModel, check_property, depth,
                          generated_submodel, is_initial, is_restricted,
                          relation_closure)
-from detl.semantics import product_update
+from detl.semantics import product_update, ydel_update
+from detl.serialize import Workspace, save_model
 
 SIG = DEFAULT_SIG
 
@@ -223,6 +224,25 @@ def test_model_validation():
         loop_model(valuation={"r": {"w"}})
     with pytest.raises(ValueError):
         loop_model(epistemic={"c": {("w", "w")}})
+    # a world name is an identifier followed by "|"-separated events,
+    # each an identifier or the flat marker
+    for bad in ("", "Y", "1w", "a b|c", "|", "w|", "x\n|y", "w♭", "♭",
+                "♭|s", "w||s", "w|true", "w|s♭", "w\n"):
+        with pytest.raises(ValueError):
+            loop_model(worlds=(bad,))
+    for good in ("w", "Ya", "w|s", "w|♭", "w|♭|t", "w_0|s|♭"):
+        assert loop_model(worlds=(good,)).worlds == (good,)
+
+
+def test_update_results_round_trip(tmp_path, ws, M):
+    # ⊕ of ⊕ of a product: names such as base|event|♭|event
+    P = product_update(M, ws.actions["U2"][0])
+    Y = ydel_update(ydel_update(P, ws.actions["U8"][0], True),
+                    ws.actions["U8"][0], True)
+    assert any(w.count("|") == 3 and "♭" in w for w in Y.worlds)
+    for N in (P, Y):
+        save_model(tmp_path / "N.json", N)
+        assert Workspace.load_dir(tmp_path).models["N"][0] == N
 
 
 def test_hash_computed_once_and_by_value(ws, M):

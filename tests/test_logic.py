@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from detl import logic
 from detl.action import ActionModel, is_past_state
 from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
                           Update, Yesterday, conj, iff, implies, is_setl,
@@ -301,3 +303,25 @@ def test_sharp_formula(ws):
     g = sharp_formula(f)
     assert g.action == sharp_action(ws.actions["U8"][0])
     assert g.event == "s"
+
+
+def test_sharp_built_once_per_action_keeping_its_name(ws):
+    U8 = ws.actions["U8"][0]
+    V, W = (dataclasses.replace(U8, name=n) for n in ("V", "W"))
+    assert V == W
+    assert sharp_action(V) is sharp_action(V)
+    assert (sharp_action(V).name, sharp_action(W).name) == ("V_sharp", "W_sharp")
+    f = And(Update(V, "s", Atom("p")), Box("a", Update(W, "t", Atom("q"))))
+    assert pretty(sharp_formula(f)) == "[V_sharp@s]p & [a][W_sharp@t]q"
+
+
+def test_sharp_formula_rebuilds_each_shared_node_once(ws, monkeypatch):
+    # f_k+1 = [a]f_k & [b]f_k over one update: 2^k paths down to it
+    f = Update(ws.actions["U8"][0], "s", Atom("p"))
+    for _ in range(12):
+        f = And(Box("a", f), Box("b", f))
+    calls = []
+    monkeypatch.setattr(logic, "sharp_action",
+                        lambda U: calls.append(U) or sharp_action(U))
+    g = sharp_formula(f)
+    assert len(calls) == 1 and g.actions == {sharp_action(calls[0])}

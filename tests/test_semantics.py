@@ -207,6 +207,36 @@ def test_updates_equal_definition():
         assert product_update(R, F) == _product_by_definition(R, F)
 
 
+def test_oplus_sharpens_updates_inside_preconditions():
+    # W's precondition [V@e0][Y]p looks one tick back after V.  On a model
+    # without a past the product reading finds nothing there, so it holds
+    # everywhere; the ⊕ reading finds the ♭-copy of the world, so it holds
+    # where p does.  M ⊕ W is the product with W♯ only if ♯ reaches the
+    # update inside W's precondition too
+    every = lambda xs: {a: {(x, y) for x in xs for y in xs}
+                        for a in SIG.agents}
+    V = ActionModel(sig=SIG, events=("e0",), epistemic=every(("e0",)),
+                    yesterday=(), pre={"e0": TOP}, name="V")
+    pre = Update(V, "e0", Yesterday(Atom("p")))
+    W = ActionModel(sig=SIG, events=("f0", "f1"),
+                    epistemic=every(("f0", "f1")), yesterday=(),
+                    pre={"f0": pre, "f1": Not(pre)}, name="W")
+    N = KripkeModel(sig=SIG, worlds=("u", "w"), epistemic=every(("u", "w")),
+                    yesterday=(), valuation={"p": {"w"}, "q": {"u"}})
+    assert evaluate(N, "u", pre) and not eval_ydel(N, "u", pre)
+    formulas = [pre, Update(W, "f0", Box("a", Yesterday(Atom("p")))),
+                Update(W, "f1", Not(Box("b", Atom("q")))),
+                Update(V, "e0",
+                       Update(W, "f0", Yesterday(Yesterday(Atom("p")))))]
+    for R in (N, ydel_update(N, V)):
+        assert ydel_update(R, W) == _oplus_by_definition(R, W)
+        assert ydel_update(R, W, True) == _oplus_by_definition(R, W)
+        for f in formulas:
+            for w in R.worlds:
+                assert eval_ydel(R, w, f) == _holds_by_definition(
+                    R, w, f, _oplus_by_definition), (R, w, f)
+
+
 def _under_updates(rng, actions):
     """A random body under one or two update modalities.  The body is a
     conjunction whose other conjunct is one of the first's subformulas,
@@ -403,9 +433,9 @@ def test_ydel_closure(rng, ws):
         assert is_restricted(Y).holds
 
 
-def test_ydel_equals_sharp_product(ws, M8, rng):
+def test_ydel_equals_sharp_product(ws, M8):
     U8 = ws.actions["U8"][0]
-    assert ydel_update(M8, U8) == product_update(M8, sharp_action(U8))
+    assert ydel_update(M8, U8) is product_update(M8, sharp_action(U8))
 
 
 # ---------------------------------------------------------------------------
