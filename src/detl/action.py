@@ -152,22 +152,21 @@ def check_past_preservation(A: PointedAction,
             if p not in seen:
                 seen.add(p)
                 stack.append(p)
-    for e in sorted(seen):
-        reach = {e}
-        stack = [e]
-        grounded = False
-        while stack:
-            x = stack.pop()
-            if is_past_state(U, x):
-                grounded = True
-                break
-            for p in U.yesterdays(x):
-                if p not in reach:
-                    reach.add(p)
-                    stack.append(p)
-        if not grounded:
-            return PropertyReport("past_preservation", False,
-                                  (e, "no_past_state_reachable"))
+    # an event reaches a past state going backward exactly when it is
+    # reached going forward from one: one search finds them all
+    later: Dict[str, list] = {e: [] for e in U.events}
+    for x, y in U.yesterday:
+        later[x].append(y)
+    stack = [e for e in U.events if not U.yesterdays(e)]
+    grounded = set(stack)
+    while stack:
+        for y in later[stack.pop()]:
+            if y not in grounded:
+                grounded.add(y)
+                stack.append(y)
+    if seen - grounded:
+        return PropertyReport("past_preservation", False,
+                              (min(seen - grounded), "no_past_state_reachable"))
     return PropertyReport("past_preservation", True)
 
 

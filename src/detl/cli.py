@@ -388,8 +388,9 @@ def main(argv=None) -> int:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the parser and the evaluator loop over runs of prefix operators
-        # and negations; other walks still recurse once per nesting level
+        # still recursing per nesting level: _push (per modal level of an
+        # update's body), pretty, y_nesting_depth, parenthesised input,
+        # _ext's box case and the tableau's diamonds
         print("ERROR: input nested too deeply", file=sys.stderr)
         return 3
 

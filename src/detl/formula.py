@@ -281,6 +281,41 @@ def subformulas(f: Formula) -> Iterator[Formula]:
             stack.append(g.sub)
 
 
+def map_updates(f: Formula, at_update) -> Formula:
+    """f with each update node [U@e]g replaced by at_update(U, e, g'),
+    where g' is g mapped the same way.
+
+    Innermost first, each distinct node once, on an explicit stack, so
+    deep input does not recurse; nodes without updates come back as they
+    are.  Preconditions are left to at_update.
+    """
+    done: Dict[Formula, Formula] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in done:
+            continue
+        if not g._occ[2]:
+            done[g] = g
+        elif isinstance(g, And):
+            left, right = done.get(g.left), done.get(g.right)
+            if left is None or right is None:
+                stack += (g, g.right, g.left)  # back until both are done
+            else:
+                done[g] = And(left, right)
+        elif (sub := done.get(g.sub)) is None:
+            stack += (g, g.sub)
+        elif isinstance(g, Not):
+            done[g] = Not(sub)
+        elif isinstance(g, Box):
+            done[g] = Box(g.agent, sub)
+        elif isinstance(g, Yesterday):
+            done[g] = Yesterday(sub)
+        else:
+            done[g] = at_update(g.action, g.event, sub)
+    return done[f]
+
+
 def actions_in(f: Formula) -> FrozenSet["ActionModel"]:
     """The action models occurring in f, including inside preconditions."""
     return f.actions
@@ -398,11 +433,16 @@ class _Parser:
         return left
 
     def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek()[1] == "->":
+        # right-associative: the operands of a chain are collected in a
+        # loop and folded from the right
+        operands = [self.disj()]
+        while self.peek()[1] == "->":
             self.next()
-            return implies(left, self.imp())
-        return left
+            operands.append(self.disj())
+        out = operands.pop()
+        for left in reversed(operands):
+            out = implies(left, out)
+        return out
 
     def disj(self) -> Formula:
         left = self.conj()

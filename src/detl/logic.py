@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .action import FLAT, ActionModel, is_atemporal_action, is_past_state
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, TOP,
                       Update, Yesterday, conj, diamond, dia_yesterday,
-                      implies)
+                      implies, map_updates)
 from .kripke import KripkeModel, PointedModel
 
 DEFAULT_NODE_LIMIT = 10 ** 6
@@ -23,37 +23,17 @@ DEFAULT_NODE_LIMIT = 10 ** 6
 def reduce_formula(f: Formula) -> Formula:
     """Update-free equivalent of f.
 
-    Innermost-first: preconditions are reduced before the update that
-    carries them is pushed through its body, so the push step only ever
-    sees update-free material.  One memo, keyed by node and by (action,
-    event, node), serves the whole call, so each shared subformula is
-    reduced and each pushed once per event: the work follows the
-    distinct nodes of the result, not its size as a tree.
+    Innermost-first (see `map_updates`): preconditions are reduced before
+    the update that carries them is pushed through its body, so the push
+    step only ever sees update-free material.  Each distinct node is
+    mapped once, and one push memo, keyed by (action, event, node),
+    serves the whole call, so each shared subformula is pushed once per
+    event: the work follows the distinct nodes of the result, not its
+    size as a tree.
     """
-    return _reduce(f, {})
-
-
-def _reduce(f: Formula, memo: dict) -> Formula:
-    out = memo.get(f)
-    if out is not None:
-        return out
-    if isinstance(f, (Bottom, Atom)):
-        out = f
-    elif isinstance(f, Not):
-        out = Not(_reduce(f.sub, memo))
-    elif isinstance(f, And):
-        out = And(_reduce(f.left, memo), _reduce(f.right, memo))
-    elif isinstance(f, Box):
-        out = Box(f.agent, _reduce(f.sub, memo))
-    elif isinstance(f, Yesterday):
-        out = Yesterday(_reduce(f.sub, memo))
-    elif isinstance(f, Update):
-        U = _reduce_action(f.action)
-        out = _push(U, f.event, _reduce(f.sub, memo), memo)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[f] = out
-    return out
+    memo: dict = {}
+    return map_updates(
+        f, lambda U, e, g: _push(_reduce_action(U), e, g, memo))
 
 
 @lru_cache(maxsize=1024)
@@ -316,33 +296,11 @@ def _adjoin_flat(U: ActionModel) -> ActionModel:
 
 
 def sharp_formula(f: Formula) -> Formula:
-    """f with the action of every update modality replaced by its ♯.  Only
-    the nodes above an update are rebuilt, each shared one once."""
-    return _sharpen(f, {})
-
-
-def _sharpen(f: Formula, memo: dict) -> Formula:
-    # the chain of first children (the left of a conjunction, else the
-    # only one) is walked in a loop, so a long run of & or | or a deep
-    # run of ~ does not recurse; right conjuncts do
-    chain = []
-    while f.actions and f not in memo:
-        chain.append(f)
-        f = f.left if isinstance(f, And) else f.sub
-    out = memo.get(f, f)
-    for g in reversed(chain):
-        if isinstance(g, Not):
-            out = Not(out)
-        elif isinstance(g, And):
-            out = And(out, _sharpen(g.right, memo))
-        elif isinstance(g, Box):
-            out = Box(g.agent, out)
-        elif isinstance(g, Yesterday):
-            out = Yesterday(out)
-        else:
-            out = Update(sharp_action(g.action), g.event, out)
-        memo[g] = out
-    return out
+    """f with the action of every update modality replaced by its ♯ (see
+    `map_updates`): only the nodes above an update are rebuilt, each
+    distinct one once."""
+    return map_updates(
+        f, lambda U, e, g: Update(sharp_action(U), e, g))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from detl.action import (ACTION_PROPERTIES, ActionModel, PointedAction, action_d
 from detl.formula import TOP, parse
 from detl.generate import (DEFAULT_SIG, rand_atemporal_action,
                            rand_forest_action, rand_temporal_action)
-from detl.kripke import KripkeModel, check_property
+from detl.kripke import KripkeModel, PropertyReport, check_property
 from detl.logic import sharp_action
 
 SIG = DEFAULT_SIG
@@ -94,6 +94,56 @@ def test_past_preservation(ws):
     cyc = mk_action(("x",), {"x": "true"}, yesterday={("x", "x")})
     rep = check_past_preservation(PointedAction(cyc, "x"))
     assert not rep.holds and rep.witness == ("x", "no_past_state_reachable")
+
+
+def _reference_past_preservation(A):
+    """One backward search per event backward-reachable from the point."""
+    U = A.action
+    hp = check_history_preservation(U)
+    if not hp.holds:
+        return PropertyReport("past_preservation", False, hp.witness)
+    seen, stack = {A.point}, [A.point]
+    while stack:
+        for p in U.yesterdays(stack.pop()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    for e in sorted(seen):
+        reach, stack = {e}, [e]
+        while stack:
+            x = stack.pop()
+            if is_past_state(U, x):
+                break
+            for p in U.yesterdays(x):
+                if p not in reach:
+                    reach.add(p)
+                    stack.append(p)
+        else:
+            return PropertyReport("past_preservation", False,
+                                  (e, "no_past_state_reachable"))
+    return PropertyReport("past_preservation", True)
+
+
+def test_past_preservation_matches_per_event_search():
+    # the random temporal actions rarely preserve history, so each is
+    # also taken with only self-loops and true preconditions, which do,
+    # to reach the search for grounded events
+    rng = random.Random(5)
+    failing = 0
+    for i in range(150):
+        make = (rand_temporal_action, rand_forest_action,
+                rand_atemporal_action)[i % 3]
+        V = make(rng, max_events=6) if i % 3 == 0 else make(rng)
+        loops = mk_action(V.events, dict.fromkeys(V.events, "true"),
+                          yesterday=V.yesterday)
+        for U in (V, loops):
+            for e in U.events:
+                A = PointedAction(U, e)
+                rep = check_past_preservation(A)
+                assert rep == _reference_past_preservation(A)
+                failing += rep.witness is not None and \
+                    rep.witness[-1] == "no_past_state_reachable"
+    assert failing > 0
 
 
 def test_time_advancing(ws):

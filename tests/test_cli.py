@@ -59,6 +59,17 @@ def test_eval_ydel_long_run_over_updates(capsys, text):
     assert code == 0 and out == "RESULT: true\n"
 
 
+@pytest.mark.parametrize("text,code,key", [
+    ("~" * 3000 + "(p | ~p)", 0, "VERDICT: VALID"),
+    ("~" * 3000 + "[U2@s]q", 1, "COUNTERMODEL: "),
+    (" -> ".join(["p"] * 3000), 0, "VERDICT: VALID")],
+    ids=["not", "not-update", "implies"])
+def test_validity_deep_input(capsys, text, code, key):
+    # the parser, the reduction and the tableau loop over such runs
+    got, out = run(capsys, "validity", text)
+    assert got == code and key in out
+
+
 def test_too_deep_is_an_error(capsys):
     # a deep run of boxes still recurses in the evaluator: a data error
     # with exit 3, not a traceback that a caller would read as "false"

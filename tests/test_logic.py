@@ -325,3 +325,28 @@ def test_sharp_formula_rebuilds_each_shared_node_once(ws, monkeypatch):
                         lambda U: calls.append(U) or sharp_action(U))
     g = sharp_formula(f)
     assert len(calls) == 1 and g.actions == {sharp_action(calls[0])}
+
+
+def test_reduce_deep_boxes_over_an_update(ws):
+    # the walk down to the update is a loop, not one call per level
+    u = ws.parse("[U2@s]q")
+    f, g = u, reduce_formula(u)
+    for _ in range(3000):
+        f, g = Box("a", f), Box("a", g)
+    assert reduce_formula(f) is g
+
+
+def test_reduce_deep_update_free_formula_is_itself():
+    f = Atom("p")
+    for i in range(3000):
+        f = (Not, lambda g: Box("b", g), Yesterday)[i % 3](f)
+    assert reduce_formula(f) is f
+
+
+def test_sharp_formula_long_right_nested_conjunction(ws):
+    u = ws.parse("[U8@s]p")
+    v = Update(sharp_action(ws.actions["U8"][0]), "s", Atom("p"))
+    f, g = u, v
+    for _ in range(3000):
+        f, g = And(u, f), And(v, g)
+    assert sharp_formula(f) is g
