@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 
 from .formula import (Formula, Signature, Update, check_ident, implies,
                       subformulas)
-from .kripke import Frame, PropertyReport, check_frame_property, is_restricted
+from .kripke import Frame, PropertyReport, is_restricted
 
 FLAT = "♭"
 
@@ -154,9 +154,7 @@ def check_past_preservation(A: PointedAction,
                 stack.append(p)
     # an event reaches a past state going backward exactly when it is
     # reached going forward from one: one search finds them all
-    later: Dict[str, list] = {e: [] for e in U.events}
-    for x, y in U.yesterday:
-        later[x].append(y)
+    later = U._children
     stack = [e for e in U.events if not U.yesterdays(e)]
     grounded = set(stack)
     while stack:
@@ -184,7 +182,7 @@ def check_time_advancing(A: PointedAction,
 def check_action_property(U: ActionModel, prop: str) -> PropertyReport:
     if prop not in ACTION_PROPERTIES:
         raise ValueError(f"unknown action property {prop!r}")
-    return check_frame_property(prop, U)
+    return U._report(prop)
 
 
 def is_lrdetl_action(U: ActionModel,

@@ -565,6 +565,11 @@ def pretty(f: Formula) -> str:
     return _pp(f, 0)
 
 
+# prefix operators other than ~, and the nodes under a ~ that end a run
+_PREFIX = frozenset([Box, Yesterday, Update])
+_ENDS_RUN = frozenset([And, Bottom])
+
+
 def _pp(f: Formula, ctx: int) -> str:
     m = _match_iff(f)
     if m:
@@ -588,22 +593,33 @@ def _pp(f: Formula, ctx: int) -> str:
     if isinstance(f, And):
         return _wrap(f"{_pp(f.left, _PREC_AND)} & {_pp(f.right, _PREC_AND + 1)}",
                      _PREC_AND, ctx)
-    if isinstance(f, Not):
-        s = f.sub
-        if isinstance(s, Box) and isinstance(s.sub, Not):
-            return f"<{s.agent}>{_pp(s.sub.sub, _PREC_UNARY)}"
-        if isinstance(s, Yesterday) and isinstance(s.sub, Not):
-            return f"<Y>{_pp(s.sub.sub, _PREC_UNARY)}"
-        if isinstance(s, Update) and isinstance(s.sub, Not):
-            return f"<{s.action.name}@{s.event}>{_pp(s.sub.sub, _PREC_UNARY)}"
-        return f"~{_pp(s, _PREC_UNARY)}"
-    if isinstance(f, Box):
-        return f"[{f.agent}]{_pp(f.sub, _PREC_UNARY)}"
-    if isinstance(f, Yesterday):
-        return f"[Y]{_pp(f.sub, _PREC_UNARY)}"
-    if isinstance(f, Update):
-        return f"[{f.action.name}@{f.event}]{_pp(f.sub, _PREC_UNARY)}"
-    raise TypeError(f"not a formula: {f!r}")
+    # a run of prefix operators, folded in a loop
+    pre = ""
+    while True:
+        if isinstance(f, Not):
+            g = f.sub
+            if isinstance(g, Box) and isinstance(g.sub, Not):
+                op, f = f"<{g.agent}>", g.sub.sub
+            elif isinstance(g, Yesterday) and isinstance(g.sub, Not):
+                op, f = "<Y>", g.sub.sub
+            elif isinstance(g, Update) and isinstance(g.sub, Not):
+                op, f = f"<{g.action.name}@{g.event}>", g.sub.sub
+            else:
+                op, f = "~", g
+        elif isinstance(f, Box):
+            op, f = f"[{f.agent}]", f.sub
+        elif isinstance(f, Yesterday):
+            op, f = "[Y]", f.sub
+        elif isinstance(f, Update):
+            op, f = f"[{f.action.name}@{f.event}]", f.sub
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        # the run ends at a node the checks above may match: not a prefix
+        # operator, or the negation of a conjunction or of ⊥
+        t = type(f)
+        if (type(f.sub) in _ENDS_RUN) if t is Not else (t not in _PREFIX):
+            return f"{pre}{op}{_pp(f, _PREC_UNARY)}"
+        pre += op
 
 
 def _wrap(s: str, prec: int, ctx: int) -> str:

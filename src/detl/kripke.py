@@ -129,6 +129,14 @@ class Frame:
         return {n: tuple(vs) for n, vs in m.items()}
 
     @cached_property
+    def _children(self) -> Dict[str, tuple]:
+        """The sorted nodes one tick after every node."""
+        m: Dict[str, list] = {n: [] for n in self.nodes}
+        for x, y in self.yesterday:
+            m[x].append(y)
+        return {n: tuple(vs) for n, vs in m.items()}
+
+    @cached_property
     def _depths(self) -> dict:
         """Longest-backward-path length per node; INFINITE past any ⇝-cycle.
 
@@ -136,9 +144,7 @@ class Frame:
         reaches, which keep INFINITE, are those whose past meets a cycle.
         """
         indeg = {n: len(ps) for n, ps in self._parents.items()}
-        children: Dict[str, list] = {n: [] for n in self.nodes}
-        for x, y in self.yesterday:
-            children[x].append(y)
+        children = self._children
         depth = dict.fromkeys(self.nodes, INFINITE)
         queue = [n for n in self.nodes if indeg[n] == 0]
         for n in queue:
@@ -153,9 +159,20 @@ class Frame:
         return depth
 
     @cached_property
+    def _reports(self) -> Dict[str, PropertyReport]:
+        """The report of each frame property checked so far."""
+        return {}
+
+    def _report(self, prop: str) -> PropertyReport:
+        rep = self._reports.get(prop)
+        if rep is None:
+            rep = self._reports[prop] = check_frame_property(prop, self)
+        return rep
+
+    @cached_property
     def _restricted(self) -> PropertyReport:
         for prop in RESTRICTED_PROPERTIES:
-            rep = check_frame_property(prop, self, self.val)
+            rep = self._report(prop)
             if not rep.holds:
                 return PropertyReport("restricted", False, (prop,) + rep.witness)
         return PropertyReport("restricted", True)
@@ -242,15 +259,15 @@ def is_initial(M: KripkeModel, w: str) -> bool:
 # ---------------------------------------------------------------------------
 # properties, shared between Kripke and action models
 
-def check_frame_property(prop: str, frame: Frame,
-                         valuation=None) -> PropertyReport:
+def check_frame_property(prop: str, frame: Frame) -> PropertyReport:
     """Evaluate one defining condition over a frame's cached views.
 
-    Works for Kripke models (valuation given, as `val`) and action models
-    (valuation None, persistence vacuous).  Witnesses list the violating
-    items in the order the condition quantifies them.
+    Works for Kripke models and action models (no valuation, persistence
+    vacuous).  Witnesses list the violating items in the order the
+    condition quantifies them.  Callers read the report through
+    `Frame._report`, which computes it once per frame.
     """
-    nodes, yesterday = frame.nodes, frame.yesterday
+    nodes, yesterday, valuation = frame.nodes, frame.yesterday, frame.val
     parents, succ, agents = frame._parents, frame._succ, sorted(frame._succ)
 
     if prop == "persistence_of_facts":
@@ -293,15 +310,22 @@ def check_frame_property(prop: str, frame: Frame,
         return PropertyReport(prop, True)
 
     if prop == "perfect_recall":
+        # per (w, a), the nodes one tick after an a-successor of w, built
+        # once for all the pairs (w, v) that share w
+        children, last = frame._children, None
         for w, v in yesterday:
+            if w != last:
+                last = w
+                later = {a: {c for u in succ[a][w] for c in children[u]}
+                         for a in agents}
             for a in agents:
-                for v2 in succ[a][v]:
-                    if not any(w2 in parents[v2] for w2 in succ[a][w]):
-                        return PropertyReport(prop, False, (w, v, a, v2))
+                if not later[a].issuperset(succ[a][v]):
+                    v2 = next(v2 for v2 in succ[a][v] if v2 not in later[a])
+                    return PropertyReport(prop, False, (w, v, a, v2))
         return PropertyReport(prop, True)
 
     if prop == "synchronicity":
-        dd = check_frame_property("depth_definedness", frame)
+        dd = frame._report("depth_definedness")
         if not dd.holds:
             return PropertyReport(prop, False, dd.witness)
         depths = frame._depths
@@ -317,7 +341,7 @@ def check_frame_property(prop: str, frame: Frame,
 
 
 def check_property(M: KripkeModel, prop: str) -> PropertyReport:
-    return check_frame_property(prop, M, M.val)
+    return M._report(prop)
 
 
 def is_restricted(M: Frame) -> PropertyReport:

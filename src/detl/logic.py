@@ -224,9 +224,16 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
 
     Partition refinement over the disjoint union, numbered once; the
     refinement relations are the epistemic successors plus the step
-    toward the past (the future direction does not discriminate).  Each
-    round splits the blocks on the blocks of every node's successors,
-    until the partition stops refining.
+    toward the past (the future direction does not discriminate).  A
+    node's signature is the set of (relation, block) of its successors.
+    Splitting is driven by the nodes that changed block: each round
+    recomputes the signatures of their predecessors only and splits
+    those off their blocks by signature.  A recomputed node has a
+    successor in a block made in the last round, so it never shares its
+    old block's part with a node that was not recomputed.  The largest
+    part keeps the block's id and the others move, so a node moves
+    O(log n) times (Hopcroft's "process the smaller half", as in
+    Paige–Tarjan and Valmari's O(m log n) refinement).
     """
     if A.model.sig != B.model.sig:
         raise ValueError("bisimulation requires a shared signature")
@@ -248,18 +255,44 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
                 out.extend((index[v], r) for v in M.succ(a, w))
             succ.append(out)
             block.append(seed.setdefault(M.atoms_at(w), len(seed)))
-    count = len(seed)
-    while True:
-        # a node's signature: its block and the (block, relation) of each
-        # successor, packed into one int
-        old, fresh = block, {}
-        block = [fresh.setdefault(
-                     (b, frozenset([old[j] * nrel + r for j, r in out])),
-                     len(fresh))
-                 for b, out in zip(old, succ)]
-        if len(fresh) == count:
-            break
-        count = len(fresh)
+    pred: List[List[int]] = [[] for _ in succ]
+    for x, out in enumerate(succ):
+        for j, _ in out:
+            pred[j].append(x)
+    # the members of each block; empty before the first round, which
+    # recomputes every node
+    members: List[set] = [set() for _ in seed]
+    dirty = range(len(succ))
+    while dirty:
+        # the recomputed nodes, grouped by block and signature
+        groups: Dict[Tuple[int, FrozenSet[int]], set] = {}
+        for x in dirty:
+            key = (block[x], frozenset([block[j] * nrel + r
+                                        for j, r in succ[x]]))
+            g = groups.get(key)
+            if g is None:
+                groups[key] = {x}
+            else:
+                g.add(x)
+        parts: Dict[int, List[set]] = {}
+        for (b, _), g in groups.items():
+            parts.setdefault(b, []).append(g)
+        moved = []
+        for b, split in parts.items():
+            rest = members[b]
+            for g in split:
+                rest -= g
+            if rest:
+                split.append(rest)
+            keep = members[b] = max(split, key=len)
+            for g in split:
+                if g is not keep:
+                    nb = len(members)
+                    members.append(g)
+                    for x in g:
+                        block[x] = nb
+                    moved.extend(g)
+        dirty = {x for y in moved for x in pred[y]}
     if block[points[0]] != block[points[1]]:
         return None
     n = len(A.model.worlds)

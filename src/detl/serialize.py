@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -46,8 +47,50 @@ def canonical_document(doc: dict) -> dict:
 
 
 def canonical_dumps(doc: dict) -> str:
-    return json.dumps(canonical_document(doc), ensure_ascii=False,
-                      indent=2) + "\n"
+    """The canonical document as `json.dumps(..., ensure_ascii=False,
+    indent=2)` lays it out, plus a newline.  The document shapes (str,
+    list of str, list of string pairs, dict of those) are written here,
+    each string encoded once by the C encoder; any other value takes the
+    json.dumps call itself."""
+    doc = canonical_document(doc)
+    try:
+        return _write(doc, 0) + "\n"
+    except TypeError:
+        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+# per nesting level: the line break and indent before a value's items,
+# and a string pair laid out as an item of a list at that level
+_BREAK = ["\n" + "  " * k for k in range(5)]
+_PAIR = ["[%s%%s,%s%%s%s]" % (_BREAK[k + 2], _BREAK[k + 2], _BREAK[k + 1])
+         for k in range(3)]
+
+
+def _write(v, level: int) -> str:
+    """v laid out at the given nesting level; TypeError outside the
+    document shapes."""
+    if type(v) is str:
+        return encode_basestring(v)
+    inner, close = _BREAK[level + 1], _BREAK[level]
+    if type(v) is list:
+        if not v:
+            return "[]"
+        if type(v[0]) is str:
+            items = map(encode_basestring, v)
+        elif set(map(type, v)) == {list} and set(map(len, v)) == {2}:
+            pair = _PAIR[level]
+            items = [pair % (encode_basestring(x), encode_basestring(y))
+                     for x, y in v]
+        else:
+            raise TypeError("not a document shape")
+        return "[" + inner + ("," + inner).join(items) + close + "]"
+    if type(v) is dict and level < 2:
+        if not v:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring(k) + ": " + _write(x, level + 1)
+             for k, x in v.items()]) + close + "}"
+    raise TypeError("not a document shape")
 
 
 def model_to_document(M: KripkeModel, point: Optional[str] = None) -> dict:

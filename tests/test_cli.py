@@ -70,6 +70,14 @@ def test_validity_deep_input(capsys, text, code, key):
     assert got == code and key in out
 
 
+def test_reduce_deep_negation(capsys):
+    # the printer folds runs of prefix operators in a loop
+    code, out = run(capsys, "reduce", "~" * 3000 + "p")
+    assert code == 0 and out == "REDUCED: " + "~" * 3000 + "p\n"
+    code, out = run(capsys, "reduce", "<a>[Y]~<Y>[b]" * 600 + "p")
+    assert code == 0 and out == "REDUCED: " + "<a>[Y]~<Y>[b]" * 600 + "p\n"
+
+
 def test_too_deep_is_an_error(capsys):
     # a deep run of boxes still recurses in the evaluator: a data error
     # with exit 3, not a traceback that a caller would read as "false"
@@ -110,6 +118,65 @@ def test_update_ydel(tmp_path, capsys):
 def test_check_model(capsys):
     code, out = run(capsys, "check", "M", "restricted")
     assert code == 0 and out == "restricted: PASS\n"
+
+
+# a cyclic model that fails five properties, and a two-world one whose
+# only failure is perfect recall
+CHECKED = {
+    "N": {"type": "kripke", "agents": ["a", "b"], "atoms": ["p", "q"],
+          "worlds": ["w0", "w1", "w2", "w3"],
+          "val": {"p": ["w2", "w3"], "q": ["w0", "w3"]},
+          "epistemic": {
+              "a": [["w0", "w3"], ["w1", "w3"], ["w2", "w0"], ["w2", "w1"],
+                    ["w3", "w1"], ["w3", "w3"]],
+              "b": [["w0", "w2"], ["w1", "w0"], ["w1", "w3"], ["w2", "w0"],
+                    ["w2", "w2"], ["w2", "w3"], ["w3", "w1"], ["w3", "w3"]]},
+          "yesterday": [["w0", "w1"], ["w0", "w2"], ["w1", "w0"],
+                        ["w1", "w2"], ["w1", "w3"], ["w2", "w3"],
+                        ["w3", "w2"]]},
+    "R": {"type": "kripke", "agents": ["a", "b"], "atoms": ["p", "q"],
+          "worlds": ["w0", "w1"], "val": {"p": [], "q": ["w0", "w1"]},
+          "epistemic": {"a": [["w0", "w0"], ["w1", "w1"]],
+                        "b": [["w1", "w1"]]},
+          "yesterday": [["w0", "w1"]]},
+}
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["N"], """\
+persistence_of_facts: FAIL ('w0', 'w1', 'q')
+depth_definedness: FAIL ('w0',)
+knowledge_of_past: PASS
+knowledge_of_initial_time: PASS
+uniqueness_of_past: FAIL ('w2', 'w0', 'w1')
+perfect_recall: FAIL ('w0', 'w1', 'a', 'w3')
+synchronicity: FAIL ('w0',)
+"""),
+    (["N", "perfect-recall", "restricted"], """\
+perfect_recall: FAIL ('w0', 'w1', 'a', 'w3')
+restricted: FAIL ('persistence_of_facts', 'w0', 'w1', 'q')
+"""),
+    (["R"], """\
+persistence_of_facts: PASS
+depth_definedness: PASS
+knowledge_of_past: PASS
+knowledge_of_initial_time: PASS
+uniqueness_of_past: PASS
+perfect_recall: FAIL ('w0', 'w1', 'b', 'w1')
+synchronicity: PASS
+"""),
+    (["R", "restricted", "perfect-recall", "restricted"], """\
+restricted: FAIL ('perfect_recall', 'w0', 'w1', 'b', 'w1')
+perfect_recall: FAIL ('w0', 'w1', 'b', 'w1')
+restricted: FAIL ('perfect_recall', 'w0', 'w1', 'b', 'w1')
+""")], ids=["N", "N-restricted", "R", "R-restricted"])
+def test_check_model_failures(tmp_path, capsys, argv, want):
+    # reports and witnesses as the property checks first printed them
+    for name, doc in CHECKED.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc),
+                                               encoding="utf-8")
+    code, out = run(capsys, "--workspace", str(tmp_path), "check", *argv)
+    assert code == 1 and out == want
 
 
 def test_check_pointed_action(capsys):

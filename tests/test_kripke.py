@@ -4,8 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detl.generate import DEFAULT_SIG, rand_kripke, rand_restricted
-from detl.kripke import (INFINITE, KripkeModel, check_property, depth,
+from detl.action import check_action_property
+from detl.generate import (DEFAULT_SIG, rand_forest_action, rand_kripke,
+                           rand_restricted, rand_sync_kripke,
+                           rand_temporal_action)
+from detl.kripke import (INFINITE, KRIPKE_PROPERTIES, RESTRICTED_PROPERTIES,
+                         KripkeModel, PropertyReport, check_property, depth,
                          generated_submodel, is_initial, is_restricted,
                          relation_closure)
 from detl.semantics import product_update, ydel_update
@@ -107,6 +111,81 @@ def test_is_restricted(ws, M):
     rep = is_restricted(two_pasts)
     assert not rep.holds
     assert rep.witness[0] == "uniqueness_of_past"
+
+
+def _perfect_recall_per_pair(frame):
+    """Perfect recall as first written: for every pair, search the
+    a-successors of w for a parent of v2."""
+    agents = sorted(frame.sig.agents)
+    for w, v in frame.yesterday:
+        for a in agents:
+            for v2 in frame.succ(a, v):
+                if not any(w2 in frame.yesterdays(v2)
+                           for w2 in frame.succ(a, w)):
+                    return PropertyReport("perfect_recall", False,
+                                          (w, v, a, v2))
+    return PropertyReport("perfect_recall", True)
+
+
+def _seeded_frames():
+    rng = random.Random(23)
+    for _ in range(60):
+        yield rand_kripke(rng, max_worlds=6, density=0.4)
+        yield rand_restricted(rng, max_worlds=3)
+        yield rand_sync_kripke(rng, max_worlds=7)
+        yield rand_temporal_action(rng, max_events=4, density=0.4)
+        yield rand_forest_action(rng, max_extra=4)
+
+
+def test_perfect_recall_matches_per_pair_search():
+    failed = 0
+    for F in _seeded_frames():
+        want = _perfect_recall_per_pair(F)
+        got = (check_property(F, "perfect_recall")
+               if isinstance(F, KripkeModel)
+               else check_action_property(F, "perfect_recall"))
+        assert got == want
+        failed += not want.holds
+    assert failed >= 50
+
+
+def test_reports_computed_once_per_frame():
+    rng = random.Random(29)
+    for _ in range(20):
+        N = rand_kripke(rng, max_worlds=5, density=0.4)
+        for prop in KRIPKE_PROPERTIES:
+            assert check_property(N, prop) is check_property(N, prop)
+        # a structurally equal model has its own reports, equal ones
+        twin = dataclasses.replace(N)
+        assert check_property(twin, "synchronicity") == \
+            check_property(N, "synchronicity")
+
+
+def _report(F, prop):
+    if isinstance(F, KripkeModel):
+        return check_property(F, prop)
+    if prop == "persistence_of_facts":  # vacuous without a valuation
+        return PropertyReport(prop, True)
+    return check_action_property(F, prop)
+
+
+def test_is_restricted_is_the_first_failing_report():
+    outcomes = set()
+    for F in _seeded_frames():
+        G = dataclasses.replace(F)
+        failing = [(p, _report(G, p)) for p in RESTRICTED_PROPERTIES
+                   if not _report(G, p).holds]
+        want = PropertyReport("restricted", True)
+        if failing:
+            p, r = failing[0]
+            want = PropertyReport("restricted", False, (p,) + r.witness)
+        # on a frame no property was checked on, and after all of them
+        assert is_restricted(dataclasses.replace(F)) == want
+        for prop in RESTRICTED_PROPERTIES:
+            _report(F, prop)
+        assert is_restricted(F) == want
+        outcomes.add(want.holds)
+    assert outcomes == {True, False}
 
 
 def test_generated_submodel_connected(M):

@@ -278,6 +278,124 @@ def test_bisimilar_is_greatest_fixpoint():
     assert outcomes == {True, False}
 
 
+def _refinement_rounds(MA, MB):
+    """Rounds of plain signature refinement on the disjoint union until
+    the partition is stable, each round over every node."""
+    nodes = [(0, w) for w in MA.worlds] + [(1, v) for v in MB.worlds]
+    models = (MA, MB)
+
+    def moves(k, w):
+        M = models[k]
+        return [M.yesterdays(w)] + [M.succ(a, w) for a in M.sig.agents]
+
+    block = {(k, w): frozenset(p for p, ws in models[k].valuation if w in ws)
+             for k, w in nodes}
+    rounds = 0
+    while True:
+        rounds += 1
+        new = {(k, w): (block[k, w],
+                        tuple(frozenset(block[k, x] for x in xs)
+                              for xs in moves(k, w)))
+               for k, w in nodes}
+        if len(set(new.values())) == len(set(block.values())):
+            return rounds
+        block = new
+
+
+def _deep_forest(rng, n):
+    """A model of n worlds in a few deep trees: p only at the roots, q
+    constant on each tree and epistemic arrows within one depth, so
+    worlds are told apart only through their histories."""
+    parent, depth, tree = {}, {}, {}
+    for i in range(n):
+        w = f"w{i}"
+        if i < 2 or rng.random() < 0.05:
+            depth[w], tree[w] = 0, w
+        else:
+            # mostly hang off the last world, which makes long chains
+            par = f"w{i - 1 if rng.random() < 0.7 else rng.randrange(i)}"
+            parent[w], depth[w], tree[w] = par, depth[par] + 1, tree[par]
+    worlds = tuple(depth)
+    roots = [w for w in worlds if w not in parent]
+    q_trees = {r for r in roots if rng.random() < 0.5}
+    epistemic = {a: {(x, y) for x in worlds for y in worlds
+                     if depth[x] == depth[y] and rng.random() < 0.1}
+                 for a in SIG.agents}
+    return KripkeModel(sig=SIG, worlds=worlds, epistemic=epistemic,
+                       yesterday={(p, w) for w, p in parent.items()},
+                       valuation={"p": set(roots),
+                                  "q": {w for w in worlds
+                                        if tree[w] in q_trees}})
+
+
+def test_bisimilar_on_deep_refinements():
+    # seeded deep models whose plain refinement takes at least five
+    # rounds, each against itself, another deep model or its ⊕ update,
+    # checked against the greatest fixpoint: at every point of the first
+    # model, paired with a linked point and with three random ones
+    rng = random.Random(7)
+    checked, linked = 0, 0
+    while checked < 12:
+        N = _deep_forest(rng, rng.randint(10, 16))
+        K = [N, _deep_forest(rng, rng.randint(10, 16)),
+             ydel_update(N, rand_atemporal_action(rng), True)][checked % 3]
+        if _refinement_rounds(N, K) < 5:
+            continue
+        checked += 1
+        R = _greatest_bisimulation(N, K)
+        linked += bool(R)
+        for w in N.worlds:
+            for v in [v for x, v in sorted(R) if x == w][:1] + \
+                    rng.sample(K.worlds, 3):
+                wit = bisimilar(PointedModel(N, w), PointedModel(K, v))
+                assert (wit is not None) == ((w, v) in R)
+                if wit is not None:
+                    assert wit.relation == R
+    assert linked >= 8
+
+
+def test_bisimilar_moves_the_part_not_recomputed():
+    # p marks c0 and d0; c1 … c5 and d1 … d7 are chains below them, and
+    # x0 … x4 hang off c5.  Each round splits the next chain world off
+    # the large block of non-p worlds.  When c5 and d5 split off, the
+    # worlds recomputed in that block are x0 … x4 and d6, and the one
+    # left, d7, is the smaller part: it moves and the block keeps its id.
+    chain = [f"c{i}" for i in range(6)]
+    longer = [f"d{i}" for i in range(8)]
+    hang = [f"x{i}" for i in range(5)]
+    worlds = tuple(chain + longer + hang)
+    yesterday = {(a, b) for xs in (chain, longer) for a, b in zip(xs, xs[1:])}
+    yesterday |= {("c5", x) for x in hang}
+    N = KripkeModel(sig=SIG, worlds=worlds,
+                    epistemic={a: {(w, w) for w in worlds}
+                               for a in SIG.agents},
+                    yesterday=yesterday, valuation={"p": {"c0", "d0"}})
+    assert _refinement_rounds(N, N) >= 5
+    R = _greatest_bisimulation(N, N)
+    assert R == {(w, w) for w in worlds} | \
+        {(f"c{i}", f"d{i}") for i in range(6)} | \
+        {(f"d{i}", f"c{i}") for i in range(6)} | \
+        {(x, y) for x in hang + ["d6"] for y in hang + ["d6"]}
+    for w in worlds:
+        wit = bisimilar(PointedModel(N, w), PointedModel(N, w))
+        assert wit.relation == R
+    assert bisimilar(PointedModel(N, "x0"), PointedModel(N, "d7")) is None
+
+
+def test_bisimilar_long_yesterday_chain():
+    # 2,000 worlds in one history: each round splits off one world, and
+    # no two worlds are bisimilar
+    worlds = tuple(f"w{i}" for i in range(2000))
+    C = KripkeModel(sig=SIG, worlds=worlds,
+                    epistemic={"a": {(w, w) for w in worlds}},
+                    yesterday=set(zip(worlds, worlds[1:])),
+                    valuation={"p": {"w0"}})
+    wit = bisimilar(PointedModel(C, "w1999"), PointedModel(C, "w1999"))
+    assert wit.relation == {(w, w) for w in worlds}
+    assert bisimilar(PointedModel(C, "w1998"), PointedModel(C, "w1999")) \
+        is None
+
+
 def test_probe_disagrees_on_atoms(M):
     verdict = language_equivalence_probe(PointedModel(M, "w"),
                                          PointedModel(M, "u"), max_depth=1)

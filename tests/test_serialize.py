@@ -1,7 +1,12 @@
 import json
+import random
 
 import pytest
 
+from detl import serialize
+from detl.generate import (rand_atemporal_action, rand_forest_action,
+                           rand_kripke, rand_restricted)
+from detl.semantics import product_update, ydel_update
 from detl.serialize import (Workspace, action_to_document, canonical_document,
                             canonical_dumps, document_to_object,
                             model_to_document)
@@ -77,3 +82,69 @@ def test_workspace_signature_consistency(tmp_path):
 def test_workspace_parse_uses_registry(ws):
     f = ws.parse("[U2@s]p")
     assert f.action == ws.actions["U2"][0]
+
+
+def _reference_dumps(doc):
+    """The writer canonical_dumps replaced, kept as the reference."""
+    return json.dumps(canonical_document(doc), ensure_ascii=False,
+                      indent=2) + "\n"
+
+
+def _shaped_documents(ws):
+    """Documents of the shapes canonical_dumps writes itself: every
+    fixture, seeded products and ⊕ results (with ♭ world names), action
+    documents with preconditions and a point, a closure key and empty
+    relations."""
+    docs = [json.loads(p.read_text(encoding="utf-8"))
+            for p in sorted(FIXTURES.glob("*.json"))]
+    rng = random.Random(11)
+    for _ in range(12):
+        N = rand_restricted(rng, max_worlds=4)
+        U = rand_atemporal_action(rng, max_events=3)
+        F = rand_forest_action(rng, max_extra=3)
+        docs.append(model_to_document(ydel_update(N, U, True),
+                                      rng.choice(N.worlds) + "|♭"))
+        docs.append(model_to_document(product_update(N, F)))
+        docs.append(model_to_document(rand_kripke(rng, max_worlds=5)))
+        docs.append(action_to_document(F, F.events[0]))
+    for name, (U, point) in sorted(ws.actions.items()):
+        docs.append(action_to_document(U, point or U.events[0]))
+    docs.append({"type": "kripke", "agents": ["b", "a"], "atoms": [],
+                 "worlds": ["w"], "val": {}, "epistemic": {"a": [], "b": []},
+                 "yesterday": [], "point": "w", "closure": "s5"})
+    docs.append({"type": "kripke", "agents": [], "atoms": ["q", "p"],
+                 "worlds": ["x\"y", "é\u0001"], "val": {"p": [], "q": []},
+                 "epistemic": {}, "yesterday": [["é\u0001", "x\"y"]]})
+    return docs
+
+
+def test_writer_matches_json_dumps(ws, monkeypatch):
+    docs = _shaped_documents(ws)
+    want = [_reference_dumps(doc) for doc in docs]
+    # every document shape is written without the json.dumps fallback
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("fallback used on a document shape")
+
+    monkeypatch.setattr(serialize.json, "dumps", no_fallback)
+    for doc, text in zip(docs, want):
+        assert canonical_dumps(doc) == text
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "kripke", "agents": ["a"], "worlds": [1, 2]},
+    {"type": "kripke", "agents": ["a"], "point": 3},
+    {"type": "kripke", "point": None, "closure": True},
+    {"type": "kripke", "val": {"p": {"nested": ["w"]}}},
+    {"type": "action", "pre": {"e": ["w", ["u", "v"]]}},
+    {"type": "action", "pre": {"e": [["u", "v"], "uv"]}},
+    {"type": "kripke", "yesterday": [["u", "v", "w"]]},
+    {"type": "kripke", "yesterday": [["u", 2]]},
+    {"type": "action", "pre": {"e": 1.5}},
+    {"type": "action", "pre": {1: "p"}},
+    {"type": "action", "epistemic": {"a": [[["u"], "v"]]}},
+], ids=["int-worlds", "int-point", "null-and-bool", "nested-dict",
+        "mixed-list", "str-among-pairs", "triple", "int-in-pair",
+        "float-pre", "int-key", "list-in-pair"])
+def test_writer_falls_back_outside_the_shapes(doc):
+    assert canonical_dumps(doc) == _reference_dumps(doc)
