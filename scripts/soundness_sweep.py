@@ -1,9 +1,11 @@
 """Randomized soundness sweep.
 
 Checks, over freshly generated models and actions, that the update-free
-reduct of a formula agrees with direct evaluation, and that the temporal
-axioms hold on forest-like models.  Useful for longer runs than the test
-suite's fixed budgets.
+reduct of a formula agrees with direct evaluation, that the validity
+verdict on the formula is borne out by evaluation (an INVALID
+countermodel falsifies it, a VALID formula holds at every world of the
+round's model), and that the temporal axioms hold on forest-like models.
+Useful for longer runs than the test suite's fixed budgets.
 """
 
 import argparse
@@ -15,7 +17,7 @@ from detl.formula import Atom, BOT, Box, Not, Yesterday, iff, implies
 from detl.generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
                            rand_kripke, rand_restricted, rand_temporal_action)
 from detl.kripke import is_restricted
-from detl.logic import reduce_formula
+from detl.logic import reduce_formula, validity
 from detl.semantics import evaluate
 
 
@@ -44,6 +46,7 @@ def sweep(cfg: SweepConfig) -> int:
     sig = DEFAULT_SIG
     axioms = temporal_axioms(sig)
     reduction_checks = axiom_checks = 0
+    verdicts = {True: 0, False: 0}
     for i in range(cfg.rounds):
         M = rand_kripke(rng, sig, max_worlds=cfg.max_worlds)
         actions = tuple((U, e)
@@ -57,6 +60,15 @@ def sweep(cfg: SweepConfig) -> int:
                 print(f"FAIL: reduction disagrees at round {i}, world {w}")
                 return 1
             reduction_checks += 1
+        valid, counter = validity(f)
+        if valid:
+            if not all(evaluate(M, w, f) for w in M.worlds):
+                print(f"FAIL: VALID formula falsified at round {i}")
+                return 1
+        elif evaluate(counter.model, counter.point, f):
+            print(f"FAIL: countermodel satisfies the formula at round {i}")
+            return 1
+        verdicts[valid] += 1
         R = rand_restricted(rng, sig, max_worlds=3)
         assert is_restricted(R).holds
         for w in R.worlds:
@@ -66,7 +78,8 @@ def sweep(cfg: SweepConfig) -> int:
                     return 1
                 axiom_checks += 1
     print(f"OK: {reduction_checks} reduction checks, "
-          f"{axiom_checks} axiom checks, {cfg.rounds} rounds")
+          f"{verdicts[True]} VALID and {verdicts[False]} INVALID verdicts "
+          f"checked, {axiom_checks} axiom checks, {cfg.rounds} rounds")
     return 0
 
 

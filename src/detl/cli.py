@@ -389,8 +389,8 @@ def main(argv=None) -> int:
         return 3
     except RecursionError:
         # still recursing per nesting level: _push (per modal level of an
-        # update's body), pretty, y_nesting_depth, parenthesised input,
-        # _ext's box case and the tableau's diamonds
+        # update's body), pretty, y_nesting_depth, parenthesised input
+        # and _ext's box case
         print("ERROR: input nested too deeply", file=sys.stderr)
         return 3
 

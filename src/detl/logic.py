@@ -79,93 +79,153 @@ class TableauLimit(Exception):
     """Raised when the node budget runs out; distinct from invalidity."""
 
 
-@dataclass
+@dataclass(eq=False)
 class _TreeWorld:
     atoms: FrozenSet[str]
-    children: List[Tuple[tuple, "_TreeWorld"]]
+    # (agent, witness), the agent None for a [Y] witness
+    children: List[Tuple[Optional[str], "_TreeWorld"]]
+
+
+_UNSEEN = object()
 
 
 class _Tableau:
+    """Multimodal K tableau over (formula, polarity) entries, a negative
+    entry standing for the formula's negation.
+
+    A label is the set of entries one world must satisfy.  Whether a
+    label is satisfiable depends on the label alone (each box is a plain
+    K box, `[Y]` included, with no converse), so each label handed to a
+    diamond's witness is solved once per tableau and its witness, or
+    None, is shared by every diamond that asks for it (global caching:
+    Goré & Nguyen, tableaux with global caching for K).  Within a world,
+    an entry already taken on the branch is skipped, and a formula taken
+    with both polarities closes it, so a subformula that reduction
+    shares is expanded once per branch.  A negated conjunction waits in
+    a queue until nothing else is pending, and branching is plain: the
+    second branch gets ¬B alone.  One `tick` is paid per entry taken off
+    the pending stack.
+    """
+
     def __init__(self, budget: int):
         self.budget = budget
+        # label -> its witness, or None when unsatisfiable
+        self.cache: Dict[FrozenSet[tuple], Optional[_TreeWorld]] = {}
 
     def tick(self):
         self.budget -= 1
         if self.budget < 0:
             raise TableauLimit("tableau node limit exceeded")
 
-    def satisfy(self, pending: list) -> Optional[_TreeWorld]:
-        """A tree model of the (formula, polarity) entries, or None.  A
-        negative entry stands for the formula's negation, so splitting a
-        negated conjunction builds no new nodes."""
-        return self._expand(list(pending), frozenset(), frozenset(), {}, ())
-
-    def _expand(self, pending, pos, neg, boxes, diamonds):
-        while pending:
-            self.tick()
-            f, positive = pending.pop()
-            if positive and isinstance(f, Not):
-                f, positive = f.sub, False
-            if positive:
-                if isinstance(f, Bottom):
-                    return None
-                if isinstance(f, Atom):
-                    if f.name in neg:
-                        return None
-                    pos = pos | {f.name}
-                elif isinstance(f, And):
-                    pending.append((f.left, True))
-                    pending.append((f.right, True))
-                elif isinstance(f, Box):
-                    key = ("K", f.agent)
-                    boxes = {**boxes, key: boxes.get(key, ()) + (f.sub,)}
-                elif isinstance(f, Yesterday):
-                    key = ("Y",)
-                    boxes = {**boxes, key: boxes.get(key, ()) + (f.sub,)}
-                else:
-                    raise TypeError(f"update reached the tableau: {f!r}")
-            elif isinstance(f, Bottom):
-                pass
-            elif isinstance(f, Atom):
-                if f.name in pos:
-                    return None
-                neg = neg | {f.name}
-            elif isinstance(f, Not):
-                pending.append((f.sub, True))
-            elif isinstance(f, And):
-                left = self._expand(pending + [(f.left, False)],
-                                    pos, neg, boxes, diamonds)
-                if left is not None:
-                    return left
-                pending.append((f.right, False))
-            elif isinstance(f, Box):
-                diamonds = diamonds + ((("K", f.agent), f.sub),)
-            elif isinstance(f, Yesterday):
-                diamonds = diamonds + ((("Y",), f.sub),)
+    def satisfy(self, entries: list) -> Optional[_TreeWorld]:
+        """A tree model of the entries, or None.  The labels in progress
+        sit on an explicit stack, each as the generator `_world`, so the
+        modal depth of the input is not bounded by the interpreter's."""
+        cache = self.cache
+        stack = [(frozenset(entries), self._world(entries))]
+        answer = None
+        while stack:
+            key, world = stack[-1]
+            try:
+                want = world.send(answer)
+            except StopIteration as done:
+                stack.pop()
+                answer = cache[key] = done.value
             else:
-                raise TypeError(f"update reached the tableau: {f!r}")
-        children = []
-        for rel, g in diamonds:
-            sub = self.satisfy([(g, False),
-                                *((b, True) for b in boxes.get(rel, ()))])
-            if sub is None:
+                stack.append((want[0], self._world(want[1])))
+                answer = None
+        return answer
+
+    def _world(self, pending: list):
+        """Saturate one label, branching and backtracking in place.  Each
+        successor label not yet in the cache is yielded as (key,
+        entries), and its witness or None is sent back; the label's own
+        witness, or None, is returned."""
+        cache = self.cache
+        tick = self.tick
+        pending = list(pending)
+        sign: dict = {}  # formula -> polarity, taken in this branch
+        trail = []      # the keys of sign in the order added, for undoing
+        boxes = []      # (agent or None, body)
+        diamonds = []   # (agent or None, body)
+        queue = []      # negated conjunctions, branched on in order
+        taken = 0       # queue entries branched on so far
+        choices = []    # per open branch: sizes at the branch, other side
+        while True:
+            closed = False
+            while pending:
+                tick()
+                f, positive = pending.pop()
+                while isinstance(f, Not):
+                    f, positive = f.sub, not positive
+                known = sign.get(f)
+                if known is not None:
+                    if known is positive:
+                        continue
+                    closed = True
+                    break
+                sign[f] = positive
+                trail.append(f)
+                if isinstance(f, And):
+                    if positive:
+                        pending.append((f.left, True))
+                        pending.append((f.right, True))
+                    else:
+                        queue.append(f)
+                elif isinstance(f, Bottom):
+                    if positive:
+                        closed = True
+                        break
+                elif isinstance(f, (Box, Yesterday)):
+                    rel = f.agent if isinstance(f, Box) else None
+                    (boxes if positive else diamonds).append((rel, f.sub))
+                elif not isinstance(f, Atom):
+                    raise TypeError(f"update reached the tableau: {f!r}")
+            if not closed:
+                if taken < len(queue):
+                    f = queue[taken]
+                    taken += 1
+                    choices.append((len(trail), len(boxes), len(diamonds),
+                                    len(queue), taken, f.right))
+                    pending.append((f.left, False))
+                    continue
+                children = []
+                for rel, g in diamonds:
+                    label = [(g, False)]
+                    label.extend((b, True) for r, b in boxes if r == rel)
+                    key = frozenset(label)
+                    child = cache.get(key, _UNSEEN)
+                    if child is _UNSEEN:
+                        child = yield key, label
+                    if child is None:
+                        closed = True
+                        break
+                    children.append((rel, child))
+                if not closed:
+                    return _TreeWorld(frozenset(
+                        g.name for g, holds in sign.items()
+                        if holds and isinstance(g, Atom)), children)
+            if not choices:
                 return None
-            children.append((rel, sub))
-        return _TreeWorld(pos, children)
+            size, nboxes, ndiamonds, nqueue, taken, other = choices.pop()
+            while len(trail) > size:
+                del sign[trail.pop()]
+            del boxes[nboxes:], diamonds[ndiamonds:], queue[nqueue:]
+            pending = [(other, False)]
 
 
 def _tree_to_model(root: _TreeWorld, sig: Signature) -> PointedModel:
-    names = {}
+    """The tree's worlds, each distinct one once, named in depth-first
+    preorder; a witness shared by several diamonds is one world."""
+    names: Dict[int, str] = {}
     order = []
-
-    def walk(node):
-        name = f"w{len(order)}"
-        names[id(node)] = name
-        order.append(node)
-        for _, child in node.children:
-            walk(child)
-
-    walk(root)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in names:
+            names[id(node)] = f"w{len(order)}"
+            order.append(node)
+            stack.extend(child for _, child in reversed(node.children))
     epistemic = {a: set() for a in sig.agents}
     yesterday = set()
     valuation = {p: set() for p in sig.atoms}
@@ -175,11 +235,11 @@ def _tree_to_model(root: _TreeWorld, sig: Signature) -> PointedModel:
             valuation[p].add(n)
         for rel, child in node.children:
             c = names[id(child)]
-            if rel[0] == "K":
-                epistemic[rel[1]].add((n, c))
-            else:
+            if rel is None:
                 # the child is a witness one tick before this world
                 yesterday.add((c, n))
+            else:
+                epistemic[rel].add((n, c))
     model = KripkeModel(sig=sig, worlds=tuple(names.values()),
                         epistemic=epistemic, yesterday=yesterday,
                         valuation=valuation)

@@ -62,10 +62,15 @@ def test_eval_ydel_long_run_over_updates(capsys, text):
 @pytest.mark.parametrize("text,code,key", [
     ("~" * 3000 + "(p | ~p)", 0, "VERDICT: VALID"),
     ("~" * 3000 + "[U2@s]q", 1, "COUNTERMODEL: "),
-    (" -> ".join(["p"] * 3000), 0, "VERDICT: VALID")],
-    ids=["not", "not-update", "implies"])
+    (" -> ".join(["p"] * 3000), 0, "VERDICT: VALID"),
+    ("[Y]" * 3000 + "p", 1, "COUNTERMODEL: "),
+    ("[a]" * 3000 + "(p | ~p)", 0, "VERDICT: VALID"),
+    ("[a]" * 3000 + "[U2@s]q", 1, "COUNTERMODEL: ")],
+    ids=["not", "not-update", "implies", "yesterday-boxes", "boxes",
+         "boxes-update"])
 def test_validity_deep_input(capsys, text, code, key):
-    # the parser, the reduction and the tableau loop over such runs
+    # the parser, the reduction, the tableau and the countermodel walk
+    # loop over such runs
     got, out = run(capsys, "validity", text)
     assert got == code and key in out
 

@@ -18,6 +18,7 @@ from detl.logic import (TableauLimit, bisimilar, is_valid,
                         sharp_action, sharp_formula, validity)
 from detl.semantics import evaluate, product_update, ydel_update
 
+from axioms import fig6_instances
 from conftest import verify_bisimulation
 
 SIG = DEFAULT_SIG
@@ -189,6 +190,161 @@ def test_valid_formulas_hold_on_random_models(rng):
             for _ in range(50):
                 N = rand_kripke(rng, sig, max_worlds=4)
                 assert all(evaluate(N, w, f) for w in N.worlds)
+
+
+def test_validity_reduction_instance_that_branched_exponentially():
+    # both sides reduce over one shared DAG; branching on every
+    # implication as it came up took 497,567 nodes here
+    events = ("e0", "e1")
+    every = {(x, y) for x in events for y in events}
+    A = ActionModel(sig=SIG, events=events,
+                    epistemic={a: every for a in SIG.agents}, yesterday=(),
+                    pre={"e0": TOP, "e1": Not(Atom("p"))}, name="A")
+    forest = ("r", "e0", "e1")
+    F = ActionModel(sig=SIG, events=forest,
+                    epistemic={a: {(e, e) for e in forest}
+                               for a in SIG.agents},
+                    yesterday={("r", "e0"), ("e0", "e1")},
+                    pre={"r": TOP, "e0": Not(Atom("q")),
+                         "e1": And(Not(Atom("q")), Atom("p"))}, name="F")
+    f = parse("[A@e0][a][a][F@e1](q & false) <-> (true -> "
+              "[a][A@e0][a][F@e1](q & false) & [a][A@e1][a][F@e1](q & false))",
+              SIG, {"A": A, "F": F})
+    assert validity(f, max_nodes=10_000) == (True, None)
+
+
+def test_validity_box_over_box_over_update_sweep():
+    # fig-6 box instances with [b][V@t]ψ under [U@s]: on this seed four of
+    # the 200 needed more than 10^5 nodes without the label cache
+    rng = random.Random(2)
+    makers = (rand_atemporal_action, rand_forest_action,
+              rand_temporal_action)
+    count = 0
+    for _ in range(100):
+        U = rng.choice(makers)(rng, SIG, name="U")
+        V = rng.choice(makers)(rng, SIG, name="V")
+        s, t = rng.choice(U.events), rng.choice(V.events)
+        psi = rand_formula(rng, SIG, depth=1)
+        for name, f in fig6_instances(U, s, Box("b", Update(V, t, psi)), psi):
+            if name.startswith("box-"):
+                assert validity(f, max_nodes=10 ** 5)[0], (name, pretty(f))
+                count += 1
+    assert count == 200
+
+
+def test_countermodel_shares_a_witness():
+    # both diamonds of <a>p & <b>p ask for the same label, so one
+    # witness with p serves both
+    f = parse("~(<a>p & <b>p)", SIG)
+    ok, counter = validity(f)
+    assert not ok
+    M = counter.model
+    assert len(M.worlds) == 2
+    (w,) = [v for v in M.worlds if v != counter.point]
+    assert M.succ("a", counter.point) == M.succ("b", counter.point) == (w,)
+    assert not evaluate(M, counter.point, f)
+
+
+def _reference_satisfiable(todo, pos=frozenset(), neg=frozenset(),
+                           boxes=(), diamonds=()):
+    """The K tableau with no cache: it branches on a negated conjunction
+    as soon as it meets one, and recurses per branch and per diamond."""
+    todo = list(todo)
+    while todo:
+        f, positive = todo.pop()
+        if isinstance(f, Not):
+            todo.append((f.sub, not positive))
+        elif isinstance(f, Atom):
+            if f.name in (neg if positive else pos):
+                return False
+            if positive:
+                pos = pos | {f.name}
+            else:
+                neg = neg | {f.name}
+        elif isinstance(f, Bottom):
+            if positive:
+                return False
+        elif isinstance(f, And):
+            if not positive:
+                return any(_reference_satisfiable(todo + [(g, False)], pos,
+                                                  neg, boxes, diamonds)
+                           for g in (f.left, f.right))
+            todo += [(f.left, True), (f.right, True)]
+        else:
+            rel = f.agent if isinstance(f, Box) else None
+            if positive:
+                boxes += ((rel, f.sub),)
+            else:
+                diamonds += ((rel, f.sub),)
+    return all(_reference_satisfiable([(g, False)] + [(b, True)
+                                                      for r, b in boxes
+                                                      if r == rel])
+               for rel, g in diamonds)
+
+
+def _pooled_formula(rng, sig, steps):
+    """The negation of a conjunction of four formulas drawn from a pool,
+    each step of which applies a connective to earlier pool members, so
+    one diamond body recurs under different boxes and branches."""
+    pool = [Atom(p) for p in sig.atoms]
+    for _ in range(steps):
+        f = rng.choice(pool)
+        kind = rng.randrange(4)
+        if kind == 0:
+            f = Not(f)
+        elif kind == 1:
+            f = And(f, rng.choice(pool))
+        elif kind == 2:
+            f = Box(rng.choice(sig.agents), f)
+        else:
+            f = Yesterday(f)
+        pool.append(f)
+    return Not(conj(rng.choice(pool) for _ in range(4)))
+
+
+def test_validity_agrees_with_reference_tableau():
+    rng = random.Random(3)
+    sig = Signature(("a", "b"), ("p",))
+    valid = 0
+    for _ in range(1000):
+        f = _pooled_formula(rng, sig, 12)
+        ok, counter = validity(f)
+        assert ok == (not _reference_satisfiable([(f, False)])), pretty(f)
+        if ok:
+            valid += 1
+        else:
+            assert not evaluate(counter.model, counter.point, f), pretty(f)
+    assert 200 < valid < 800
+
+
+@pytest.mark.parametrize("text", [
+    "<a>p & ([a]~p | q)",
+    "q & <a>(p & q) & ((~q & [a]~p) | r)",
+    "q & [a]p & ((~q & <a>~p) | r)",
+    "q & r & ((~q & (~r | ~r)) | p)"],
+    ids=["label-with-its-boxes", "boxes", "diamonds", "queue"])
+def test_validity_undoes_a_closed_branch(text):
+    # the first branch adds a box, a diamond or a queued disjunction and
+    # then closes; the second branch must not see it
+    f = Not(parse(text, Signature(("a",), ("p", "q", "r"))))
+    ok, counter = validity(f)
+    assert not ok and not evaluate(counter.model, counter.point, f)
+
+
+def test_countermodels_falsify_formulas_with_updates():
+    rng = random.Random(5)
+    invalid = 0
+    for _ in range(300):
+        actions = tuple((U, e)
+                        for U in (rand_atemporal_action(rng, name="V"),
+                                  rand_temporal_action(rng, name="W"))
+                        for e in U.events)
+        f = rand_formula(rng, SIG, depth=3, actions=actions)
+        ok, counter = validity(f)
+        if not ok:
+            invalid += 1
+            assert not evaluate(counter.model, counter.point, f), pretty(f)
+    assert invalid > 100
 
 
 def test_bisimilar_identity(M):
