@@ -118,7 +118,8 @@ class _Tableau:
             raise TableauLimit("tableau node limit exceeded")
 
     def satisfy(self, entries: list) -> Optional[_TreeWorld]:
-        """A tree model of the entries, or None.  The labels in progress
+        """A model of the entries, its root first, or None; witnesses
+        shared through the cache make it a DAG.  The labels in progress
         sit on an explicit stack, each as the generator `_world`, so the
         modal depth of the input is not bounded by the interpreter's."""
         cache = self.cache
