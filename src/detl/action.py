@@ -4,19 +4,19 @@ An action model is a frame (see `kripke.Frame`) with events in place of
 worlds and a precondition formula per event; canonicalisation, the
 successor, parent and depth views and the frame properties are the ones
 Kripke models use.  The temporal properties (history and past
-preservation, time-advancing) call into the validity oracle, which is
-injected lazily to avoid an import cycle with the logic module.
+preservation, time-advancing) ask `logic.is_valid` about preconditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from .formula import (Formula, Signature, Update, check_ident, implies,
                       subformulas)
-from .kripke import Frame, PropertyReport, is_restricted
+from .kripke import (Frame, PropertyReport, depth as action_depth,
+                     is_initial as is_past_state, is_restricted)
 
 FLAT = "♭"
 
@@ -68,9 +68,35 @@ class ActionModel(Frame):
         return _adjoin_flat(self)
 
     @cached_property
+    def _history(self) -> PropertyReport:
+        """The report of `check_history_preservation`, built once."""
+        for s2, s in self.yesterday:
+            if not _valid(implies(self.pre_map[s], self.pre_map[s2])):
+                return PropertyReport("history_preservation", False,
+                                      (s2, s, "precondition"))
+        for s in self.events:
+            if not self.yesterdays(s) and not is_epistemic_past_state(self, s):
+                return PropertyReport("history_preservation", False,
+                                      (s, "past_state_not_epistemic"))
+        return PropertyReport("history_preservation", True)
+
+    @cached_property
     def _lrdetl(self) -> PropertyReport:
-        """The lrdetl report under the default validity oracle."""
-        return _check_lrdetl(self, None)
+        """The report of `is_lrdetl_action`, built once."""
+        rep = is_restricted(self)
+        if not rep.holds:
+            return PropertyReport("lrdetl_action", False, (self.name,) + rep.witness)
+        if not self._history.holds:
+            return PropertyReport("lrdetl_action", False,
+                                  (self.name, "history_preservation")
+                                  + self._history.witness)
+        # in preorder, so the witness is the first failing action as written;
+        # each inner action's check recurses into its own preconditions
+        for _, pre in self.pre:
+            for g in subformulas(pre):
+                if isinstance(g, Update) and not g.action._lrdetl.holds:
+                    return g.action._lrdetl
+        return PropertyReport("lrdetl_action", True)
 
 
 @dataclass(frozen=True)
@@ -82,66 +108,34 @@ class PointedAction:
         self.action.require_event(self.point)
 
 
-def action_depth(U: ActionModel, e: str):
-    U.require_event(e)
-    return U._depths[e]
-
-
-def is_past_state(U: ActionModel, s: str) -> bool:
-    U.require_event(s)
-    return not U.yesterdays(s)
-
-
 def is_atemporal_action(U: ActionModel) -> bool:
     return not U.yesterday
 
 
-def _validity_oracle(validity: Optional[Callable]) -> Callable:
-    if validity is not None:
-        return validity
-    from . import logic
-    return logic.is_valid
+def _valid(f: Formula) -> bool:
+    from .logic import is_valid  # logic imports this module
+    return is_valid(f)
 
 
-def is_epistemic_past_state(U: ActionModel, s: str,
-                            validity: Optional[Callable] = None) -> bool:
+def is_epistemic_past_state(U: ActionModel, s: str) -> bool:
     """Past state with a valid precondition whose only epistemic arrows,
     in either direction, are the self-loops required for every agent."""
-    U.require_event(s)
-    if not is_past_state(U, s):
-        return False
-    for a in U.sig.agents:
-        pairs = U.epi[a]
-        if (s, s) not in pairs:
-            return False
-        for x, y in pairs:
-            if (x == s or y == s) and (x, y) != (s, s):
-                return False
-    return _validity_oracle(validity)(U.pre_map[s])
+    return is_past_state(U, s) and all(
+        {(x, y) for x, y in U.epi[a] if s in (x, y)} == {(s, s)}
+        for a in U.sig.agents) and _valid(U.pre_map[s])
 
 
-def check_history_preservation(U: ActionModel,
-                               validity: Optional[Callable] = None) -> PropertyReport:
+def check_history_preservation(U: ActionModel) -> PropertyReport:
     """Predecessors can always fire first, and every source of the forest
-    is a proper epistemic past state."""
-    valid = _validity_oracle(validity)
-    for s2, s in U.yesterday:
-        if not valid(implies(U.pre_map[s], U.pre_map[s2])):
-            return PropertyReport("history_preservation", False,
-                                  (s2, s, "precondition"))
-    for s in U.events:
-        if is_past_state(U, s) and not is_epistemic_past_state(U, s, valid):
-            return PropertyReport("history_preservation", False,
-                                  (s, "past_state_not_epistemic"))
-    return PropertyReport("history_preservation", True)
+    is a proper epistemic past state.  Computed once per action model."""
+    return U._history
 
 
-def check_past_preservation(A: PointedAction,
-                            validity: Optional[Callable] = None) -> PropertyReport:
+def check_past_preservation(A: PointedAction) -> PropertyReport:
     """History preservation plus: every event backward-reachable from the
     point can reach some past state, continuing backward."""
     U = A.action
-    hp = check_history_preservation(U, validity)
+    hp = U._history
     if not hp.holds:
         return PropertyReport("past_preservation", False, hp.witness)
     seen = {A.point}
@@ -168,9 +162,8 @@ def check_past_preservation(A: PointedAction,
     return PropertyReport("past_preservation", True)
 
 
-def check_time_advancing(A: PointedAction,
-                         validity: Optional[Callable] = None) -> PropertyReport:
-    pp = check_past_preservation(A, validity)
+def check_time_advancing(A: PointedAction) -> PropertyReport:
+    pp = check_past_preservation(A)
     if not pp.holds:
         return PropertyReport("time_advancing", False, pp.witness)
     if is_past_state(A.action, A.point):
@@ -185,31 +178,9 @@ def check_action_property(U: ActionModel, prop: str) -> PropertyReport:
     return U._report(prop)
 
 
-def is_lrdetl_action(U: ActionModel,
-                     validity: Optional[Callable] = None) -> PropertyReport:
+def is_lrdetl_action(U: ActionModel) -> PropertyReport:
     """Membership of U in the forest-like action class, recursively applied
     to the action models inside preconditions.  Persistence of facts is
-    vacuous here since actions carry no valuation.  Under the default
-    validity oracle the report is computed once per action model."""
-    if validity is None:
-        return U._lrdetl
-    return _check_lrdetl(U, validity)
-
-
-def _check_lrdetl(U: ActionModel, validity: Optional[Callable]) -> PropertyReport:
-    rep = is_restricted(U)
-    if not rep.holds:
-        return PropertyReport("lrdetl_action", False, (U.name,) + rep.witness)
-    hp = check_history_preservation(U, validity)
-    if not hp.holds:
-        return PropertyReport("lrdetl_action", False,
-                              (U.name, "history_preservation") + hp.witness)
-    # in preorder, so the witness is the first failing action as written;
-    # each inner action's check recurses into its own preconditions
-    for _, pre in U.pre:
-        for g in subformulas(pre):
-            if isinstance(g, Update):
-                rep = is_lrdetl_action(g.action, validity)
-                if not rep.holds:
-                    return rep
-    return PropertyReport("lrdetl_action", True)
+    vacuous here since actions carry no valuation.  The report is computed
+    once per action model."""
+    return U._lrdetl

@@ -13,9 +13,10 @@ from importlib import resources
 from pathlib import Path
 
 from . import logic, semantics
-from .action import (ACTION_PROPERTIES, check_action_property,
+from .action import (ACTION_PROPERTIES, PointedAction, action_depth,
                      check_history_preservation, check_past_preservation,
-                     check_time_advancing, is_lrdetl_action, PointedAction)
+                     check_time_advancing, is_epistemic_past_state,
+                     is_lrdetl_action)
 from .formula import ParseError, pretty
 from .kripke import (KRIPKE_PROPERTIES, PointedModel, check_property, depth,
                      is_restricted)
@@ -40,14 +41,19 @@ def out(key: str, value):
     print(f"{key}: {value}")
 
 
+def _named(table: dict, name: str, kind: str):
+    """The workspace entry of that name, or a usage error."""
+    if name not in table:
+        raise CliError(f"unknown {kind} {name!r}")
+    return table[name]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_eval(args) -> int:
     ws = load_workspace(args)
-    if args.model not in ws.models:
-        raise CliError(f"unknown model {args.model!r}")
-    M, _ = ws.models[args.model]
+    M, _ = _named(ws.models, args.model, "model")
     f = ws.parse(args.formula)
     if args.mode == "rdetl":
         verdict = semantics.eval_rdetl(M, args.world, f)
@@ -64,12 +70,8 @@ def cmd_eval(args) -> int:
 
 def cmd_update(args) -> int:
     ws = load_workspace(args)
-    if args.model not in ws.models:
-        raise CliError(f"unknown model {args.model!r}")
-    if args.action not in ws.actions:
-        raise CliError(f"unknown action {args.action!r}")
-    M, mpoint = ws.models[args.model]
-    U, upoint = ws.actions[args.action]
+    M, mpoint = _named(ws.models, args.model, "model")
+    U, upoint = _named(ws.actions, args.action, "action")
     if args.mode == "ydel":
         P = semantics.ydel_update(M, U, permissive=args.permissive_ydel)
     else:
@@ -85,55 +87,43 @@ def cmd_update(args) -> int:
     return 0
 
 
-def _report_lines(reports) -> int:
-    ok = True
-    for rep in reports:
-        status = "PASS" if rep.holds else f"FAIL {rep.witness}"
-        out(rep.property, status)
-        ok = ok and rep.holds
-    return 0 if ok else 1
+def _frame_checks(props) -> dict:
+    return {p: (lambda F, p=p: check_property(F, p)) for p in props}
+
+
+def _check_target(ws: Workspace, target: str):
+    """The object a `check` target names, its checks by property name and
+    the names checked when none are given."""
+    if "@" in target:
+        name, _, event = target.partition("@")
+        U, _ = _named(ws.actions, name, "action")
+        checks = {"past_preservation": check_past_preservation,
+                  "time_advancing": check_time_advancing}
+        return PointedAction(U, event), checks, list(checks)
+    if target in ws.models:
+        checks = _frame_checks(KRIPKE_PROPERTIES)
+        checks["restricted"] = is_restricted
+        return ws.models[target][0], checks, list(KRIPKE_PROPERTIES)
+    if target in ws.actions:
+        checks = _frame_checks(ACTION_PROPERTIES)
+        checks["history_preservation"] = check_history_preservation
+        defaults = list(checks)
+        checks["lrdetl"] = is_lrdetl_action
+        return ws.actions[target][0], checks, defaults
+    raise CliError(f"unknown model or action {target!r}")
 
 
 def cmd_check(args) -> int:
     ws = load_workspace(args)
-    target = args.target
-    which = [p.replace("-", "_") for p in args.properties]
-    if "@" in target:
-        name, _, event = target.partition("@")
-        if name not in ws.actions:
-            raise CliError(f"unknown action {name!r}")
-        U, _ = ws.actions[name]
-        A = PointedAction(U, event)
-        reports = []
-        for prop in which or ["past_preservation", "time_advancing"]:
-            if prop == "past_preservation":
-                reports.append(check_past_preservation(A))
-            elif prop == "time_advancing":
-                reports.append(check_time_advancing(A))
-            else:
-                raise CliError(f"unknown pointed-action property {prop!r}")
-        return _report_lines(reports)
-    if target in ws.models:
-        M, _ = ws.models[target]
-        reports = []
-        for prop in which or list(KRIPKE_PROPERTIES):
-            if prop == "restricted":
-                reports.append(is_restricted(M))
-            else:
-                reports.append(check_property(M, prop))
-        return _report_lines(reports)
-    if target in ws.actions:
-        U, _ = ws.actions[target]
-        reports = []
-        for prop in which or list(ACTION_PROPERTIES) + ["history_preservation"]:
-            if prop == "lrdetl":
-                reports.append(is_lrdetl_action(U))
-            elif prop == "history_preservation":
-                reports.append(check_history_preservation(U))
-            else:
-                reports.append(check_action_property(U, prop))
-        return _report_lines(reports)
-    raise CliError(f"unknown model or action {target!r}")
+    obj, checks, defaults = _check_target(ws, args.target)
+    names = [p.replace("-", "_") for p in args.properties] or defaults
+    unknown = [p for p in names if p not in checks]
+    if unknown:
+        raise CliError(f"unknown property {unknown[0]!r} for {args.target!r}")
+    reports = [checks[p](obj) for p in names]
+    for rep in reports:
+        out(rep.property, "PASS" if rep.holds else f"FAIL {rep.witness}")
+    return 0 if all(reports) else 1
 
 
 def cmd_reduce(args) -> int:
@@ -161,11 +151,9 @@ def cmd_validity(args) -> int:
 
 def cmd_bisim(args) -> int:
     ws = load_workspace(args)
-    for name in (args.model_a, args.model_b):
-        if name not in ws.models:
-            raise CliError(f"unknown model {name!r}")
-    A = PointedModel(ws.models[args.model_a][0], args.world_a)
-    B = PointedModel(ws.models[args.model_b][0], args.world_b)
+    (M, _), (N, _) = [_named(ws.models, name, "model")
+                        for name in (args.model_a, args.model_b)]
+    A, B = PointedModel(M, args.world_a), PointedModel(N, args.world_b)
     wit = logic.bisimilar(A, B)
     if wit is None:
         out("VERDICT", "NOT-BISIMILAR")
@@ -177,9 +165,7 @@ def cmd_bisim(args) -> int:
 
 def cmd_sharp(args) -> int:
     ws = load_workspace(args)
-    if args.action not in ws.actions:
-        raise CliError(f"unknown action {args.action!r}")
-    U, point = ws.actions[args.action]
+    U, point = _named(ws.actions, args.action, "action")
     S = logic.sharp_action(U)
     save_action(args.out, S, point)
     out("EVENTS", len(S.events))
@@ -188,11 +174,14 @@ def cmd_sharp(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
-    if args.dot:
-        print(_to_dot(doc))
-    else:
-        sys.stdout.write(canonical_dumps(doc))
+    try:
+        doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
+        text = canonical_dumps(doc)
+        if args.dot:
+            text = _to_dot(doc) + "\n"
+    except ValueError as exc:
+        raise CliError(f"{args.file}: {exc}") from exc
+    sys.stdout.write(text)
     return 0
 
 
@@ -301,7 +290,6 @@ def _demo_claims(ws: Workspace, figure: str):
     if figure == "fig10":
         U8, _ = ws.actions["U8"]
         S = logic.sharp_action(U8)
-        from .action import is_epistemic_past_state, action_depth
         return [
             ("three-events", len(S.events) == 3),
             ("flat-epistemic-past-state", is_epistemic_past_state(S, "♭")),
@@ -389,8 +377,8 @@ def main(argv=None) -> int:
         return 3
     except RecursionError:
         # still recursing per nesting level: _push (per modal level of an
-        # update's body), pretty, y_nesting_depth, parenthesised input
-        # and _ext's box case
+        # update's body), y_nesting_depth, parenthesised input and _ext's
+        # box case
         print("ERROR: input nested too deeply", file=sys.stderr)
         return 3
 

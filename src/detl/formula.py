@@ -534,93 +534,74 @@ def parse(text: str, sig: Signature,
 # ---------------------------------------------------------------------------
 # printing
 
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
+_PREC_UNARY = 5
+_CONSTANTS = {TOP: "true", BOT: "false"}
+# per binary operator: its precedence, and how much higher the left and the
+# right operand are read; -> nests to the right and the others to the left
+_BINARY = {" <-> ": (1, 1, 1), " -> ": (2, 1, 0), " | ": (3, 0, 1),
+           " & ": (4, 0, 1)}
 
 
 def _match_imp(f: Formula):
     # a -> b  ==  ~(a & ~b)
-    if isinstance(f, Not) and isinstance(f.sub, And) and isinstance(f.sub.right, Not):
+    if type(f) is Not and type(f.sub) is And and type(f.sub.right) is Not:
         return f.sub.left, f.sub.right.sub
     return None
 
 
-def _match_or(f: Formula):
-    # a | b  ==  ~(~a & ~b)
-    if (isinstance(f, Not) and isinstance(f.sub, And)
-            and isinstance(f.sub.left, Not) and isinstance(f.sub.right, Not)):
-        return f.sub.left.sub, f.sub.right.sub
-    return None
-
-
-def _match_iff(f: Formula):
-    if isinstance(f, And):
-        l, r = _match_imp(f.left), _match_imp(f.right)
-        if l and r and l[0] == r[1] and l[1] == r[0]:
-            return l
-    return None
-
-
 def pretty(f: Formula) -> str:
-    """Concrete syntax for f; parse(pretty(f)) is structurally f again."""
-    return _pp(f, 0)
+    """Concrete syntax for f; parse(pretty(f)) is structurally f again.
 
-
-# prefix operators other than ~, and the nodes under a ~ that end a run
-_PREFIX = frozenset([Box, Yesterday, Update])
-_ENDS_RUN = frozenset([And, Bottom])
-
-
-def _pp(f: Formula, ctx: int) -> str:
-    m = _match_iff(f)
-    if m:
-        return _wrap(f"{_pp(m[0], _PREC_IFF + 1)} <-> {_pp(m[1], _PREC_IFF + 1)}",
-                     _PREC_IFF, ctx)
-    if f == TOP:
-        return "true"
-    m = _match_or(f)
-    if m:
-        return _wrap(f"{_pp(m[0], _PREC_OR)} | {_pp(m[1], _PREC_OR + 1)}",
-                     _PREC_OR, ctx)
-    m = _match_imp(f)
-    if m:
-        # right-associative: the consequent may itself be an implication
-        return _wrap(f"{_pp(m[0], _PREC_IMP + 1)} -> {_pp(m[1], _PREC_IMP)}",
-                     _PREC_IMP, ctx)
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, And):
-        return _wrap(f"{_pp(f.left, _PREC_AND)} & {_pp(f.right, _PREC_AND + 1)}",
-                     _PREC_AND, ctx)
-    # a run of prefix operators, folded in a loop
-    pre = ""
-    while True:
-        if isinstance(f, Not):
-            g = f.sub
-            if isinstance(g, Box) and isinstance(g.sub, Not):
-                op, f = f"<{g.agent}>", g.sub.sub
-            elif isinstance(g, Yesterday) and isinstance(g.sub, Not):
-                op, f = "<Y>", g.sub.sub
-            elif isinstance(g, Update) and isinstance(g.sub, Not):
-                op, f = f"<{g.action.name}@{g.event}>", g.sub.sub
+    One loop, no recursion: it follows the left operand of each binary
+    operator and defers the operator and its right operand on a stack."""
+    out = []
+    todo = [("", f, 0)]  # text, then a formula read at a precedence, or None
+    while todo:
+        text, f, ctx = todo.pop()
+        out.append(text)
+        while f is not None:
+            t = type(f)
+            if t is And:
+                l, r = _match_imp(f.left), _match_imp(f.right)
+                if l and r and l[0] == r[1] and l[1] == r[0]:
+                    m, op = l, " <-> "
+                else:
+                    m, op = (f.left, f.right), " & "
+            elif t is Not and type(f.sub) is And and type(f.sub.right) is Not:
+                a, b = f.sub.left, f.sub.right.sub
+                if type(a) is Not:  # ~(~a & ~b)
+                    m, op = (a.sub, b), " | "
+                else:  # ~(a & ~b)
+                    m, op = (a, b), " -> "
+            elif t is Atom or f in _CONSTANTS:
+                out.append(f.name if t is Atom else _CONSTANTS[f])
+                break
             else:
-                op, f = "~", g
-        elif isinstance(f, Box):
-            op, f = f"[{f.agent}]", f.sub
-        elif isinstance(f, Yesterday):
-            op, f = "[Y]", f.sub
-        elif isinstance(f, Update):
-            op, f = f"[{f.action.name}@{f.event}]", f.sub
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        # the run ends at a node the checks above may match: not a prefix
-        # operator, or the negation of a conjunction or of ⊥
-        t = type(f)
-        if (type(f.sub) in _ENDS_RUN) if t is Not else (t not in _PREFIX):
-            return f"{pre}{op}{_pp(f, _PREC_UNARY)}"
-        pre += op
-
-
-def _wrap(s: str, prec: int, ctx: int) -> str:
-    return f"({s})" if prec < ctx else s
+                if t is Not:
+                    g = f.sub
+                    if type(g) is Box and type(g.sub) is Not:
+                        op, f = f"<{g.agent}>", g.sub.sub
+                    elif type(g) is Yesterday and type(g.sub) is Not:
+                        op, f = "<Y>", g.sub.sub
+                    elif type(g) is Update and type(g.sub) is Not:
+                        op, f = f"<{g.action.name}@{g.event}>", g.sub.sub
+                    else:
+                        op, f = "~", g
+                elif t is Box:
+                    op, f = f"[{f.agent}]", f.sub
+                elif t is Yesterday:
+                    op, f = "[Y]", f.sub
+                elif t is Update:
+                    op, f = f"[{f.action.name}@{f.event}]", f.sub
+                else:
+                    raise TypeError(f"not a formula: {f!r}")
+                out.append(op)
+                ctx = _PREC_UNARY
+                continue
+            prec, up_left, up_right = _BINARY[op]
+            if prec < ctx:
+                out.append("(")
+                todo.append((")", None, 0))
+            todo.append((op, m[1], prec + up_right))
+            f, ctx = m[0], prec + up_left
+    return "".join(out)

@@ -246,14 +246,16 @@ class PointedModel:
         self.model.require_world(self.point)
 
 
-def depth(M: KripkeModel, w: str):
-    M.require_world(w)
-    return M._depths[w]
+def depth(F: Frame, n: str):
+    """Depth of a world or an event (see the module docstring)."""
+    F._require(n)
+    return F._depths[n]
 
 
-def is_initial(M: KripkeModel, w: str) -> bool:
-    M.require_world(w)
-    return not M.yesterdays(w)
+def is_initial(F: Frame, n: str) -> bool:
+    """n is an initial world, or an event that is a past state."""
+    F._require(n)
+    return not F.yesterdays(n)
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,8 @@ def validity(f: Formula, max_nodes: int = DEFAULT_NODE_LIMIT):
 
 
 @lru_cache(maxsize=4096)
-def is_valid(f: Formula, max_nodes: int = DEFAULT_NODE_LIMIT) -> bool:
-    return validity(f, max_nodes)[0]
+def is_valid(f: Formula) -> bool:
+    return validity(f)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -25,7 +26,13 @@ _KEY_ORDER = ["type", "agents", "atoms", "worlds", "events", "val", "pre",
 
 
 def canonical_document(doc: dict) -> dict:
-    """Reorder keys and sort arrays without touching the content."""
+    """Reorder keys and sort arrays without touching the content.
+
+    ValueError for a document that is not an object, an unknown key, a
+    string or a scalar where an array or an object belongs, and items
+    that cannot be sorted.  Values that are not sorted go unchecked."""
+    if type(doc) is not dict:
+        raise ValueError("a document is a JSON object")
     unknown = set(doc) - set(_KEY_ORDER)
     if unknown:
         raise ValueError(f"unknown keys in document: {sorted(unknown)}")
@@ -34,16 +41,29 @@ def canonical_document(doc: dict) -> dict:
         if key not in doc:
             continue
         value = doc[key]
-        if key in ("agents", "atoms", "worlds", "events"):
-            value = sorted(value)
-        elif key in ("val", "epistemic"):
-            value = {k: sorted(map(list, v)) if key == "epistemic"
-                     else sorted(v)
-                     for k, v in sorted(value.items())}
-        elif key == "yesterday":
-            value = sorted(map(list, value))
+        if key in ("val", "pre", "epistemic") and type(value) is not dict:
+            raise ValueError(f"{key!r} must be a JSON object")
+        try:
+            if key in ("agents", "atoms", "worlds", "events"):
+                value = _sorted(value)
+            elif key in ("val", "epistemic"):
+                value = {k: _sorted(v, pairs=key == "epistemic")
+                         for k, v in sorted(value.items())}
+            elif key == "yesterday":
+                value = _sorted(value, pairs=True)
+        except TypeError:
+            raise ValueError(
+                f"{key!r} holds no array of items that can be sorted") from None
         out[key] = value
     return out
+
+
+def _sorted(items, pairs: bool = False) -> list:
+    """items in order, each item as a list if pairs; TypeError for a
+    string, a scalar, a string among pairs or items without an order."""
+    if type(items) is str or pairs and str in set(map(type, items)):
+        raise TypeError("not an array")
+    return sorted(map(list, items) if pairs else items)
 
 
 def canonical_dumps(doc: dict) -> str:
@@ -129,7 +149,13 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
 
     Returns ("kripke", KripkeModel, point) or ("action", ActionModel,
     point).  Action preconditions are parsed against the given registry.
+    ValueError when a key holds a value of the wrong JSON type.
     """
+    if type(doc) is not dict:
+        raise ValueError("a document is a JSON object")
+    for key, (fits, what) in _SHAPES.items():
+        if key in doc and not fits(doc[key]):
+            raise ValueError(f"{key!r} must be {what}")
     sig = Signature(tuple(doc["agents"]), tuple(doc.get("atoms", ())))
     closure = doc.get("closure", "none")
     point = doc.get("point")
@@ -166,13 +192,41 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
     raise ValueError(f"unknown document type {doc.get('type')!r}")
 
 
+def _strs(v) -> bool:
+    return type(v) is list and set(map(type, v)) <= {str}
+
+
+def _pairs(v) -> bool:
+    return (type(v) is list and set(map(type, v)) <= {list}
+            and set(map(len, v)) <= {2} and _strs(list(chain(*v))))
+
+
+# the JSON type each document key holds, as a test and as its name
+_SHAPES = {
+    **dict.fromkeys(("type", "point", "closure"),
+                    (lambda v: type(v) is str, "a string")),
+    **dict.fromkeys(("agents", "atoms", "worlds", "events"),
+                    (_strs, "an array of strings")),
+    "val": (lambda v: type(v) is dict and all(map(_strs, v.values())),
+            "an object of string arrays"),
+    "pre": (lambda v: type(v) is dict and _strs(list(v.values())),
+            "an object of strings"),
+    "epistemic": (lambda v: type(v) is dict and all(map(_pairs, v.values())),
+                  "an object of arrays of string pairs"),
+    "yesterday": (_pairs, "an array of string pairs"),
+}
+
+
+# model_to_document and action_to_document build canonical documents, so
+# saving writes them as they are
+
 def save_model(path, M: KripkeModel, point: Optional[str] = None):
-    Path(path).write_text(canonical_dumps(model_to_document(M, point)),
+    Path(path).write_text(_write(model_to_document(M, point), 0) + "\n",
                           encoding="utf-8")
 
 
 def save_action(path, U: ActionModel, point: Optional[str] = None):
-    Path(path).write_text(canonical_dumps(action_to_document(U, point)),
+    Path(path).write_text(_write(action_to_document(U, point), 0) + "\n",
                           encoding="utf-8")
 
 
@@ -189,9 +243,9 @@ class Workspace:
             raise ValueError(f"no *.json files in {directory}")
         ws: Optional[Workspace] = None
         for f in files:
-            doc = json.loads(f.read_text(encoding="utf-8"))
             name = f.stem
             try:
+                doc = json.loads(f.read_text(encoding="utf-8"))
                 kind, obj, point = document_to_object(
                     doc, ws.actions_by_name() if ws else {}, name=name)
             except (KeyError, ValueError) as exc:

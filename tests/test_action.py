@@ -193,12 +193,9 @@ def test_is_lrdetl_action(ws):
                     yesterday={("s", "t")})  # pre(t)=true, pre(s)=p: ⊤→p not valid
     assert not is_lrdetl_action(bad).holds
     assert is_lrdetl_action(sharp_action(ws.actions["U8"][0])).holds
-    # the default oracle's report is kept per action model; an oracle the
-    # caller passes is asked again on every call
+    # the report is kept per action model
     U2 = ws.actions["U2"][0]
     assert is_lrdetl_action(U2) is is_lrdetl_action(U2)
-    rep = is_lrdetl_action(U2, lambda f: False)
-    assert not rep.holds and rep.witness[1] == "history_preservation"
 
 
 def test_is_lrdetl_recurses_into_preconditions(ws):

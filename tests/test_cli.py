@@ -83,6 +83,15 @@ def test_reduce_deep_negation(capsys):
     assert code == 0 and out == "REDUCED: " + "<a>[Y]~<Y>[b]" * 600 + "p\n"
 
 
+@pytest.mark.parametrize("op", ["&", "|", "->"])
+def test_reduce_long_binary_run(capsys, op):
+    # the printer walks runs of one binary operator in a loop: & and |
+    # nest to the left, -> to the right
+    text = f" {op} ".join(["p"] * 3000)
+    code, out = run(capsys, "reduce", text)
+    assert code == 0 and out == f"REDUCED: {text}\n"
+
+
 def test_too_deep_is_an_error(capsys):
     # a deep run of boxes still recurses in the evaluator: a data error
     # with exit 3, not a traceback that a caller would read as "false"
@@ -184,6 +193,86 @@ def test_check_model_failures(tmp_path, capsys, argv, want):
     assert code == 1 and out == want
 
 
+# stdout and exit code of `detl check` on the bundled fixtures, byte for
+# byte: a model, an action and a pointed action each with its defaults,
+# and the names only one kind of target accepts
+PINNED_CHECKS = {
+    "M": (0, """\
+persistence_of_facts: PASS
+depth_definedness: PASS
+knowledge_of_past: PASS
+knowledge_of_initial_time: PASS
+uniqueness_of_past: PASS
+perfect_recall: PASS
+synchronicity: PASS
+"""),
+    "M restricted": (0, "restricted: PASS\n"),
+    "M8 restricted": (0, "restricted: PASS\n"),
+    "U2": (0, """\
+depth_definedness: PASS
+knowledge_of_past: PASS
+knowledge_of_initial_time: PASS
+uniqueness_of_past: PASS
+perfect_recall: PASS
+synchronicity: PASS
+history_preservation: PASS
+"""),
+    "U5": (1, """\
+depth_definedness: PASS
+knowledge_of_past: PASS
+knowledge_of_initial_time: PASS
+uniqueness_of_past: PASS
+perfect_recall: FAIL ('s', 'r', 'a', 's')
+synchronicity: FAIL ('r', 'a', 's', 2, 1)
+history_preservation: FAIL ('s', 'r', 'precondition')
+"""),
+    "U5 lrdetl": (1, "lrdetl_action: FAIL ('U5', 'perfect_recall', 's', 'r', "
+                     "'a', 's')\n"),
+    "U5 history-preservation": (
+        1, "history_preservation: FAIL ('s', 'r', 'precondition')\n"),
+    "U8": (1, """\
+depth_definedness: PASS
+knowledge_of_past: PASS
+knowledge_of_initial_time: PASS
+uniqueness_of_past: PASS
+perfect_recall: PASS
+synchronicity: PASS
+history_preservation: FAIL ('s', 'past_state_not_epistemic')
+"""),
+    "U8 lrdetl": (1, "lrdetl_action: FAIL ('U8', 'history_preservation', "
+                     "'s', 'past_state_not_epistemic')\n"),
+    "U8 history-preservation": (
+        1, "history_preservation: FAIL ('s', 'past_state_not_epistemic')\n"),
+    "U2@s": (0, "past_preservation: PASS\ntime_advancing: PASS\n"),
+    "U3@t": (1, "past_preservation: PASS\n"
+                "time_advancing: FAIL ('t', 'point_is_past_state')\n"),
+    "U4@r": (0, "past_preservation: PASS\ntime_advancing: PASS\n"),
+}
+PINNED_CHECKS["M8"] = PINNED_CHECKS["M"]
+for name in ("U3", "U4", "U6"):
+    PINNED_CHECKS[name] = PINNED_CHECKS["U2"]
+for name in ("U2", "U3", "U4", "U6"):
+    PINNED_CHECKS[f"{name} lrdetl"] = (0, "lrdetl_action: PASS\n")
+    PINNED_CHECKS[f"{name} history-preservation"] = (
+        0, "history_preservation: PASS\n")
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_CHECKS))
+def test_check_pinned_output(capsys, argv):
+    assert run(capsys, "check", *argv.split()) == PINNED_CHECKS[argv]
+
+
+@pytest.mark.parametrize("target,prop", [
+    ("M", "lrdetl"), ("M", "bogus"), ("U2", "persistence-of-facts"),
+    ("U2", "restricted"), ("U2@s", "restricted"), ("U2@s", "lrdetl")])
+def test_check_unknown_property(capsys, target, prop):
+    # a name the target's kind has no check for is a usage error, found
+    # before any report is printed
+    code, out = run(capsys, "check", target, "depth-definedness"
+                    if "@" not in target else "past-preservation", prop)
+    assert code == 3 and out == ""
+
+
 def test_check_pointed_action(capsys):
     code, out = run(capsys, "check", "U2@s", "time-advancing")
     assert code == 0 and "time_advancing: PASS" in out
@@ -230,6 +319,37 @@ def test_demo(capsys, figure):
     code, out = run(capsys, "demo", figure)
     assert code == 0
     assert "FAIL" not in out and "PASS" in out
+
+
+_M_DOC = json.loads((FIXTURES / "M.json").read_text(encoding="utf-8"))
+_U2_DOC = json.loads((FIXTURES / "U2.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("load", dict(_M_DOC, agents=5)),
+    ("load", dict(_M_DOC, epistemic=[1])),
+    ("load", dict(_M_DOC, val={"p": 5})),
+    ("load", dict(_U2_DOC, pre={"e": 5})),
+    ("load", dict(_M_DOC, worlds=[["w"]])),
+    ("load", [1, 2]),
+    ("fmt", {"agents": 5}),
+    ("fmt", 5),
+    ("load", dict(_M_DOC, worlds="wv")),
+    ("load", dict(_M_DOC, agents="ab")),
+], ids=["int-agents", "list-epistemic", "int-val", "int-pre", "list-world",
+        "top-level-list", "fmt-int-agents", "fmt-int", "string-worlds",
+        "string-agents"])
+def test_malformed_document_is_a_data_error(tmp_path, capsys, command, doc):
+    # a value of the wrong JSON type is exit 3 naming the file, not a
+    # traceback with exit 1, which reads as "false"
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = (["fmt", str(path)] if command == "fmt"
+            else ["--workspace", str(tmp_path), "check", "X"])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"ERROR: {path}: ")
 
 
 def test_fmt_idempotent(capsys):

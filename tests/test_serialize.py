@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detl import serialize
 from detl.generate import (rand_atemporal_action, rand_forest_action,
@@ -9,7 +10,7 @@ from detl.generate import (rand_atemporal_action, rand_forest_action,
 from detl.semantics import product_update, ydel_update
 from detl.serialize import (Workspace, action_to_document, canonical_document,
                             canonical_dumps, document_to_object,
-                            model_to_document)
+                            model_to_document, save_action, save_model)
 
 from conftest import FIXTURES
 
@@ -148,3 +149,50 @@ def test_writer_matches_json_dumps(ws, monkeypatch):
         "float-pre", "int-key", "list-in-pair"])
 def test_writer_falls_back_outside_the_shapes(doc):
     assert canonical_dumps(doc) == _reference_dumps(doc)
+
+
+def test_save_writes_the_canonical_bytes(ws, tmp_path):
+    # save_model and save_action write their documents without sorting
+    # them again, as model_to_document and action_to_document build them
+    # in canonical order
+    docs, saved = _shaped_documents(ws), 0
+    for i, doc in enumerate(docs):
+        if not doc["agents"]:
+            continue  # a document without agents describes no model
+        kind, obj, point = document_to_object(doc, ws.actions_by_name())
+        path = tmp_path / f"{i}.json"
+        if kind == "kripke":
+            save_model(path, obj, point)
+            want = canonical_dumps(model_to_document(obj, point))
+        else:
+            save_action(path, obj, point)
+            want = canonical_dumps(action_to_document(obj, point))
+        assert path.read_text(encoding="utf-8") == want, i
+        saved += 1
+    assert saved == len(docs) - 1
+
+
+_BASE_DOCUMENTS = [json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+                   for name in ("M.json", "U2.json")]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_BASE_DOCUMENTS), st.sampled_from(serialize._KEY_ORDER),
+       _JSON_VALUES)
+def test_values_of_the_wrong_json_type_are_data_errors(ws, base, key, value):
+    # any JSON value under any document key, most of them of the wrong
+    # type for it: reading or reprinting the document either works or
+    # fails with the errors the CLI reports as data errors
+    doc = dict(base, **{key: value})
+    for read in (lambda: document_to_object(doc, ws.actions_by_name()),
+                 lambda: canonical_document(doc)):
+        try:
+            read()
+        except (KeyError, ValueError):
+            pass
