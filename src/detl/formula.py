@@ -66,10 +66,10 @@ class _Ref(weakref.ref):
 
 #: the intern table, structural key -> weak reference to the one node
 _NODES: Dict[tuple, _Ref] = {}
+_get = _NODES.get
 
 _EMPTY: FrozenSet = frozenset()
 _EMPTY_OCC = (_EMPTY, _EMPTY, _EMPTY)  # no atoms, agents or actions
-_set = object.__setattr__
 
 
 def _forget(ref: _Ref):
@@ -82,7 +82,7 @@ def _node(cls, key: tuple, occ: tuple) -> "Formula":
     """A new node of class cls under key, with its occurrence sets; the
     caller sets the fields."""
     node = object.__new__(cls)
-    _set(node, "_occ", occ)
+    _set_occ(node, occ)
     ref = _Ref(node, _forget)
     ref.key = key
     _NODES[key] = ref
@@ -105,7 +105,10 @@ class Formula:
     identity.  `atoms`, `agents` and `actions` are the frozensets of atom
     names, agent names and action models occurring in the node,
     preconditions of its action models included; they are one triple per
-    node, shared with its children where it is the same.
+    node, shared with its children where it is the same.  Constructors
+    return what their intern builders below (`_not`, `_and`, ...) return,
+    and the library's hot paths call those directly; a fresh node's fields
+    are stored through the slots' own `__set__`.
     """
 
     __slots__ = ("_occ", "__weakref__")
@@ -125,82 +128,52 @@ class Formula:
         return f"{type(self).__name__}({args})"
 
     def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
+        return _and(self, other)
 
     def __invert__(self) -> "Formula":
-        return Not(self)
+        return _not(self)
 
 
 class Bottom(Formula):
     __slots__ = ()
 
     def __new__(cls):
-        key = (cls,)
-        ref = _NODES.get(key)
-        node = ref and ref()
-        return _node(cls, key, _EMPTY_OCC) if node is None else node
+        return BOT
 
 
 class Atom(Formula):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        key = (cls, name)
-        ref = _NODES.get(key)
-        node = ref and ref()
-        if node is None:
-            node = _node(cls, key, (frozenset((name,)), _EMPTY, _EMPTY))
-            _set(node, "name", name)
-        return node
+        return _atom(name)
 
 
 class Not(Formula):
     __slots__ = ("sub",)
 
     def __new__(cls, sub: Formula):
-        key = (cls, sub)
-        ref = _NODES.get(key)
-        node = ref and ref()
-        if node is None:
-            node = _node(cls, key, sub._occ)
-            _set(node, "sub", sub)
-        return node
+        return _not(sub)
 
 
 class And(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        key = (cls, left, right)
-        ref = _NODES.get(key)
-        node = ref and ref()
-        if node is None:
-            node = _node(cls, key, _join(left._occ, right._occ))
-            _set(node, "left", left)
-            _set(node, "right", right)
-        return node
+        return _and(left, right)
 
 
 class Box(Formula):
     __slots__ = ("agent", "sub")
 
     def __new__(cls, agent: str, sub: Formula):
-        key = (cls, agent, sub)
-        ref = _NODES.get(key)
-        node = ref and ref()
-        if node is None:
-            occ = sub._occ
-            if agent not in occ[1]:
-                occ = (occ[0], occ[1] | {agent}, occ[2])
-            node = _node(cls, key, occ)
-            _set(node, "agent", agent)
-            _set(node, "sub", sub)
-        return node
+        return _box(agent, sub)
 
 
 class Yesterday(Formula):
     __slots__ = ("sub",)
-    __new__ = Not.__new__  # built like Not, keyed on its own class
+
+    def __new__(cls, sub: Formula):
+        return _yesterday(sub)
 
 
 class Update(Formula):
@@ -211,49 +184,109 @@ class Update(Formula):
     __slots__ = ("action", "event", "sub")
 
     def __new__(cls, action: "ActionModel", event: str, sub: Formula):
-        key = (cls, action, action.name, event, sub)
-        ref = _NODES.get(key)
-        node = ref and ref()
-        if node is None:
-            if event not in action.events:
-                raise ValueError(f"event {event!r} not in action model")
-            occ = _join(sub._occ, (_EMPTY, frozenset(action.sig.agents),
-                                   frozenset((action,))))
-            for _, pre in action.pre:
-                occ = _join(occ, pre._occ)
-            node = _node(cls, key, occ)
-            _set(node, "action", action)
-            _set(node, "event", event)
-            _set(node, "sub", sub)
+        return _update(action, event, sub)
+
+
+# the slots' setters, which bypass Formula.__setattr__
+_set_occ, _set_name = Formula._occ.__set__, Atom.name.__set__
+_set_left, _set_right = And.left.__set__, And.right.__set__
+_set_agent, _set_box = Box.agent.__set__, Box.sub.__set__
+_set_action, _set_event, _set_update = (
+    Update.action.__set__, Update.event.__set__, Update.sub.__set__)
+
+
+def _atom(name: str) -> Atom:
+    key = (Atom, name)
+    ref = _get(key)
+    if ref is None or (node := ref()) is None:
+        node = _node(Atom, key, (frozenset((name,)), _EMPTY, _EMPTY))
+        _set_name(node, name)
+    return node
+
+
+def _unary(cls):
+    """The builder of a connective with the one field `sub`."""
+    set_sub = cls.sub.__set__
+
+    def build(sub: Formula) -> Formula:
+        key = (cls, sub)
+        ref = _get(key)
+        if ref is None or (node := ref()) is None:
+            node = _node(cls, key, sub._occ)
+            set_sub(node, sub)
         return node
+    return build
 
 
-BOT = Bottom()
-TOP = Not(BOT)
+_not, _yesterday = _unary(Not), _unary(Yesterday)
+
+
+def _and(left: Formula, right: Formula) -> And:
+    key = (And, left, right)
+    ref = _get(key)
+    if ref is None or (node := ref()) is None:
+        node = _node(And, key, _join(left._occ, right._occ))
+        _set_left(node, left)
+        _set_right(node, right)
+    return node
+
+
+def _box(agent: str, sub: Formula) -> Box:
+    key = (Box, agent, sub)
+    ref = _get(key)
+    if ref is None or (node := ref()) is None:
+        occ = sub._occ
+        if agent not in occ[1]:
+            occ = (occ[0], occ[1] | {agent}, occ[2])
+        node = _node(Box, key, occ)
+        _set_agent(node, agent)
+        _set_box(node, sub)
+    return node
+
+
+def _update(action: "ActionModel", event: str, sub: Formula) -> Update:
+    key = (Update, action, action.name, event, sub)
+    ref = _get(key)
+    if ref is None or (node := ref()) is None:
+        if event not in action.events:
+            raise ValueError(f"event {event!r} not in action model")
+        occ = _join(sub._occ, (_EMPTY, frozenset(action.sig.agents),
+                               frozenset((action,))))
+        for _, pre in action.pre:
+            occ = _join(occ, pre._occ)
+        node = _node(Update, key, occ)
+        _set_action(node, action)
+        _set_event(node, event)
+        _set_update(node, sub)
+    return node
+
+
+BOT = _node(Bottom, (Bottom,), _EMPTY_OCC)
+TOP = _not(BOT)
 
 
 def implies(a: Formula, b: Formula) -> Formula:
-    return Not(And(a, Not(b)))
+    return _not(_and(a, _not(b)))
 
 
 def disj(a: Formula, b: Formula) -> Formula:
-    return Not(And(Not(a), Not(b)))
+    return _not(_and(_not(a), _not(b)))
 
 
 def iff(a: Formula, b: Formula) -> Formula:
-    return And(implies(a, b), implies(b, a))
+    return _and(implies(a, b), implies(b, a))
 
 
 def diamond(agent: str, f: Formula) -> Formula:
-    return Not(Box(agent, Not(f)))
+    return _not(_box(agent, _not(f)))
 
 
 def dia_yesterday(f: Formula) -> Formula:
-    return Not(Yesterday(Not(f)))
+    return _not(_yesterday(_not(f)))
 
 
 def dia_update(action: "ActionModel", event: str, f: Formula) -> Formula:
-    return Not(Update(action, event, Not(f)))
+    return _not(_update(action, event, _not(f)))
 
 
 def conj(formulas) -> Formula:
@@ -263,7 +296,7 @@ def conj(formulas) -> Formula:
         return TOP
     out = formulas[0]
     for f in formulas[1:]:
-        out = And(out, f)
+        out = _and(out, f)
     return out
 
 
@@ -297,20 +330,20 @@ def map_updates(f: Formula, at_update) -> Formula:
             continue
         if not g._occ[2]:
             done[g] = g
-        elif isinstance(g, And):
+        elif type(g) is And:
             left, right = done.get(g.left), done.get(g.right)
             if left is None or right is None:
                 stack += (g, g.right, g.left)  # back until both are done
             else:
-                done[g] = And(left, right)
+                done[g] = _and(left, right)
         elif (sub := done.get(g.sub)) is None:
             stack += (g, g.sub)
-        elif isinstance(g, Not):
-            done[g] = Not(sub)
-        elif isinstance(g, Box):
-            done[g] = Box(g.agent, sub)
-        elif isinstance(g, Yesterday):
-            done[g] = Yesterday(sub)
+        elif type(g) is Not:
+            done[g] = _not(sub)
+        elif type(g) is Box:
+            done[g] = _box(g.agent, sub)
+        elif type(g) is Yesterday:
+            done[g] = _yesterday(sub)
         else:
             done[g] = at_update(g.action, g.event, sub)
     return done[f]
@@ -344,17 +377,24 @@ def is_setl(f: Formula) -> bool:
 
 
 def y_nesting_depth(f: Formula) -> int:
-    if isinstance(f, (Bottom, Atom)):
-        return 0
-    if isinstance(f, Not):
-        return y_nesting_depth(f.sub)
-    if isinstance(f, And):
-        return max(y_nesting_depth(f.left), y_nesting_depth(f.right))
-    if isinstance(f, Box):
-        return y_nesting_depth(f.sub)
-    if isinstance(f, Yesterday):
-        return 1 + y_nesting_depth(f.sub)
-    raise ValueError("y_nesting_depth is defined on update-free formulas only")
+    """The most [Y] on one path of f; one loop over (node, [Y] above it)
+    pairs, each distinct pair once."""
+    if f.actions:
+        raise ValueError("y_nesting_depth is defined on update-free formulas only")
+    best, seen, stack = 0, set(), [(f, 0)]
+    while stack:
+        item = g, d = stack.pop()
+        if item in seen:
+            continue
+        seen.add(item)
+        t = type(g)
+        if t is And:
+            stack += ((g.left, d), (g.right, d))
+        elif t is not Atom and t is not Bottom:
+            d += t is Yesterday
+            best = max(best, d)
+            stack.append((g.sub, d))
+    return best
 
 
 def depth_formula(n: int, unique_past: bool = False) -> Formula:
@@ -365,15 +405,15 @@ def depth_formula(n: int, unique_past: bool = False) -> Formula:
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    lower: Formula = Yesterday(BOT)
+    lower: Formula = _yesterday(BOT)
     for _ in range(n):
         lower = dia_yesterday(lower)
     if unique_past:
         return lower
     upper: Formula = BOT
     for _ in range(n + 1):
-        upper = Yesterday(upper)
-    return And(lower, upper)
+        upper = _yesterday(upper)
+    return _and(lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +427,7 @@ class ParseError(ValueError):
 
 # leading whitespace, then an identifier, an operator or any other
 # character, which is an error; a token's position is where its leading
-# whitespace starts
+# whitespace starts, a bad character's its own
 _TOKEN_RE = re.compile(
     r"(\s*)(?:([A-Za-z_♭][A-Za-z0-9_♭]*)|(<->|->|[~&|()\[\]<>@])|(\S))")
 
@@ -397,7 +437,7 @@ def _tokenize(text: str):
     pos = 0
     for space, ident, op, bad in _TOKEN_RE.findall(text):
         if bad:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            raise ParseError(f"unexpected character {bad!r}", pos + len(space))
         tokens.append(("ident", ident, pos) if ident else ("op", op, pos))
         pos += len(space) + len(ident or op)
     tokens.append(("eof", "", len(text)))
@@ -455,7 +495,7 @@ class _Parser:
         left = self.unary()
         while self.peek()[1] == "&":
             self.next()
-            left = And(left, self.unary())
+            left = _and(left, self.unary())
         return left
 
     def unary(self) -> Formula:
@@ -481,19 +521,19 @@ class _Parser:
         elif kind == "ident":
             if val not in self.sig.atoms:
                 raise ParseError(f"unknown atom {val!r}", pos)
-            f = Atom(val)
+            f = _atom(val)
         else:
             raise ParseError(f"unexpected {val or 'end of input'!r}", pos)
         for op, name, action, event in reversed(prefixes):
             if op == "~":
-                f = Not(f)
+                f = _not(f)
             elif action is not None:
-                f = (Update(action, event, f) if op == "["
+                f = (_update(action, event, f) if op == "["
                      else dia_update(action, event, f))
             elif name == "Y":
-                f = Yesterday(f) if op == "[" else dia_yesterday(f)
+                f = _yesterday(f) if op == "[" else dia_yesterday(f)
             else:
-                f = Box(name, f) if op == "[" else diamond(name, f)
+                f = _box(name, f) if op == "[" else diamond(name, f)
         return f
 
     def modal_head(self, close: str):

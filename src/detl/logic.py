@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .action import FLAT, ActionModel, is_atemporal_action, is_past_state
+from .action import FLAT, ActionModel, is_atemporal_action
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, TOP,
-                      Update, Yesterday, conj, diamond, dia_yesterday,
-                      implies, map_updates)
+                      Update, Yesterday, _and, _box, _not, _yesterday, conj,
+                      diamond, dia_yesterday, implies, map_updates)
 from .kripke import KripkeModel, PointedModel
 
 DEFAULT_NODE_LIMIT = 10 ** 6
@@ -26,14 +26,17 @@ def reduce_formula(f: Formula) -> Formula:
     Innermost-first (see `map_updates`): preconditions are reduced before
     the update that carries them is pushed through its body, so the push
     step only ever sees update-free material.  Each distinct node is
-    mapped once, and one push memo, keyed by (action, event, node),
-    serves the whole call, so each shared subformula is pushed once per
-    event: the work follows the distinct nodes of the result, not its
-    size as a tree.
+    mapped once, and each action gets one push memo for the whole call,
+    keyed by (event, node) and looked up once per update node, so each
+    shared subformula is pushed once per event: the work follows the
+    distinct nodes of the result, not its size as a tree.
     """
-    memo: dict = {}
-    return map_updates(
-        f, lambda U, e, g: _push(_reduce_action(U), e, g, memo))
+    memos: dict = {}  # action -> (its reduced form, its push memo)
+
+    def at_update(U, e, g):
+        R, memo = memos.get(U) or memos.setdefault(U, (_reduce_action(U), {}))
+        return _push(R, e, g, memo)
+    return map_updates(f, at_update)
 
 
 @lru_cache(maxsize=1024)
@@ -45,27 +48,26 @@ def _reduce_action(U: ActionModel) -> ActionModel:
 
 def _push(U: ActionModel, s: str, f: Formula, memo: dict) -> Formula:
     """Rewrite [U,s]f into the update-free fragment; f and all of U's
-    preconditions are update-free already."""
-    key = (U, s, f)
+    preconditions are update-free already.  memo is U's own, keyed by
+    (event, node)."""
+    key = (s, f)
     out = memo.get(key)
     if out is not None:
         return out
-    pre = U.pre_map[s]
-    if isinstance(f, (Atom, Bottom)):
+    pre, t = U.pre_map[s], type(f)
+    if t is And:
+        out = _and(_push(U, s, f.left, memo), _push(U, s, f.right, memo))
+    elif t is Not:
+        out = implies(pre, _not(_push(U, s, f.sub, memo)))
+    elif t is Atom or t is Bottom:
         out = implies(pre, f)
-    elif isinstance(f, Not):
-        out = implies(pre, Not(_push(U, s, f.sub, memo)))
-    elif isinstance(f, And):
-        out = And(_push(U, s, f.left, memo), _push(U, s, f.right, memo))
-    elif isinstance(f, Box):
-        out = implies(pre, conj(Box(f.agent, _push(U, s2, f.sub, memo))
-                                for s2 in U.succ(f.agent, s)))
-    elif isinstance(f, Yesterday):
-        if is_past_state(U, s):
-            out = implies(pre, Yesterday(_push(U, s, f.sub, memo)))
-        else:
-            out = implies(pre, conj(_push(U, s2, f.sub, memo)
-                                    for s2 in U.yesterdays(s)))
+    elif t is Box:
+        out = implies(pre, conj(_box(f.agent, _push(U, s2, f.sub, memo))
+                                for s2 in U._succ[f.agent][s]))
+    elif t is Yesterday:
+        past = U._parents[s]
+        out = implies(pre, conj(_push(U, s2, f.sub, memo) for s2 in past)
+                      if past else _yesterday(_push(U, s, f.sub, memo)))
     else:
         raise TypeError(f"unexpected update inside a reduced body: {f!r}")
     memo[key] = out
@@ -103,19 +105,14 @@ class _Tableau:
     with both polarities closes it, so a subformula that reduction
     shares is expanded once per branch.  A negated conjunction waits in
     a queue until nothing else is pending, and branching is plain: the
-    second branch gets ¬B alone.  One `tick` is paid per entry taken off
-    the pending stack.
+    second branch gets ¬B alone.  One unit of the budget is paid per
+    entry taken off the pending stack.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         # label -> its witness, or None when unsatisfiable
         self.cache: Dict[FrozenSet[tuple], Optional[_TreeWorld]] = {}
-
-    def tick(self):
-        self.budget -= 1
-        if self.budget < 0:
-            raise TableauLimit("tableau node limit exceeded")
 
     def satisfy(self, entries: list) -> Optional[_TreeWorld]:
         """A model of the entries, its root first, or None; witnesses
@@ -143,7 +140,6 @@ class _Tableau:
         entries), and its witness or None is sent back; the label's own
         witness, or None, is returned."""
         cache = self.cache
-        tick = self.tick
         pending = list(pending)
         sign: dict = {}  # formula -> polarity, taken in this branch
         trail = []      # the keys of sign in the order added, for undoing
@@ -155,7 +151,9 @@ class _Tableau:
         while True:
             closed = False
             while pending:
-                tick()
+                self.budget -= 1
+                if self.budget < 0:
+                    raise TableauLimit("tableau node limit exceeded")
                 f, positive = pending.pop()
                 while isinstance(f, Not):
                     f, positive = f.sub, not positive
@@ -256,14 +254,19 @@ def validity(f: Formula, max_nodes: int = DEFAULT_NODE_LIMIT):
     """
     g = reduce_formula(f)
     # signature from the original formula too: reduction can drop atoms
-    # (vacuous boxes) and countermodels must still evaluate the original
-    agents = sorted(f.agents | g.agents) or ["a"]
-    atoms = sorted(f.atoms | g.atoms)
-    sig = Signature(tuple(agents), tuple(atoms))
+    # (vacuous boxes) and countermodels must still evaluate the original;
+    # built before the tableau, so a bad name raises whatever the verdict
+    sig = _signature(tuple(sorted(f.agents | g.agents)) or ("a",),
+                     tuple(sorted(f.atoms | g.atoms)))
     tree = _Tableau(max_nodes).satisfy([(g, False)])
     if tree is None:
         return True, None
     return False, _tree_to_model(tree, sig)
+
+
+@lru_cache(maxsize=256)
+def _signature(agents: tuple, atoms: tuple) -> Signature:
+    return Signature(agents, atoms)  # a bad name raises, and is not cached
 
 
 @lru_cache(maxsize=4096)

@@ -28,11 +28,10 @@ _KEY_ORDER = ["type", "agents", "atoms", "worlds", "events", "val", "pre",
 def canonical_document(doc: dict) -> dict:
     """Reorder keys and sort arrays without touching the content.
 
-    ValueError for a document that is not an object, an unknown key, a
-    string or a scalar where an array or an object belongs, and items
-    that cannot be sorted.  Values that are not sorted go unchecked."""
-    if type(doc) is not dict:
-        raise ValueError("a document is a JSON object")
+    ValueError for an unknown key and for what `document_to_object`
+    rejects as a value of the wrong JSON type (see `_SHAPES`), so the
+    documents reprinted are those a workspace can read."""
+    _check_shapes(doc)
     unknown = set(doc) - set(_KEY_ORDER)
     if unknown:
         raise ValueError(f"unknown keys in document: {sorted(unknown)}")
@@ -41,42 +40,21 @@ def canonical_document(doc: dict) -> dict:
         if key not in doc:
             continue
         value = doc[key]
-        if key in ("val", "pre", "epistemic") and type(value) is not dict:
-            raise ValueError(f"{key!r} must be a JSON object")
-        try:
-            if key in ("agents", "atoms", "worlds", "events"):
-                value = _sorted(value)
-            elif key in ("val", "epistemic"):
-                value = {k: _sorted(v, pairs=key == "epistemic")
-                         for k, v in sorted(value.items())}
-            elif key == "yesterday":
-                value = _sorted(value, pairs=True)
-        except TypeError:
-            raise ValueError(
-                f"{key!r} holds no array of items that can be sorted") from None
+        if key in ("val", "epistemic"):
+            value = {k: sorted(v) for k, v in sorted(value.items())}
+        elif type(value) is list:  # names, or the yesterday pairs
+            value = sorted(value)
         out[key] = value
     return out
 
 
-def _sorted(items, pairs: bool = False) -> list:
-    """items in order, each item as a list if pairs; TypeError for a
-    string, a scalar, a string among pairs or items without an order."""
-    if type(items) is str or pairs and str in set(map(type, items)):
-        raise TypeError("not an array")
-    return sorted(map(list, items) if pairs else items)
-
-
 def canonical_dumps(doc: dict) -> str:
     """The canonical document as `json.dumps(..., ensure_ascii=False,
-    indent=2)` lays it out, plus a newline.  The document shapes (str,
-    list of str, list of string pairs, dict of those) are written here,
-    each string encoded once by the C encoder; any other value takes the
-    json.dumps call itself."""
-    doc = canonical_document(doc)
-    try:
-        return _write(doc, 0) + "\n"
-    except TypeError:
-        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    indent=2)` lays it out, plus a newline.  Every value has one of the
+    document shapes (str, list of str, list of string pairs, dict of
+    those), written here with each string encoded once by the C
+    encoder."""
+    return _write(canonical_document(doc), 0) + "\n"
 
 
 # per nesting level: the line break and indent before a value's items,
@@ -151,11 +129,7 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
     point).  Action preconditions are parsed against the given registry.
     ValueError when a key holds a value of the wrong JSON type.
     """
-    if type(doc) is not dict:
-        raise ValueError("a document is a JSON object")
-    for key, (fits, what) in _SHAPES.items():
-        if key in doc and not fits(doc[key]):
-            raise ValueError(f"{key!r} must be {what}")
+    _check_shapes(doc)
     sig = Signature(tuple(doc["agents"]), tuple(doc.get("atoms", ())))
     closure = doc.get("closure", "none")
     point = doc.get("point")
@@ -201,20 +175,30 @@ def _pairs(v) -> bool:
             and set(map(len, v)) <= {2} and _strs(list(chain(*v))))
 
 
+def _object(fits):
+    return lambda v: (type(v) is dict and _strs(list(v))
+                      and all(map(fits, v.values())))
+
+
 # the JSON type each document key holds, as a test and as its name
 _SHAPES = {
     **dict.fromkeys(("type", "point", "closure"),
                     (lambda v: type(v) is str, "a string")),
     **dict.fromkeys(("agents", "atoms", "worlds", "events"),
                     (_strs, "an array of strings")),
-    "val": (lambda v: type(v) is dict and all(map(_strs, v.values())),
-            "an object of string arrays"),
-    "pre": (lambda v: type(v) is dict and _strs(list(v.values())),
-            "an object of strings"),
-    "epistemic": (lambda v: type(v) is dict and all(map(_pairs, v.values())),
-                  "an object of arrays of string pairs"),
+    "val": (_object(_strs), "an object of string arrays"),
+    "pre": (_object(lambda v: type(v) is str), "an object of strings"),
+    "epistemic": (_object(_pairs), "an object of arrays of string pairs"),
     "yesterday": (_pairs, "an array of string pairs"),
 }
+
+
+def _check_shapes(doc):
+    if type(doc) is not dict:
+        raise ValueError("a document is a JSON object")
+    for key, (fits, what) in _SHAPES.items():
+        if key in doc and not fits(doc[key]):
+            raise ValueError(f"{key!r} must be {what}")
 
 
 # model_to_document and action_to_document build canonical documents, so

@@ -336,9 +336,10 @@ _U2_DOC = json.loads((FIXTURES / "U2.json").read_text(encoding="utf-8"))
     ("fmt", 5),
     ("load", dict(_M_DOC, worlds="wv")),
     ("load", dict(_M_DOC, agents="ab")),
+    ("fmt", dict(_M_DOC, worlds=[1, 2])),
 ], ids=["int-agents", "list-epistemic", "int-val", "int-pre", "list-world",
         "top-level-list", "fmt-int-agents", "fmt-int", "string-worlds",
-        "string-agents"])
+        "string-agents", "fmt-int-worlds"])
 def test_malformed_document_is_a_data_error(tmp_path, capsys, command, doc):
     # a value of the wrong JSON type is exit 3 naming the file, not a
     # traceback with exit 1, which reads as "false"

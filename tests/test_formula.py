@@ -55,6 +55,16 @@ def test_parse_error_position():
     assert exc.value.pos == 4
 
 
+@pytest.mark.parametrize("text,char,pos", [("p & $", "$", 4), ("p -", "-", 2)])
+def test_bad_character_named_at_its_position(text, char, pos):
+    # the error names the character itself, not the whitespace before it
+    with pytest.raises(ParseError) as exc:
+        parse(text, SIG)
+    assert exc.value.pos == pos
+    assert str(exc.value) == (f"unexpected character {char!r} "
+                              f"(at position {pos})")
+
+
 def test_parse_precedence():
     # unary > & > | > -> (right assoc) > <->
     assert parse("~p & q | p -> q -> p", SIG) == \
@@ -112,6 +122,14 @@ def test_y_nesting_depth():
 def test_y_nesting_depth_rejects_updates(ws):
     with pytest.raises(ValueError):
         y_nesting_depth(ws.parse("[U2@s]p"))
+    with pytest.raises(ValueError):
+        y_nesting_depth(Box("a", And(Atom("p"), ws.parse("[Y][U2@s]p"))))
+
+
+def test_y_nesting_depth_of_deep_input():
+    # one loop, so nesting far past the recursion limit is fine
+    assert y_nesting_depth(parse("[Y]" * 3000 + "p", SIG)) == 3000
+    assert y_nesting_depth(parse("~[a]" * 3000 + "[Y]p", SIG)) == 1
 
 
 def test_depth_formula():
@@ -147,6 +165,45 @@ def test_nodes_are_immutable():
             setattr(f, name, Atom("p"))
     with pytest.raises(AttributeError):
         del f.right
+
+
+def test_fresh_nodes_are_immutable(ws):
+    # nodes built just now, their fields stored by the builders
+    U2 = ws.actions["U2"][0]
+    leaf = Atom("fresh_immutable")
+    fresh = [leaf, Not(leaf), And(leaf, TOP), Box("b", leaf),
+             Yesterday(leaf), Update(U2, "s", leaf)]
+    for f in fresh:
+        for name in f.__slots__ + ("_occ", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, TOP)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+    atom, neg, both, box, past, update = fresh
+    assert atom.name == "fresh_immutable" and both.right is TOP
+    assert neg.sub is box.sub is past.sub is update.sub is leaf
+
+
+def test_constructors_and_builders_give_one_node(ws):
+    U2 = ws.actions["U2"][0]
+    p, q = Atom("p"), Atom("q")
+    for make, build, args in [
+            (Atom, formula._atom, ("p",)), (Not, formula._not, (p,)),
+            (And, formula._and, (p, q)), (Box, formula._box, ("a", p)),
+            (Yesterday, formula._yesterday, (p,)),
+            (Update, formula._update, (U2, "s", p))]:
+        # both orders: either one may build the node first
+        assert make(*args) is build(*args)
+        fresh = args[:-1] + (Atom("fresh_" + make.__name__),)
+        assert build(*fresh) is make(*fresh)
+        assert type(make(*fresh)) is make
+    assert Bottom() is BOT and TOP is formula._not(BOT)
+    # Yesterday is keyed apart from Not, though built alike
+    assert Yesterday(p) is not Not(p) and Yesterday(p).sub is Not(p).sub
+    # the event check holds for the builder as for the constructor
+    for make in (Update, formula._update):
+        with pytest.raises(ValueError):
+            make(U2, "x", p)
 
 
 def _occurring(f):

@@ -143,6 +143,21 @@ def test_validity_basics():
     assert not evaluate(counter.model, counter.point, parse("p", SIG))
 
 
+@pytest.mark.parametrize("text", ["~(p & ~p)", "p", "[a]p -> p"])
+@pytest.mark.parametrize("bad", ["atom", "agent"])
+def test_validity_of_a_bad_name_raises_on_every_call(text, bad):
+    # VALID and INVALID alike: the countermodel signature is built, and
+    # its check made, whatever the verdict, and failures are not cached
+    f = parse(text, SIG)
+    if bad == "atom":
+        f = And(f, Not(And(Atom("1x"), Not(Atom("1x")))))
+    else:
+        f = And(f, Not(And(Box("1a", TOP), Not(Box("1a", TOP)))))
+    for _ in range(3):
+        with pytest.raises(ValueError, match=f"bad {bad}"):
+            validity(f)
+
+
 def test_validity_node_limit():
     f = parse("p & q", SIG)
     with pytest.raises(TableauLimit):
