@@ -158,16 +158,13 @@ def test_equal_formulas_are_one_node():
     assert hash(Not(Atom("q"))) == hash(Not(Atom("q")))
 
 
-def test_nodes_are_immutable():
+def test_nodes_are_immutable(ws):
     f = And(Atom("p"), Atom("q"))
     for name in ("left", "atoms"):
         with pytest.raises(AttributeError):
             setattr(f, name, Atom("p"))
     with pytest.raises(AttributeError):
         del f.right
-
-
-def test_fresh_nodes_are_immutable(ws):
     # nodes built just now, their fields stored by the builders
     U2 = ws.actions["U2"][0]
     leaf = Atom("fresh_immutable")
@@ -194,7 +191,8 @@ def test_constructors_and_builders_give_one_node(ws):
             (Update, formula._update, (U2, "s", p))]:
         # both orders: either one may build the node first
         assert make(*args) is build(*args)
-        fresh = args[:-1] + (Atom("fresh_" + make.__name__),)
+        last = "fresh_name" if make is Atom else Atom("fresh_" + make.__name__)
+        fresh = args[:-1] + (last,)
         assert build(*fresh) is make(*fresh)
         assert type(make(*fresh)) is make
     assert Bottom() is BOT and TOP is formula._not(BOT)
