@@ -377,7 +377,7 @@ def main(argv=None) -> int:
         return 3
     except RecursionError:
         # still recursing per nesting level: _push (per modal level of an
-        # update's body), parenthesised input and _ext's box case
+        # update's body) and _ext's box case
         print("ERROR: input nested too deeply", file=sys.stderr)
         return 3
 

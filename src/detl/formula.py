@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -444,142 +445,107 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, sig: Signature,
-                 registry: Mapping[str, "ActionModel"]):
-        self.tokens = tokens
-        self.i = 0
-        self.sig = sig
-        self.registry = registry
+# per binary operator: its precedence, how much higher the printer reads
+# its left operand and the parser and printer its right one, and its
+# builder; -> nests to the right and the others to the left
+_BINARY = {"<->": (1, 1, 1, iff), "->": (2, 1, 0, implies),
+           "|": (3, 0, 1, disj), "&": (4, 0, 1, _and)}
+_PREC_UNARY = 5  # prefixes bind tighter than every binary operator
+_WORDS = {"true": TOP, "false": BOT}
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
-
-    def formula(self) -> Formula:
-        left = self.imp()
-        while self.peek()[1] == "<->":
-            self.next()
-            left = iff(left, self.imp())
-        return left
-
-    def imp(self) -> Formula:
-        # right-associative: the operands of a chain are collected in a
-        # loop and folded from the right
-        operands = [self.disj()]
-        while self.peek()[1] == "->":
-            self.next()
-            operands.append(self.disj())
-        out = operands.pop()
-        for left in reversed(operands):
-            out = implies(left, out)
-        return out
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.peek()[1] == "|":
-            self.next()
-            left = disj(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            left = _and(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        """Prefix operators, then an atom, a constant or a parenthesised
-        formula.  The prefixes are collected in a loop and applied inside
-        out, so a long run of them does not recurse."""
-        prefixes = []
-        kind, val, pos = self.next()
-        while val in ("~", "[", "<"):
-            if val == "~":
-                prefixes.append((val, None, None, None))
-            else:
-                close = "]" if val == "[" else ">"
-                prefixes.append((val, *self.modal_head(close)))
-            kind, val, pos = self.next()
-        if val == "(":
-            f = self.formula()
-            self.expect(")")
-        elif kind == "ident" and val == "true":
-            f = TOP
-        elif kind == "ident" and val == "false":
-            f = BOT
-        elif kind == "ident":
-            if val not in self.sig.atoms:
-                raise ParseError(f"unknown atom {val!r}", pos)
-            f = _atom(val)
-        else:
-            raise ParseError(f"unexpected {val or 'end of input'!r}", pos)
-        for op, name, action, event in reversed(prefixes):
-            if op == "~":
-                f = _not(f)
-            elif action is not None:
-                f = (_update(action, event, f) if op == "["
-                     else dia_update(action, event, f))
-            elif name == "Y":
-                f = _yesterday(f) if op == "[" else dia_yesterday(f)
-            else:
-                f = _box(name, f) if op == "[" else diamond(name, f)
-        return f
-
-    def modal_head(self, close: str):
-        """Parse the inside of [..] or <..>; returns (name, action, event)."""
-        kind, name, pos = self.next()
+def _modal_head(tokens, i: int, dual: bool, sig: Signature,
+                registry: Mapping[str, "ActionModel"]):
+    """The inside of [..] (or of <..> when dual), from tokens[i] on: the
+    builder of its box (or of the box's dual) and the index after it."""
+    close = ">" if dual else "]"
+    kind, name, pos = tokens[i]
+    if kind != "ident":
+        raise ParseError(f"expected a name, found {name!r}", pos)
+    event = None
+    if tokens[i + 1][1] == "@":
+        kind, event, epos = tokens[i + 2]
         if kind != "ident":
-            raise ParseError(f"expected a name, found {name!r}", pos)
-        if self.peek()[1] == "@":
-            self.next()
-            ekind, event, epos = self.next()
-            if ekind != "ident":
-                raise ParseError(f"expected an event name, found {event!r}", epos)
-            self.expect(close)
-            if name not in self.registry:
-                raise ParseError(f"unknown action {name!r}", pos)
-            action = self.registry[name]
-            if event not in action.events:
-                raise ParseError(f"unknown event {event!r} of action {name!r}", epos)
-            return name, action, event
-        self.expect(close)
-        if name == "Y":
-            return "Y", None, None
-        if name not in self.sig.agents:
-            raise ParseError(f"unknown agent {name!r}", pos)
-        return name, None, None
+            raise ParseError(f"expected an event name, found {event!r}", epos)
+        i += 2
+    kind, val, cpos = tokens[i + 1]
+    if val != close:
+        raise ParseError(
+            f"expected {close!r}, found {val or 'end of input'!r}", cpos)
+    if event is not None:
+        if name not in registry:
+            raise ParseError(f"unknown action {name!r}", pos)
+        action = registry[name]
+        if event not in action.events:
+            raise ParseError(f"unknown event {event!r} of action {name!r}", epos)
+        return partial(dia_update if dual else _update, action, event), i + 2
+    if name == "Y":
+        return dia_yesterday if dual else _yesterday, i + 2
+    if name not in sig.agents:
+        raise ParseError(f"unknown agent {name!r}", pos)
+    return partial(diamond if dual else _box, name), i + 2
 
 
 def parse(text: str, sig: Signature,
           registry: Optional[Mapping[str, "ActionModel"]] = None) -> Formula:
-    p = _Parser(_tokenize(text), sig, registry or {})
-    f = p.formula()
-    kind, val, pos = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {val!r}", pos)
-    return f
+    """The formula that text writes, or a ParseError at the first token
+    that no formula can continue with.
+
+    One loop over one stack of pending entries, each a triple (right
+    binding power, builder, left operand): prefixes (power _PREC_UNARY,
+    no left operand), open parentheses (power 0) and binary operators,
+    whose powers come from _BINARY.  Once an operand is complete, the
+    next token pops and applies every entry that binds tighter than that
+    token, so neither nesting nor long runs recurse.
+    """
+    tokens = _tokenize(text)
+    registry = registry or {}
+    stack = []
+    i = 0
+    while True:
+        kind, val, pos = tokens[i]
+        i += 1
+        if kind == "ident":
+            f = _atom(val) if val in sig.atoms else _WORDS.get(val)
+            if f is None:
+                raise ParseError(f"unknown atom {val!r}", pos)
+        else:
+            if val == "(":
+                stack.append((0, None, None))
+            elif val == "~":
+                stack.append((_PREC_UNARY, _not, None))
+            elif val == "[" or val == "<":
+                build, i = _modal_head(tokens, i, val == "<", sig, registry)
+                stack.append((_PREC_UNARY, build, None))
+            else:
+                raise ParseError(f"unexpected {val or 'end of input'!r}", pos)
+            continue
+        while True:  # f is a complete operand
+            kind, val, pos = tokens[i]
+            i += 1
+            op = _BINARY.get(val)
+            prec = op[0] if op else 0
+            while stack and stack[-1][0] > prec:
+                _, build, left = stack.pop()
+                f = build(f) if left is None else build(left, f)
+            if op:
+                stack.append((prec + op[2], op[3], f))
+                break
+            if stack:  # an open parenthesis
+                if val != ")":
+                    raise ParseError("expected ')', found "
+                                     f"{val or 'end of input'!r}", pos)
+                stack.pop()
+            elif kind != "eof":
+                raise ParseError(f"trailing input {val!r}", pos)
+            else:
+                return f
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-_PREC_UNARY = 5
-_CONSTANTS = {TOP: "true", BOT: "false"}
-# per binary operator: its precedence, and how much higher the left and the
-# right operand are read; -> nests to the right and the others to the left
-_BINARY = {" <-> ": (1, 1, 1), " -> ": (2, 1, 0), " | ": (3, 0, 1),
-           " & ": (4, 0, 1)}
+_CONSTANTS = {f: word for word, f in _WORDS.items()}
 
 
 def _match_imp(f: Formula):
@@ -604,15 +570,15 @@ def pretty(f: Formula) -> str:
             if t is And:
                 l, r = _match_imp(f.left), _match_imp(f.right)
                 if l and r and l[0] == r[1] and l[1] == r[0]:
-                    m, op = l, " <-> "
+                    m, op = l, "<->"
                 else:
-                    m, op = (f.left, f.right), " & "
+                    m, op = (f.left, f.right), "&"
             elif t is Not and type(f.sub) is And and type(f.sub.right) is Not:
                 a, b = f.sub.left, f.sub.right.sub
                 if type(a) is Not:  # ~(~a & ~b)
-                    m, op = (a.sub, b), " | "
+                    m, op = (a.sub, b), "|"
                 else:  # ~(a & ~b)
-                    m, op = (a, b), " -> "
+                    m, op = (a, b), "->"
             elif t is Atom or f in _CONSTANTS:
                 out.append(f.name if t is Atom else _CONSTANTS[f])
                 break
@@ -638,10 +604,10 @@ def pretty(f: Formula) -> str:
                 out.append(op)
                 ctx = _PREC_UNARY
                 continue
-            prec, up_left, up_right = _BINARY[op]
+            prec, up_left, up_right, _ = _BINARY[op]
             if prec < ctx:
                 out.append("(")
                 todo.append((")", None, 0))
-            todo.append((op, m[1], prec + up_right))
+            todo.append((f" {op} ", m[1], prec + up_right))
             f, ctx = m[0], prec + up_left
     return "".join(out)

@@ -1,7 +1,7 @@
 """JSON file format for models and actions, plus the workspace registry.
 
 One JSON document per file.  Canonical form fixes the key order and
-sorts every array, so `fmt` output and the bundled fixtures are stable
+sorts every array and the keys of every object, so `fmt` output and the bundled fixtures are stable
 byte-for-byte.  The optional "closure" key applies the drawing
 convention (relations implicitly closed) at load time; canonical
 reprinting happens at the document level, so a fixture keeps its closure
@@ -42,6 +42,8 @@ def canonical_document(doc: dict) -> dict:
         value = doc[key]
         if key in ("val", "epistemic"):
             value = {k: sorted(v) for k, v in sorted(value.items())}
+        elif key == "pre":
+            value = dict(sorted(value.items()))
         elif type(value) is list:  # names, or the yesterday pairs
             value = sorted(value)
         out[key] = value

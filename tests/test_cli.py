@@ -65,14 +65,24 @@ def test_eval_ydel_long_run_over_updates(capsys, text):
     (" -> ".join(["p"] * 3000), 0, "VERDICT: VALID"),
     ("[Y]" * 3000 + "p", 1, "COUNTERMODEL: "),
     ("[a]" * 3000 + "(p | ~p)", 0, "VERDICT: VALID"),
-    ("[a]" * 3000 + "[U2@s]q", 1, "COUNTERMODEL: ")],
+    ("[a]" * 3000 + "[U2@s]q", 1, "COUNTERMODEL: "),
+    ("(" * 3000 + "p | ~p" + ")" * 3000, 0, "VERDICT: VALID")],
     ids=["not", "not-update", "implies", "yesterday-boxes", "boxes",
-         "boxes-update"])
+         "boxes-update", "parentheses"])
 def test_validity_deep_input(capsys, text, code, key):
     # the parser, the reduction, the tableau and the countermodel walk
     # loop over such runs
     got, out = run(capsys, "validity", text)
     assert got == code and key in out
+
+
+def test_deep_parentheses(capsys):
+    # the parser keeps open parentheses on its stack, not in recursion
+    text = "(" * 3000 + "p" + ")" * 3000
+    code, out = run(capsys, "eval", "M", "w", text)
+    assert code == 0 and out == "RESULT: true\n"
+    code, out = run(capsys, "reduce", text)
+    assert code == 0 and out == "REDUCED: p\n"
 
 
 def test_reduce_deep_negation(capsys):

@@ -49,10 +49,21 @@ def test_parse_unknown_action():
         parse("[V@s]p", SIG)
 
 
-def test_parse_error_position():
+@pytest.mark.parametrize("text,msg,pos", [
+    ("p & ", "unexpected 'end of input'", 4),
+    ("(p q", "expected ')', found 'q'", 2),
+    ("(p", "expected ')', found 'end of input'", 2),
+    ("p)", "trailing input ')'", 1),
+    ("[a p", "expected ']', found 'p'", 2),
+    ("[U2@ ]p", "expected an event name, found ']'", 4),
+    ("<", "expected a name, found ''", 1)],
+    ids=["end-of-input", "unclosed", "unclosed-at-end", "trailing",
+         "unclosed-box", "event-name", "modal-name"])
+def test_parse_error_position(text, msg, pos):
     with pytest.raises(ParseError) as exc:
-        parse("p & ", SIG)
-    assert exc.value.pos == 4
+        parse(text, SIG)
+    assert exc.value.pos == pos
+    assert str(exc.value) == f"{msg} (at position {pos})"
 
 
 @pytest.mark.parametrize("text,char,pos", [("p & $", "$", 4), ("p -", "-", 2)])
@@ -70,6 +81,29 @@ def test_parse_precedence():
     assert parse("~p & q | p -> q -> p", SIG) == \
         parse("(((~p) & q) | p) -> (q -> p)", SIG)
     assert parse("p <-> q <-> p", SIG) == parse("(p <-> q) <-> p", SIG)
+    assert parse("p <-> q -> p", SIG) == parse("p <-> (q -> p)", SIG)
+    assert parse("p -> q <-> p", SIG) == parse("(p -> q) <-> p", SIG)
+    assert parse("p | q -> p", SIG) == parse("(p | q) -> p", SIG)
+
+
+_TOKEN_TEXTS = ["p", "q", "r", "Y", "true", "false", "a", "U2", "s", "~",
+                "&", "|", "->", "<->", "(", ")", "[", "]", "<", ">", "@",
+                "[a]", "<b>", "[Y]", "<Y>", "[U2@s]", "<U2@t>", "$", "[c]",
+                "[U2@x]", "[a@]", "-", " ", "\t"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TOKEN_TEXTS), max_size=16))
+def test_parse_fuzz(ws, tokens):
+    # any text either parses to a formula that prints back to itself or
+    # raises ParseError inside the text, never another exception
+    text = "".join(tokens)
+    try:
+        f = ws.parse(text)
+    except ParseError as exc:
+        assert 0 <= exc.pos <= len(text)
+    else:
+        assert ws.parse(pretty(f)) is f
 
 
 def test_print_basics():
