@@ -4,7 +4,10 @@ Checks, over freshly generated models and actions, that the update-free
 reduct of a formula agrees with direct evaluation, that the validity
 verdict on the formula is borne out by evaluation (an INVALID
 countermodel falsifies it, a VALID formula holds at every world of the
-round's model), and that the temporal axioms hold on forest-like models.
+round's model), that the temporal axioms hold on forest-like models, and
+that the round's model and its product by each action come back equal
+from their saved document and from their relations shuffled with
+repeats.
 Useful for longer runs than the test suite's fixed budgets.
 """
 
@@ -16,9 +19,10 @@ from dataclasses import dataclass
 from detl.formula import Atom, BOT, Box, Not, Yesterday, iff, implies
 from detl.generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
                            rand_kripke, rand_restricted, rand_temporal_action)
-from detl.kripke import is_restricted
+from detl.kripke import KripkeModel, is_restricted
 from detl.logic import reduce_formula, validity
-from detl.semantics import evaluate
+from detl.semantics import EmptyProductError, evaluate, product_update
+from detl.serialize import document_to_object, model_to_document
 
 
 @dataclass
@@ -41,18 +45,52 @@ def temporal_axioms(sig):
     return out
 
 
+def _shuffled(rng, items) -> list:
+    """items in random order, about half of them twice."""
+    items = list(items)
+    out = items + rng.sample(items, len(items) // 2)
+    rng.shuffle(out)
+    return out
+
+
+def rebuild_problem(rng, P: KripkeModel):
+    """Why P does not come back equal from its saved document or from its
+    relations shuffled with repeats; None when it does."""
+    if document_to_object(model_to_document(P))[1] != P:
+        return "model differs after a save and load"
+    again = KripkeModel(
+        sig=P.sig, worlds=_shuffled(rng, P.worlds),
+        epistemic={a: _shuffled(rng, pairs) for a, pairs in P.epistemic},
+        yesterday=_shuffled(rng, P.yesterday),
+        valuation={p: _shuffled(rng, ws) for p, ws in P.valuation})
+    return None if again == P else "model differs rebuilt from shuffled input"
+
+
 def sweep(cfg: SweepConfig) -> int:
     rng = random.Random(cfg.seed)
+    # a stream of its own, so the rounds draw the same models as before
+    shuffle_rng = random.Random(f"{cfg.seed}:shuffle")
     sig = DEFAULT_SIG
     axioms = temporal_axioms(sig)
-    reduction_checks = axiom_checks = 0
+    reduction_checks = axiom_checks = rebuild_checks = 0
     verdicts = {True: 0, False: 0}
     for i in range(cfg.rounds):
         M = rand_kripke(rng, sig, max_worlds=cfg.max_worlds)
-        actions = tuple((U, e)
-                        for U in (rand_atemporal_action(rng, sig, name="V"),
-                                  rand_temporal_action(rng, sig, name="W"))
-                        for e in U.events)
+        updates = (rand_atemporal_action(rng, sig, name="V"),
+                   rand_temporal_action(rng, sig, name="W"))
+        actions = tuple((U, e) for U in updates for e in U.events)
+        models = [M]
+        for U in updates:
+            try:
+                models.append(product_update(M, U))
+            except EmptyProductError:
+                pass
+        for P in models:
+            bad = rebuild_problem(shuffle_rng, P)
+            if bad:
+                print(f"FAIL: {bad} at round {i}")
+                return 1
+            rebuild_checks += 1
         f = rand_formula(rng, sig, cfg.formula_depth, actions)
         g = reduce_formula(f)
         for w in M.worlds:
@@ -79,7 +117,8 @@ def sweep(cfg: SweepConfig) -> int:
                 axiom_checks += 1
     print(f"OK: {reduction_checks} reduction checks, "
           f"{verdicts[True]} VALID and {verdicts[False]} INVALID verdicts "
-          f"checked, {axiom_checks} axiom checks, {cfg.rounds} rounds")
+          f"checked, {axiom_checks} axiom checks, {rebuild_checks} rebuild "
+          f"checks, {cfg.rounds} rounds")
     return 0
 
 

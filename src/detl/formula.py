@@ -437,10 +437,11 @@ def _tokenize(text: str):
     tokens = []
     pos = 0
     for space, ident, op, bad in _TOKEN_RE.findall(text):
+        pos += len(space)  # a token is placed at itself, not its whitespace
         if bad:
-            raise ParseError(f"unexpected character {bad!r}", pos + len(space))
+            raise ParseError(f"unexpected character {bad!r}", pos)
         tokens.append(("ident", ident, pos) if ident else ("op", op, pos))
-        pos += len(space) + len(ident or op)
+        pos += len(ident or op)
     tokens.append(("eof", "", len(text)))
     return tokens
 

@@ -46,11 +46,14 @@ class PropertyReport:
 
 
 def _canon_pairs(pairs, nodes: set, relation: str, kind: str) -> tuple:
-    out = tuple(sorted(set(map(tuple, pairs))))
-    for x, y in out:
-        if x not in nodes or y not in nodes:
-            raise ValueError(f"{relation} arrow {x}->{y} off the {kind} set")
-    return out
+    out, last = [], None
+    for e in sorted(map(tuple, pairs)):
+        if e != last:
+            x, y = last = e
+            if x not in nodes or y not in nodes:
+                raise ValueError(f"{relation} arrow {x}->{y} off the {kind} set")
+            out.append(e)
+    return tuple(out)
 
 
 class Frame:
@@ -68,11 +71,12 @@ class Frame:
     val = None  # the valuation view of a Kripke model; action models have none
 
     def _canonicalise(self) -> tuple:
-        """Sort and deduplicate the relations in place and return the
-        sorted node tuple; reject an empty node set, a bad node name, an
-        unknown agent and any arrow off the node set."""
+        """Sort the relations as given (linear on input already nearly in
+        order, which a set would scramble), drop repeats, in place, and
+        return the sorted node tuple; reject an empty node set, a bad node
+        name, an unknown agent and any arrow off the node set."""
         kind = self._KIND
-        nodes = tuple(sorted(set(self.nodes)))
+        nodes = tuple(dict.fromkeys(sorted(self.nodes)))
         if not nodes:
             raise ValueError(f"a model needs at least one {kind}")
         for n in nodes:
@@ -220,8 +224,8 @@ class KripkeModel(Frame):
         val_in = dict(self.valuation)
         val = []
         for p in self.sig.atoms:
-            ws = tuple(sorted(set(val_in.get(p, ()))))
-            if not set(ws) <= self._nodeset:
+            ws = tuple(dict.fromkeys(sorted(val_in.get(p, ()))))
+            if not self._nodeset.issuperset(ws):
                 raise ValueError(f"valuation of {p} mentions unknown worlds")
             val.append((p, ws))
         extra = set(val_in) - set(self.sig.atoms)
@@ -360,24 +364,20 @@ def generated_submodel(M: KripkeModel, w: str) -> KripkeModel:
     """Restriction of M to worlds reachable from w via epistemic arrows
     (forward) and yesterday arrows toward the past."""
     M.require_world(w)
-    seen = {w}
-    stack = [w]
+    seen, stack = {w}, [w]
     while stack:
         x = stack.pop()
-        nxt = list(M.yesterdays(x))
-        for a in M.sig.agents:
-            nxt.extend(M.succ(a, x))
-        for y in nxt:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+        new = {*M.yesterdays(x),
+               *(y for a in M.sig.agents for y in M.succ(a, x))} - seen
+        seen |= new
+        stack.extend(new)
     return KripkeModel(
         sig=M.sig,
-        worlds=tuple(sorted(seen)),
-        epistemic={a: {(x, y) for x, y in pairs if x in seen and y in seen}
-                   for a, pairs in M.epi.items()},
-        yesterday={(x, y) for x, y in M.yesterday if x in seen and y in seen},
-        valuation={p: ws & seen for p, ws in M.val.items()},
+        worlds=[x for x in M.worlds if x in seen],
+        epistemic={a: [e for e in pairs if e[0] in seen and e[1] in seen]
+                   for a, pairs in M.epistemic},
+        yesterday=[e for e in M.yesterday if e[0] in seen and e[1] in seen],
+        valuation={p: [x for x in ws if x in seen] for p, ws in M.valuation},
     )
 
 

@@ -4,7 +4,7 @@ bisimulation by partition refinement, and the ♯ translation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -41,9 +41,7 @@ def reduce_formula(f: Formula) -> Formula:
 
 @lru_cache(maxsize=1024)
 def _reduce_action(U: ActionModel) -> ActionModel:
-    return ActionModel(
-        sig=U.sig, events=U.events, epistemic=U.epi, yesterday=U.yesterday,
-        pre={e: reduce_formula(p) for e, p in U.pre}, name=U.name)
+    return replace(U, pre={e: reduce_formula(p) for e, p in U.pre})
 
 
 def _push(U: ActionModel, s: str, f: Formula, memo: dict) -> Formula:
@@ -225,22 +223,19 @@ def _tree_to_model(root: _TreeWorld, sig: Signature) -> PointedModel:
             names[id(node)] = f"w{len(order)}"
             order.append(node)
             stack.extend(child for _, child in reversed(node.children))
-    epistemic = {a: set() for a in sig.agents}
-    yesterday = set()
-    valuation = {p: set() for p in sig.atoms}
+    # per relation the arrows to the children, None for the [Y] witnesses,
+    # each one tick before the world that asked for it
+    arrows = {rel: [] for rel in (None, *sig.agents)}
+    valuation = {p: [] for p in sig.atoms}
     for node in order:
         n = names[id(node)]
         for p in node.atoms:
-            valuation[p].add(n)
+            valuation[p].append(n)
         for rel, child in node.children:
-            c = names[id(child)]
-            if rel is None:
-                # the child is a witness one tick before this world
-                yesterday.add((c, n))
-            else:
-                epistemic[rel].add((n, c))
+            arrows[rel].append((n, names[id(child)]))
+    yesterday = [(c, n) for n, c in arrows.pop(None)]
     model = KripkeModel(sig=sig, worlds=tuple(names.values()),
-                        epistemic=epistemic, yesterday=yesterday,
+                        epistemic=arrows, yesterday=yesterday,
                         valuation=valuation)
     return PointedModel(model, names[id(root)])
 
@@ -303,22 +298,26 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
         raise ValueError("bisimulation requires a shared signature")
     agents = A.model.sig.agents
     nrel = len(agents) + 1
-    # per node, (successor index, relation) with relation 0 the step
-    # toward the past; initial blocks by atom valuation
+    # per node, (successor index, relation) with relation 0 the step toward
+    # the past; initial blocks by the atoms true there, in signature order
     succ: List[List[Tuple[int, int]]] = []
     block: List[int] = []
-    seed: Dict[FrozenSet[str], int] = {}
+    seed: Dict[Tuple[str, ...], int] = {}
     points = []
     for pm in (A, B):
         M = pm.model
         index = {w: len(succ) + i for i, w in enumerate(M.worlds)}
         points.append(index[pm.point])
+        atoms = dict.fromkeys(M.worlds, ())
+        for p, ws in M.valuation:
+            for w in ws:
+                atoms[w] += (p,)
         for w in M.worlds:
             out = [(index[v], 0) for v in M.yesterdays(w)]
             for r, a in enumerate(agents, 1):
                 out.extend((index[v], r) for v in M.succ(a, w))
             succ.append(out)
-            block.append(seed.setdefault(M.atoms_at(w), len(seed)))
+            block.append(seed.setdefault(atoms[w], len(seed)))
     pred: List[List[int]] = [[] for _ in succ]
     for x, out in enumerate(succ):
         for j, _ in out:
@@ -381,12 +380,11 @@ def sharp_action(U: ActionModel) -> ActionModel:
 
 
 def _adjoin_flat(U: ActionModel) -> ActionModel:
-    epistemic = {a: set(pairs) | {(FLAT, FLAT)} for a, pairs in U.epi.items()}
     return ActionModel(
         sig=U.sig,
         events=U.events + (FLAT,),
-        epistemic=epistemic,
-        yesterday={(FLAT, s) for s in U.events},
+        epistemic={a: pairs + ((FLAT, FLAT),) for a, pairs in U.epistemic},
+        yesterday=[(FLAT, s) for s in U.events],
         pre={**{e: sharp_formula(p) for e, p in U.pre}, FLAT: TOP},
         name=U.name + "_sharp",
     )

@@ -147,28 +147,29 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     # each precondition's extension computed once over all worlds
     memos, worlds = {}, set(M.worlds)
     ext = [(t, _ext(M, U.pre_map[t], worlds, memos)) for t in U.events]
-    surviving = [(v, t) for v in M.worlds for t, holds in ext if v in holds]
-    if not surviving:
+    names = {(v, t): pair_name(v, t)
+             for v in M.worlds for t, holds in ext if v in holds}
+    if not names:
         raise EmptyProductError("no world satisfies any precondition")
-    # per agent, join the two successor lists of each surviving pair: the
-    # cost follows the arrows, not the surviving pairs squared
-    names = {(v, t): pair_name(v, t) for v, t in surviving}
+    # relations are lists in (world, event) order, nearly string order,
+    # which the model sorts in about one pass; per agent, join the two
+    # successor lists of each surviving pair, so the cost follows the arrows
     epistemic = {}
     for a in M.sig.agents:
         ms, us = M._succ[a], U._succ[a]
-        epistemic[a] = {(x, names[v2, t2])
+        epistemic[a] = [(x, names[v2, t2])
                         for (v, t), x in names.items()
-                        for v2 in ms[v] for t2 in us[t] if (v2, t2) in names}
-    yesterday = set()
-    for v, t in surviving:
+                        for v2 in ms[v] for t2 in us[t] if (v2, t2) in names]
+    yesterday = []
+    for (v, t), x in names.items():
         if is_past_state(U, t):
-            for v2 in M.yesterdays(v):
+            for v2 in M._children[v]:
                 if (v2, t) in names:
-                    yesterday.add((names[v2, t], names[v, t]))
-        for t2 in U.yesterdays(t):
+                    yesterday.append((x, names[v2, t]))
+        for t2 in U._children[t]:
             if (v, t2) in names:
-                yesterday.add((names[v, t2], names[v, t]))
-    valuation = {p: {names[v, t] for v, t in surviving if v in ws}
+                yesterday.append((x, names[v, t2]))
+    valuation = {p: [x for (v, _), x in names.items() if v in ws]
                  for p, ws in M.val.items()}
     return KripkeModel(
         sig=M.sig,

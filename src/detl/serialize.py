@@ -139,10 +139,9 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
         M = KripkeModel(
             sig=sig,
             worlds=tuple(doc["worlds"]),
-            epistemic={a: set(map(tuple, pairs))
-                       for a, pairs in doc.get("epistemic", {}).items()},
-            yesterday=set(map(tuple, doc.get("yesterday", ()))),
-            valuation={p: set(ws) for p, ws in doc.get("val", {}).items()},
+            epistemic=doc.get("epistemic", {}),
+            yesterday=doc.get("yesterday", ()),
+            valuation=doc.get("val", {}),
         )
         if closure != "none":
             M = relation_closure(M, closure)
@@ -157,7 +156,7 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
             sig=sig,
             events=events,
             epistemic=epistemic,
-            yesterday=set(map(tuple, doc.get("yesterday", ()))),
+            yesterday=doc.get("yesterday", ()),
             pre={e: parse(text, sig, registry or {})
                  for e, text in doc["pre"].items()},
             name=name,

@@ -51,11 +51,11 @@ def test_parse_unknown_action():
 
 @pytest.mark.parametrize("text,msg,pos", [
     ("p & ", "unexpected 'end of input'", 4),
-    ("(p q", "expected ')', found 'q'", 2),
+    ("(p q", "expected ')', found 'q'", 3),
     ("(p", "expected ')', found 'end of input'", 2),
     ("p)", "trailing input ')'", 1),
-    ("[a p", "expected ']', found 'p'", 2),
-    ("[U2@ ]p", "expected an event name, found ']'", 4),
+    ("[a p", "expected ']', found 'p'", 3),
+    ("[U2@ ]p", "expected an event name, found ']'", 5),
     ("<", "expected a name, found ''", 1)],
     ids=["end-of-input", "unclosed", "unclosed-at-end", "trailing",
          "unclosed-box", "event-name", "modal-name"])

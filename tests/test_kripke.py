@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detl.action import check_action_property
+from detl.action import ActionModel, check_action_property
+from detl.formula import TOP
 from detl.generate import (DEFAULT_SIG, rand_forest_action, rand_kripke,
                            rand_restricted, rand_sync_kripke,
                            rand_temporal_action)
@@ -334,3 +336,100 @@ def test_hash_computed_once_and_by_value(ws, M):
     renamed = dataclasses.replace(U, name="V")
     # equality ignores the name, so the hash does too
     assert renamed == U and hash(renamed) == hash(U)
+
+
+def _three_ways(rng, items):
+    """items as a set, as a shuffled list with repeats and as a sorted
+    list."""
+    items = list(items)
+    mixed = items + rng.sample(items, len(items) // 2)
+    rng.shuffle(mixed)
+    return set(items), mixed, sorted(items)
+
+
+def _rebuilt(rng, F, node_field):
+    """Three constructor argument sets for frame F, one per input shape
+    of `_three_ways`, each relation drawn anew."""
+    nodes, yesterday = _three_ways(rng, F.nodes), _three_ways(rng, F.yesterday)
+    epi = [(a, _three_ways(rng, pairs)) for a, pairs in F.epistemic]
+    return [{"sig": F.sig, node_field: nodes[k], "yesterday": yesterday[k],
+             "epistemic": {a: ways[k] for a, ways in epi}} for k in range(3)]
+
+
+def _canonical(F):
+    return all(list(rel) == sorted(set(rel)) for rel in
+               (F.nodes, F.yesterday, *(pairs for _, pairs in F.epistemic)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_construction_ignores_input_order_and_repeats(seed):
+    rng = random.Random(seed)
+    M = rand_kripke(rng, SIG, max_worlds=12)
+    val = [(p, _three_ways(rng, ws)) for p, ws in M.valuation]
+    U = rand_temporal_action(rng, SIG, max_events=4)
+    models = [KripkeModel(**kw, valuation={p: ways[k] for p, ways in val})
+              for k, kw in enumerate(_rebuilt(rng, M, "worlds"))]
+    actions = [ActionModel(**kw, pre=U.pre_map)
+               for kw in _rebuilt(rng, U, "events")]
+    for F, built in ((M, models), (U, actions)):
+        for N in built:
+            assert N == F and hash(N) == hash(F)
+            assert (N.nodes, N.epistemic, N.yesterday) \
+                == (F.nodes, F.epistemic, F.yesterday)
+            assert _canonical(N)
+    for N in models:
+        assert N.valuation == M.valuation
+        assert all(list(ws) == sorted(set(ws)) for _, ws in N.valuation)
+
+
+@pytest.mark.parametrize("way", ["set", "shuffled", "sorted"])
+def test_construction_still_validates(way):
+    def given(*items):
+        return {"set": set(items), "sorted": sorted(items),
+                "shuffled": list(items[::-1] + items)}[way]
+
+    for kw, msg in (
+            ({"epistemic": {"a": given(("w", "w"), ("w", "x"))}},
+             "epistemic arrow w->x off the world set"),
+            ({"yesterday": given(("x", "w"), ("w", "w"))},
+             "yesterday arrow x->w off the world set"),
+            ({"epistemic": {"c": given(("w", "w"))}},
+             "unknown agents in epistemic relation: ['c']"),
+            ({"valuation": {"p": given("w", "x")}},
+             "valuation of p mentions unknown worlds"),
+            ({"valuation": {"r": given("w")}},
+             "unknown atoms in valuation: ['r']"),
+            ({"worlds": given("w", "1w")}, "bad world: '1w'")):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            loop_model(**kw)
+    for epistemic, msg in (
+            ({"a": given(("e", "x"), ("e", "e"))},
+             "epistemic arrow e->x off the event set"),
+            ({"c": given(("e", "e"))},
+             "unknown agents in epistemic relation: ['c']")):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            ActionModel(sig=SIG, events=given("e"), epistemic=epistemic,
+                        yesterday=(), pre={"e": TOP})
+
+
+def test_product_relations_sorted_where_names_reorder():
+    # w1 comes before w10 as a world but "w1|e" after "w10|e" as a string
+    worlds = ("w1", "w10")
+    every = {(x, y) for x in worlds for y in worlds}
+    M = KripkeModel(sig=SIG, worlds=worlds, epistemic=dict.fromkeys("ab", every),
+                    yesterday={("w1", "w10")}, valuation={"p": {"w1"}})
+    events = ("e", "f")
+    U = ActionModel(sig=SIG, events=events, pre=dict.fromkeys(events, TOP),
+                    epistemic=dict.fromkeys(
+                        "ab", {(x, y) for x in events for y in events}),
+                    yesterday={("e", "f")})
+    P = product_update(M, U)
+    assert P.worlds == ("w10|e", "w10|f", "w1|e", "w1|f")
+    assert _canonical(P)
+    assert P.valuation == (("p", ("w1|e", "w1|f")), ("q", ()))
+    assert P.yesterday == (("w10|e", "w10|f"), ("w1|e", "w10|e"),
+                           ("w1|e", "w1|f"))
+    assert P == KripkeModel(sig=SIG, worlds=set(P.worlds),
+                            epistemic={a: set(ps) for a, ps in P.epistemic},
+                            yesterday=set(P.yesterday),
+                            valuation={p: set(ws) for p, ws in P.valuation})
