@@ -15,14 +15,19 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from detl.formula import Atom, BOT, Box, Not, Yesterday, iff, implies
-from detl.generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
-                           rand_kripke, rand_restricted, rand_temporal_action)
 from detl.kripke import KripkeModel, is_restricted
 from detl.logic import reduce_formula, validity
 from detl.semantics import EmptyProductError, evaluate, product_update
 from detl.serialize import document_to_object, model_to_document
+
+# the random generators live with the test suite
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from generate import (DEFAULT_SIG, rand_atemporal_action,  # noqa: E402
+                      rand_formula, rand_kripke, rand_restricted,
+                      rand_temporal_action)
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Temporal action models and their side of the model-property catalogue.
+"""Temporal action models, their side of the model-property catalogue,
+and the ♯ translation.
 
 An action model is a frame (see `kripke.Frame`) with events in place of
 worlds and a precondition formula per event; canonicalisation, the
@@ -13,10 +14,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict
 
-from .formula import (Formula, Signature, Update, check_ident, implies,
-                      subformulas)
+from .formula import (Formula, Signature, TOP, Update, check_ident, implies,
+                      map_updates, subformulas)
 from .kripke import (Frame, PropertyReport, depth as action_depth,
                      is_initial as is_past_state, is_restricted)
+from .logic import is_valid
 
 FLAT = "♭"
 
@@ -63,15 +65,22 @@ class ActionModel(Frame):
 
     @cached_property
     def _sharp(self) -> "ActionModel":
-        """The ♯ translation (see `logic.sharp_action`), built once."""
-        from .logic import _adjoin_flat
-        return _adjoin_flat(self)
+        """The ♯ translation (see `sharp_action`), built once."""
+        return ActionModel(
+            sig=self.sig,
+            events=self.events + (FLAT,),
+            epistemic={a: pairs + ((FLAT, FLAT),)
+                       for a, pairs in self.epistemic},
+            yesterday=[(FLAT, s) for s in self.events],
+            pre={**{e: sharp_formula(p) for e, p in self.pre}, FLAT: TOP},
+            name=self.name + "_sharp",
+        )
 
     @cached_property
     def _history(self) -> PropertyReport:
         """The report of `check_history_preservation`, built once."""
         for s2, s in self.yesterday:
-            if not _valid(implies(self.pre_map[s], self.pre_map[s2])):
+            if not is_valid(implies(self.pre_map[s], self.pre_map[s2])):
                 return PropertyReport("history_preservation", False,
                                       (s2, s, "precondition"))
         for s in self.events:
@@ -112,17 +121,12 @@ def is_atemporal_action(U: ActionModel) -> bool:
     return not U.yesterday
 
 
-def _valid(f: Formula) -> bool:
-    from .logic import is_valid  # logic imports this module
-    return is_valid(f)
-
-
 def is_epistemic_past_state(U: ActionModel, s: str) -> bool:
     """Past state with a valid precondition whose only epistemic arrows,
     in either direction, are the self-loops required for every agent."""
     return is_past_state(U, s) and all(
         {(x, y) for x, y in U.epi[a] if s in (x, y)} == {(s, s)}
-        for a in U.sig.agents) and _valid(U.pre_map[s])
+        for a in U.sig.agents) and is_valid(U.pre_map[s])
 
 
 def check_history_preservation(U: ActionModel) -> PropertyReport:
@@ -184,3 +188,20 @@ def is_lrdetl_action(U: ActionModel) -> PropertyReport:
     vacuous here since actions carry no valuation.  The report is computed
     once per action model."""
     return U._lrdetl
+
+
+def sharp_action(U: ActionModel) -> ActionModel:
+    """Adjoin a fresh epistemic past state ♭ below every event of an
+    atemporal action, its preconditions ♯-translated; built once per
+    action model."""
+    if not is_atemporal_action(U):
+        raise ValueError("♯ is defined on atemporal actions only")
+    return U._sharp
+
+
+def sharp_formula(f: Formula) -> Formula:
+    """f with the action of every update modality replaced by its ♯ (see
+    `map_updates`): only the nodes above an update are rebuilt, each
+    distinct one once."""
+    return map_updates(
+        f, lambda U, e, g: Update(sharp_action(U), e, g))

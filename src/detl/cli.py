@@ -16,7 +16,7 @@ from . import logic, semantics
 from .action import (ACTION_PROPERTIES, PointedAction, action_depth,
                      check_history_preservation, check_past_preservation,
                      check_time_advancing, is_epistemic_past_state,
-                     is_lrdetl_action)
+                     is_lrdetl_action, sharp_action)
 from .formula import ParseError, pretty
 from .kripke import (KRIPKE_PROPERTIES, PointedModel, check_property, depth,
                      is_restricted)
@@ -166,7 +166,7 @@ def cmd_bisim(args) -> int:
 def cmd_sharp(args) -> int:
     ws = load_workspace(args)
     U, point = _named(ws.actions, args.action, "action")
-    S = logic.sharp_action(U)
+    S = sharp_action(U)
     save_action(args.out, S, point)
     out("EVENTS", len(S.events))
     out("WROTE", args.out)
@@ -244,7 +244,7 @@ def _demo_claims(ws: Workspace, figure: str):
         return [
             ("bisimilar", logic.bisimilar(A, B) is not None),
             ("probe-depth-3",
-             logic.language_equivalence_probe(A, B, max_depth=3).agree),
+             semantics.language_equivalence_probe(A, B, max_depth=3).agree),
             ("not-time-advancing",
              not check_time_advancing(
                  PointedAction(ws.actions["U3"][0], "t")).holds),
@@ -279,7 +279,7 @@ def _demo_claims(ws: Workspace, figure: str):
         M8, _ = ws.models["M8"]
         U8, _ = ws.actions["U8"]
         Y = semantics.ydel_update(M8, U8)
-        S = semantics.product_update(M8, logic.sharp_action(U8))
+        S = semantics.product_update(M8, sharp_action(U8))
         flat = logic.bisimilar(PointedModel(Y, "w|♭"), PointedModel(M8, "w"))
         return [
             ("five-worlds", len(Y.worlds) == 5),
@@ -289,7 +289,7 @@ def _demo_claims(ws: Workspace, figure: str):
         ]
     if figure == "fig10":
         U8, _ = ws.actions["U8"]
-        S = logic.sharp_action(U8)
+        S = sharp_action(U8)
         return [
             ("three-events", len(S.events) == 3),
             ("flat-epistemic-past-state", is_epistemic_past_state(S, "♭")),

@@ -1,6 +1,7 @@
 """Executable metatheory: reduction to the update-free fragment, a
-validity decision procedure (reduction + multimodal K tableau),
-bisimulation by partition refinement, and the ♯ translation."""
+validity decision procedure (reduction + multimodal K tableau), and
+bisimulation by partition refinement.  It imports neither `action` nor
+`semantics`, which build on it."""
 
 from __future__ import annotations
 
@@ -8,10 +9,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .action import FLAT, ActionModel, is_atemporal_action
-from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, TOP,
-                      Update, Yesterday, _and, _box, _not, _yesterday, conj,
-                      diamond, dia_yesterday, implies, map_updates)
+from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature,
+                      Yesterday, _and, _box, _not, _yesterday, conj, implies,
+                      map_updates)
 from .kripke import KripkeModel, PointedModel
 
 DEFAULT_NODE_LIMIT = 10 ** 6
@@ -40,11 +40,11 @@ def reduce_formula(f: Formula) -> Formula:
 
 
 @lru_cache(maxsize=1024)
-def _reduce_action(U: ActionModel) -> ActionModel:
+def _reduce_action(U):
     return replace(U, pre={e: reduce_formula(p) for e, p in U.pre})
 
 
-def _push(U: ActionModel, s: str, f: Formula, memo: dict) -> Formula:
+def _push(U, s: str, f: Formula, memo: dict) -> Formula:
     """Rewrite [U,s]f into the update-free fragment; f and all of U's
     preconditions are update-free already.  memo is U's own, keyed by
     (event, node)."""
@@ -250,9 +250,13 @@ def validity(f: Formula, max_nodes: int = DEFAULT_NODE_LIMIT):
     g = reduce_formula(f)
     # signature from the original formula too: reduction can drop atoms
     # (vacuous boxes) and countermodels must still evaluate the original;
-    # built before the tableau, so a bad name raises whatever the verdict
-    sig = _signature(tuple(sorted(f.agents | g.agents)) or ("a",),
-                     tuple(sorted(f.atoms | g.atoms)))
+    # built before the tableau, so a bad name raises whatever the verdict;
+    # with no agent in f, the first of a, a_, a__, ... that is no atom
+    atoms = tuple(sorted(f.atoms | g.atoms))
+    agent = "a"
+    while agent in atoms:
+        agent += "_"
+    sig = _signature(tuple(sorted(f.agents | g.agents)) or (agent,), atoms)
     tree = _Tableau(max_nodes).satisfy([(g, False)])
     if tree is None:
         return True, None
@@ -365,93 +369,3 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
     return Bisimulation(frozenset((w, v)
                                   for w, b in zip(A.model.worlds, block)
                                   for v in by_block.get(b, ())))
-
-
-# ---------------------------------------------------------------------------
-# ♯ translation
-
-def sharp_action(U: ActionModel) -> ActionModel:
-    """Adjoin a fresh epistemic past state ♭ below every event of an
-    atemporal action, its preconditions ♯-translated; built once per
-    action model."""
-    if not is_atemporal_action(U):
-        raise ValueError("♯ is defined on atemporal actions only")
-    return U._sharp
-
-
-def _adjoin_flat(U: ActionModel) -> ActionModel:
-    return ActionModel(
-        sig=U.sig,
-        events=U.events + (FLAT,),
-        epistemic={a: pairs + ((FLAT, FLAT),) for a, pairs in U.epistemic},
-        yesterday=[(FLAT, s) for s in U.events],
-        pre={**{e: sharp_formula(p) for e, p in U.pre}, FLAT: TOP},
-        name=U.name + "_sharp",
-    )
-
-
-def sharp_formula(f: Formula) -> Formula:
-    """f with the action of every update modality replaced by its ♯ (see
-    `map_updates`): only the nodes above an update are rebuilt, each
-    distinct one once."""
-    return map_updates(
-        f, lambda U, e, g: Update(sharp_action(U), e, g))
-
-
-# ---------------------------------------------------------------------------
-# finite language probe
-
-@dataclass(frozen=True)
-class ProbeVerdict:
-    agree: bool
-    distinguishing: Optional[Formula] = None
-
-
-def formula_pool(sig: Signature, max_depth: int = 3,
-                 max_pool: int = 20000) -> List[Formula]:
-    """Update-free formulas up to the given modal depth: literal
-    conjunctions at the base, all four modalities layered on top.
-    Negations are omitted since a disagreement on φ is one on ¬φ."""
-    base: List[Formula] = [Atom(p) for p in sig.atoms]
-    lits = base + [Not(b) for b in base]
-    for i, l1 in enumerate(lits):
-        for l2 in lits[i + 1:]:
-            base.append(And(l1, l2))
-    base.append(Yesterday(Bottom()))
-    pool = list(base)
-    layer = list(base)
-    for _ in range(max_depth):
-        nxt = []
-        for f in layer:
-            for a in sig.agents:
-                nxt.append(Box(a, f))
-                nxt.append(diamond(a, f))
-            nxt.append(Yesterday(f))
-            nxt.append(dia_yesterday(f))
-        pool.extend(nxt)
-        layer = nxt
-        if len(pool) > max_pool:
-            del pool[max_pool:]
-            break
-    return pool
-
-
-def language_equivalence_probe(A: PointedModel, B: PointedModel,
-                               max_depth: int = 3,
-                               updates: tuple = (),
-                               max_pool: int = 20000) -> ProbeVerdict:
-    """Evaluate a finite pool of formulas at both points; report the first
-    disagreement.  `updates` is a sequence of (action, event) prefixes
-    additionally wrapped around each pooled formula."""
-    from .semantics import evaluate
-
-    if A.model.sig != B.model.sig:
-        raise ValueError("probe requires a shared signature")
-    pool = formula_pool(A.model.sig, max_depth, max_pool)
-    candidates = list(pool)
-    for U, s in updates:
-        candidates.extend(Update(U, s, f) for f in pool)
-    for f in candidates[:max_pool]:
-        if evaluate(A.model, A.point, f) != evaluate(B.model, B.point, f):
-            return ProbeVerdict(False, f)
-    return ProbeVerdict(True)

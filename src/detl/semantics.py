@@ -1,4 +1,4 @@
-"""Truth relation and model updates.
+"""Truth relation, model updates and the finite language probe.
 
 Composite worlds of a product are named ``base|event``; the separator is
 reserved and never appears in user identifiers, so the naming is
@@ -9,13 +9,15 @@ identity naming.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import List, Optional
 
-from .action import ActionModel, is_atemporal_action, is_lrdetl_action, \
-    is_past_state
-from .formula import And, Atom, Bottom, Box, Formula, Not, Update, Yesterday
-from .kripke import KripkeModel, is_restricted
-from .logic import sharp_action, sharp_formula
+from .action import (ActionModel, is_atemporal_action, is_lrdetl_action,
+                     is_past_state, sharp_action, sharp_formula)
+from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, Update,
+                      Yesterday, dia_yesterday, diamond)
+from .kripke import KripkeModel, PointedModel, is_restricted
 
 SEP = "|"
 # models the product cache keeps, ⊕ results included: the updates that
@@ -226,3 +228,55 @@ def eval_rdetl(M: KripkeModel, w: str, f: Formula) -> Verdict:
         if not is_lrdetl_action(U).holds:
             return Verdict.NOT_IN_SCOPE
     return Verdict.TRUE if evaluate(M, w, f) else Verdict.FALSE
+
+
+# ---------------------------------------------------------------------------
+# finite language probe
+
+POOL_LIMIT = 20000  # formulas the pool keeps at most
+
+
+@dataclass(frozen=True)
+class ProbeVerdict:
+    agree: bool
+    distinguishing: Optional[Formula] = None
+
+
+def formula_pool(sig: Signature, max_depth: int = 3) -> List[Formula]:
+    """Update-free formulas up to the given modal depth: literal
+    conjunctions at the base, all four modalities layered on top.
+    Negations are omitted since a disagreement on φ is one on ¬φ."""
+    base: List[Formula] = [Atom(p) for p in sig.atoms]
+    lits = base + [Not(b) for b in base]
+    for i, l1 in enumerate(lits):
+        for l2 in lits[i + 1:]:
+            base.append(And(l1, l2))
+    base.append(Yesterday(Bottom()))
+    pool = list(base)
+    layer = list(base)
+    for _ in range(max_depth):
+        nxt = []
+        for f in layer:
+            for a in sig.agents:
+                nxt.append(Box(a, f))
+                nxt.append(diamond(a, f))
+            nxt.append(Yesterday(f))
+            nxt.append(dia_yesterday(f))
+        pool.extend(nxt)
+        layer = nxt
+        if len(pool) > POOL_LIMIT:
+            del pool[POOL_LIMIT:]
+            break
+    return pool
+
+
+def language_equivalence_probe(A: PointedModel, B: PointedModel,
+                               max_depth: int = 3) -> ProbeVerdict:
+    """Evaluate a finite pool of formulas at both points; report the first
+    disagreement."""
+    if A.model.sig != B.model.sig:
+        raise ValueError("probe requires a shared signature")
+    for f in formula_pool(A.model.sig, max_depth):
+        if evaluate(A.model, A.point, f) != evaluate(B.model, B.point, f):
+            return ProbeVerdict(False, f)
+    return ProbeVerdict(True)

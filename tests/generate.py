@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from .action import ActionModel
-from .formula import (And, Atom, BOT, Box, Formula, Not, Signature, TOP,
-                      Update, Yesterday)
-from .kripke import KripkeModel, check_property
+from detl.action import ActionModel
+from detl.formula import (And, Atom, BOT, Box, Formula, Not, Signature, TOP,
+                          Update, Yesterday)
+from detl.kripke import KripkeModel, check_property
+from detl.semantics import ydel_update
 
 DEFAULT_SIG = Signature(("a", "b"), ("p", "q"))
 
@@ -196,8 +197,6 @@ def rand_restricted(rng: random.Random, sig: Signature = DEFAULT_SIG,
                     max_worlds: int = 3, max_updates: int = 2) -> KripkeModel:
     """Restricted (forest-like) model: an atemporal model is trivially
     restricted, and the class is closed under the ⊕ update."""
-    from .semantics import ydel_update
-
     M = rand_atemporal_kripke(rng, sig, max_worlds)
     for k in range(rng.choice([0, 0, 1, 1, max_updates])):
         U = rand_atemporal_action(rng, sig, max_events=2, name=f"V{k}")

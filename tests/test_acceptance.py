@@ -9,23 +9,22 @@ import pytest
 
 from detl.action import (PointedAction, action_depth,
                          check_action_property, check_history_preservation,
-                         check_past_preservation)
+                         check_past_preservation, sharp_action, sharp_formula)
 from detl.formula import And, Atom, Box, Not, Update, Yesterday, \
     depth_formula, is_setl
-from detl.generate import (DEFAULT_SIG, make_knowledge_of_initial_time,
-                           make_knowledge_of_past, make_perfect_recall,
-                           make_persistent, rand_atemporal_action,
-                           rand_forest_action, rand_formula, rand_kripke,
-                           rand_restricted, rand_sync_kripke,
-                           rand_temporal_action)
 from detl.kripke import (INFINITE, PointedModel, check_property, depth,
                          is_restricted)
-from detl.logic import (bisimilar, is_valid, language_equivalence_probe,
-                        reduce_formula, sharp_action, sharp_formula, validity)
+from detl.logic import bisimilar, is_valid, reduce_formula, validity
 from detl.semantics import (Verdict, eval_rdetl, eval_ydel, evaluate,
-                            pair_name, product_update, split_pair,
-                            ydel_update)
+                            language_equivalence_probe, pair_name,
+                            product_update, split_pair, ydel_update)
 
+from generate import (DEFAULT_SIG, make_knowledge_of_initial_time,
+                      make_knowledge_of_past, make_perfect_recall,
+                      make_persistent, rand_atemporal_action,
+                      rand_forest_action, rand_formula, rand_kripke,
+                      rand_restricted, rand_sync_kripke,
+                      rand_temporal_action)
 from axioms import fig6_instances, fig7_instances, fig11_update_instances, \
     k_instances
 from conftest import verify_bisimulation

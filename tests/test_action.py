@@ -6,12 +6,12 @@ from detl.action import (ACTION_PROPERTIES, ActionModel, PointedAction, action_d
                          check_action_property, check_history_preservation,
                          check_past_preservation, check_time_advancing,
                          is_atemporal_action, is_epistemic_past_state,
-                         is_lrdetl_action, is_past_state)
+                         is_lrdetl_action, is_past_state, sharp_action)
 from detl.formula import TOP, parse
-from detl.generate import (DEFAULT_SIG, rand_atemporal_action,
-                           rand_forest_action, rand_temporal_action)
 from detl.kripke import KripkeModel, PropertyReport, check_property
-from detl.logic import sharp_action
+
+from generate import (DEFAULT_SIG, rand_atemporal_action,
+                      rand_forest_action, rand_temporal_action)
 
 SIG = DEFAULT_SIG
 

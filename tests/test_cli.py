@@ -3,6 +3,9 @@ import json
 import pytest
 
 from detl.cli import main
+from detl.formula import Atom
+from detl.semantics import evaluate
+from detl.serialize import document_to_object
 
 from conftest import FIXTURES
 
@@ -307,11 +310,27 @@ def test_validity(tmp_path, capsys):
     code, out = run(capsys, "validity", "p", "--countermodel", str(counter))
     assert code == 1 and "VERDICT: INVALID" in out
     assert counter.exists()
+    # no agent in the formula, and an atom named a: the countermodel's
+    # agent must be another name
+    work = tmp_path / "ws"
+    work.mkdir()
+    (work / "N.json").write_text(json.dumps({
+        "type": "kripke", "agents": ["b"], "atoms": ["a"], "worlds": ["w"],
+        "val": {"a": []}, "epistemic": {}, "yesterday": []}), encoding="utf-8")
+    code, out = run(capsys, "--workspace", str(work), "validity", "a -> a")
+    assert code == 0 and out == "VERDICT: VALID\n"
+    code, out = run(capsys, "--workspace", str(work), "validity", "a")
+    assert code == 1 and out.startswith("VERDICT: INVALID\nCOUNTERMODEL: ")
+    _, C, point = document_to_object(json.loads(out.split(": ", 2)[2]))
+    assert not evaluate(C, point, Atom("a"))
 
 
 def test_bisim(capsys):
     code, out = run(capsys, "bisim", "M", "w", "M8", "w")
     assert code == 1 and "NOT-BISIMILAR" in out
+    code, out = run(capsys, "bisim", "M", "w", "M", "w")
+    assert code == 0 and out.startswith("VERDICT: BISIMILAR\nRELATION: ")
+    assert ["w", "w"] in json.loads(out.split("RELATION: ", 1)[1])
 
 
 def test_sharp(tmp_path, capsys):

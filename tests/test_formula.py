@@ -11,8 +11,9 @@ from detl.formula import (And, Atom, BOT, Bottom, Box, Not, ParseError,
                           Signature, TOP, Update, Yesterday, depth_formula,
                           dia_yesterday, is_atemporal, is_setl, parse,
                           pretty, subformulas, y_nesting_depth)
-from detl.generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
-                           rand_forest_action, rand_temporal_action)
+
+from generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
+                      rand_forest_action, rand_temporal_action)
 
 SIG = DEFAULT_SIG
 

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from detl.action import ActionModel, check_action_property
 from detl.formula import TOP
-from detl.generate import (DEFAULT_SIG, rand_forest_action, rand_kripke,
-                           rand_restricted, rand_sync_kripke,
-                           rand_temporal_action)
 from detl.kripke import (INFINITE, KRIPKE_PROPERTIES, RESTRICTED_PROPERTIES,
                          KripkeModel, PropertyReport, check_property, depth,
                          generated_submodel, is_initial, is_restricted,
                          relation_closure)
 from detl.semantics import product_update, ydel_update
 from detl.serialize import Workspace, save_model
+
+from generate import (DEFAULT_SIG, rand_forest_action, rand_kripke,
+                      rand_restricted, rand_sync_kripke,
+                      rand_temporal_action)
 
 SIG = DEFAULT_SIG
 

@@ -4,20 +4,21 @@ import random
 
 import pytest
 
-from detl import logic
-from detl.action import ActionModel, is_past_state
+from detl import action
+from detl.action import (ActionModel, is_past_state, sharp_action,
+                         sharp_formula)
 from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
                           Update, Yesterday, conj, iff, implies, is_setl,
                           parse, pretty)
-from detl.generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
-                           rand_forest_action, rand_kripke,
-                           rand_temporal_action)
 from detl.kripke import KripkeModel, PointedModel
-from detl.logic import (TableauLimit, bisimilar, is_valid,
-                        language_equivalence_probe, reduce_formula,
-                        sharp_action, sharp_formula, validity)
-from detl.semantics import evaluate, product_update, ydel_update
+from detl.logic import (TableauLimit, bisimilar, is_valid, reduce_formula,
+                        validity)
+from detl.semantics import (evaluate, language_equivalence_probe,
+                            product_update, ydel_update)
 
+from generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
+                      rand_forest_action, rand_kripke,
+                      rand_temporal_action)
 from axioms import fig6_instances
 from conftest import verify_bisimulation
 
@@ -141,6 +142,12 @@ def test_validity_basics():
     assert not ok
     assert len(counter.model.worlds) == 1
     assert not evaluate(counter.model, counter.point, parse("p", SIG))
+    # with no agent in the formula the countermodel gets one that is no atom
+    a, a_ = Atom("a"), Atom("a_")
+    assert validity(implies(a, a)) == (True, None)
+    for f in (a, And(a, a_)):
+        ok, counter = validity(f)
+        assert not ok and not evaluate(counter.model, counter.point, f)
 
 
 @pytest.mark.parametrize("text", ["~(p & ~p)", "p", "[a]p -> p"])
@@ -381,6 +388,9 @@ def test_bisimilar_null_update(ws, M):
 
 def test_bisimilar_absent(M):
     assert bisimilar(PointedModel(M, "w"), PointedModel(M, "v")) is None
+    other = dataclasses.replace(M, sig=Signature(("a", "b"), ("p", "q", "r")))
+    with pytest.raises(ValueError):
+        bisimilar(PointedModel(M, "w"), PointedModel(other, "w"))
 
 
 def test_bisim_vs_probe(rng):
@@ -610,7 +620,7 @@ def test_sharp_formula_rebuilds_each_shared_node_once(ws, monkeypatch):
     for _ in range(12):
         f = And(Box("a", f), Box("b", f))
     calls = []
-    monkeypatch.setattr(logic, "sharp_action",
+    monkeypatch.setattr(action, "sharp_action",
                         lambda U: calls.append(U) or sharp_action(U))
     g = sharp_formula(f)
     assert len(calls) == 1 and g.actions == {sharp_action(calls[0])}

@@ -4,19 +4,19 @@ from functools import lru_cache
 import pytest
 
 from detl.action import ActionModel, check_history_preservation, \
-    action_depth, is_past_state
+    action_depth, is_past_state, sharp_action
 from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
                           Update, Yesterday, parse, subformulas)
-from detl.generate import (DEFAULT_SIG, rand_atemporal_action,
-                           rand_forest_action, rand_formula, rand_kripke,
-                           rand_restricted, rand_temporal_action)
 from detl.kripke import INFINITE, KripkeModel, depth, is_restricted
-from detl.logic import bisimilar, sharp_action
+from detl.logic import bisimilar
 from detl.kripke import PointedModel
 from detl.semantics import (EmptyProductError, Verdict, eval_rdetl, eval_ydel,
                             evaluate, pair_name, product_update, split_pair,
                             ydel_update)
 
+from generate import (DEFAULT_SIG, rand_atemporal_action,
+                      rand_forest_action, rand_formula, rand_kripke,
+                      rand_restricted, rand_temporal_action)
 from conftest import verify_bisimulation
 
 SIG = DEFAULT_SIG
@@ -43,6 +43,8 @@ def test_eval_errors(ws, M):
                     epistemic={}, yesterday=(), valuation={})
     with pytest.raises(ValueError):
         evaluate(N, "w", parse("p", SIG))
+    with pytest.raises(ValueError, match="agents"):
+        evaluate(N, "w", parse("[b]false", SIG))
 
 
 def test_two_step_contrast(ws, M):
@@ -78,6 +80,22 @@ def test_product_identity_update(M):
                             for x, y in M.epi[a]}
     for p in SIG.atoms:
         assert P.val[p] == {pair_name(w, "e") for w in M.val[p]}
+
+
+def test_product_out_of_scope(M):
+    one_agent = ActionModel(
+        sig=Signature(("a",), ("p", "q")), events=("e",),
+        epistemic={"a": {("e", "e")}}, yesterday=(), pre={"e": TOP}, name="A")
+    with pytest.raises(ValueError, match="agents"):
+        product_update(M, one_agent)
+    N = KripkeModel(sig=Signature(("a", "b"), ("p",)), worlds=("w",),
+                    epistemic={}, yesterday=(), valuation={})
+    new_atom = ActionModel(
+        sig=SIG, events=("e",),
+        epistemic={a: {("e", "e")} for a in SIG.agents},
+        yesterday=(), pre={"e": parse("q", SIG)}, name="Q")
+    with pytest.raises(ValueError, match="atoms"):
+        product_update(N, new_atom)
 
 
 def test_product_empty(M):
@@ -404,6 +422,8 @@ def test_ydel_nothing_fires(M8):
 def test_ydel_rejects_temporal_action(ws, M8):
     with pytest.raises(ValueError):
         ydel_update(M8, ws.actions["U2"][0])
+    with pytest.raises(ValueError, match="atemporal"):
+        eval_ydel(M8, "w", ws.parse("[a][U2@s]p"))
 
 
 def test_ydel_rejects_unrestricted_model(ws):
@@ -413,6 +433,9 @@ def test_ydel_rejects_unrestricted_model(ws):
     with pytest.raises(ValueError):
         ydel_update(two_pasts, ws.actions["U8"][0])
     assert ydel_update(two_pasts, ws.actions["U8"][0], permissive=True)
+    with pytest.raises(ValueError, match="restricted"):
+        eval_ydel(two_pasts, "w", ws.parse("p"))
+    assert not eval_ydel(two_pasts, "w", ws.parse("p"), permissive=True)
 
 
 def test_eval_ydel_examples(ws, M8):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detl import serialize
-from detl.generate import (rand_atemporal_action, rand_forest_action,
-                           rand_kripke, rand_restricted)
 from detl.semantics import product_update, ydel_update
 from detl.serialize import (Workspace, action_to_document, canonical_document,
                             canonical_dumps, document_to_object,
                             model_to_document, save_action, save_model)
 
+from generate import (rand_atemporal_action, rand_forest_action,
+                      rand_kripke, rand_restricted)
 from conftest import FIXTURES
 
 
