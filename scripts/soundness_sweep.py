@@ -2,12 +2,12 @@
 
 Checks, over freshly generated models and actions, that the update-free
 reduct of a formula agrees with direct evaluation, that the validity
-verdict on the formula is borne out by evaluation (an INVALID
-countermodel falsifies it, a VALID formula holds at every world of the
-round's model), that the temporal axioms hold on forest-like models, and
-that the round's model and its product by each action come back equal
-from their saved document and from their relations shuffled with
-repeats.
+verdict on the formula equals the verdict on its reduct and is borne out
+by evaluation (an INVALID countermodel falsifies it, a VALID formula
+holds at every world of the round's model), that the temporal axioms
+hold on forest-like models, and that the round's model and its product
+by each action come back equal from their saved document and from their
+relations shuffled with repeats.
 Useful for longer runs than the test suite's fixed budgets.
 """
 
@@ -104,6 +104,9 @@ def sweep(cfg: SweepConfig) -> int:
                 return 1
             reduction_checks += 1
         valid, counter = validity(f)
+        if valid != validity(g)[0]:
+            print(f"FAIL: verdict differs from deciding the reduct at round {i}")
+            return 1
         if valid:
             if not all(evaluate(M, w, f) for w in M.worlds):
                 print(f"FAIL: VALID formula falsified at round {i}")

@@ -11,11 +11,11 @@ preservation, time-advancing) ask `logic.is_valid` about preconditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict
 
-from .formula import (Formula, Signature, TOP, Update, check_ident, implies,
-                      map_updates, subformulas)
+from .formula import (Formula, Signature, TOP, Update, _join, check_ident,
+                      implies, map_updates, subformulas)
 from .kripke import (Frame, PropertyReport, depth as action_depth,
                      is_initial as is_past_state, is_restricted)
 from .logic import is_valid
@@ -58,6 +58,10 @@ class ActionModel(Frame):
         if set(pre_in) != self._nodeset:
             raise ValueError("exactly one precondition per event required")
         object.__setattr__(self, "pre", tuple((e, pre_in[e]) for e in self.events))
+        # what an update by it adds to its body's occurrences, itself aside
+        occ = (frozenset(), frozenset(self.sig.agents), frozenset())
+        object.__setattr__(self, "_occ", reduce(
+            _join, (p._occ for _, p in self.pre), occ))
 
     @cached_property
     def pre_map(self) -> Dict[str, Formula]:

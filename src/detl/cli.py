@@ -213,11 +213,9 @@ def _to_dot(doc: dict) -> str:
 def cmd_demo(args) -> int:
     ws = Workspace.load_dir(fixture_dir())
     claims = _demo_claims(ws, args.figure)
-    ok = True
     for key, value in claims:
         out(key, "PASS" if value else "FAIL")
-        ok = ok and value
-    return 0 if ok else 1
+    return 0 if all(value for _, value in claims) else 1
 
 
 def _demo_claims(ws: Workspace, figure: str):
@@ -376,8 +374,7 @@ def main(argv=None) -> int:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # still recursing per nesting level: _push (per modal level of an
-        # update's body) and _ext's box case
+        # still recursing: _ext's box (and update) case, once per level
         print("ERROR: input nested too deeply", file=sys.stderr)
         return 3
 

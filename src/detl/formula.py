@@ -93,10 +93,11 @@ def _node(cls, key: tuple, occ: tuple) -> "Formula":
 def _join(a: tuple, b: tuple) -> tuple:
     """The union of two (atoms, agents, actions) triples, reusing either
     one that already holds the other, so nodes share their triples."""
-    if a is b:
+    if a is b or a[0] >= b[0] and a[1] >= b[1] and a[2] >= b[2]:
         return a
-    out = (a[0] | b[0], a[1] | b[1], a[2] | b[2])
-    return a if out == a else b if out == b else out
+    if b[0] >= a[0] and b[1] >= a[1] and b[2] >= a[2]:
+        return b
+    return a[0] | b[0], a[1] | b[1], a[2] | b[2]
 
 
 class Formula:
@@ -249,12 +250,11 @@ def _update(action: "ActionModel", event: str, sub: Formula) -> Update:
     key = (Update, action, action.name, event, sub)
     ref = _get(key)
     if ref is None or (node := ref()) is None:
-        if event not in action.events:
+        if event not in action._nodeset:
             raise ValueError(f"event {event!r} not in action model")
-        occ = _join(sub._occ, (_EMPTY, frozenset(action.sig.agents),
-                               frozenset((action,))))
-        for _, pre in action.pre:
-            occ = _join(occ, pre._occ)
+        occ = _join(sub._occ, action._occ)
+        if action not in occ[2]:
+            occ = (occ[0], occ[1], occ[2] | {action})
         node = _node(Update, key, occ)
         _set_action(node, action)
         _set_event(node, event)
@@ -315,13 +315,14 @@ def subformulas(f: Formula) -> Iterator[Formula]:
             stack.append(g.sub)
 
 
-def map_updates(f: Formula, at_update) -> Formula:
-    """f with each update node [U@e]g replaced by at_update(U, e, g'),
-    where g' is g mapped the same way.
+def map_updates(f: Formula, at_update=None, step=None) -> Formula:
+    """f with each update node [U@e]g replaced by at_update(U, e, g′), g′
+    being g mapped the same way, or, given step instead, by the mapping
+    of step([U@e]g): step is applied until no update is left.
 
     Innermost first, each distinct node once, on an explicit stack, so
     deep input does not recurse; nodes without updates come back as they
-    are.  Preconditions are left to at_update.
+    are.  Preconditions are left to at_update or step.
     """
     done: Dict[Formula, Formula] = {}
     stack = [f]
@@ -331,6 +332,12 @@ def map_updates(f: Formula, at_update) -> Formula:
             continue
         if not g._occ[2]:
             done[g] = g
+        elif step and type(g) is Update:
+            h = step(g)
+            if h in done:
+                done[g] = done[h]
+            else:
+                stack += (g, h)
         elif type(g) is And:
             left, right = done.get(g.left), done.get(g.right)
             if left is None or right is None:

@@ -1,82 +1,77 @@
-"""Executable metatheory: reduction to the update-free fragment, a
-validity decision procedure (reduction + multimodal K tableau), and
+"""Executable metatheory: the reduction axioms as one rewrite step, taken
+to a fixpoint by reduction and on demand by the validity tableau, and
 bisimulation by partition refinement.  It imports neither `action` nor
 `semantics`, which build on it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature,
-                      Yesterday, _and, _box, _not, _yesterday, conj, implies,
-                      map_updates)
+                      Update, Yesterday, _and, _box, _not, _update,
+                      _yesterday, conj, implies, map_updates)
 from .kripke import KripkeModel, PointedModel
 
 DEFAULT_NODE_LIMIT = 10 ** 6
+_REDUCE_LIMIT = 10 ** 5  # [U2@t]^10 q takes 49,206 steps (see reduce_formula)
 
 
 # ---------------------------------------------------------------------------
-# reduction
+# reduction, one step at a time
+
+def _step(g: Update, memo: dict) -> Formula:
+    """The reduction axiom for the update node g = [U@e]f that f's top
+    connective selects: it leaves [U@e′]h on f's subformulas h and U's
+    preconditions as they are.  An update f is stepped first, and g's
+    axiom applied to its step.  memo maps update nodes to their steps."""
+    run = []  # g and the updates below it down to one already stepped
+    while (out := memo.get(g)) is None:
+        run.append(g)
+        if type(g := g.sub) is not Update:
+            out = g
+            break
+    for g in reversed(run):
+        U, e, f = g.action, g.event, out
+        pre, t = U.pre_map[e], type(f)
+        if t is And:
+            out = _and(_update(U, e, f.left), _update(U, e, f.right))
+        elif t is Not:
+            out = implies(pre, _not(_update(U, e, f.sub)))
+        elif t is Box:
+            out = implies(pre, conj(_box(f.agent, _update(U, e2, f.sub))
+                                    for e2 in U._succ[f.agent][e]))
+        elif t is Yesterday:
+            past = U._parents[e]
+            out = implies(pre, conj(_update(U, e2, f.sub) for e2 in past)
+                          if past else _yesterday(_update(U, e, f.sub)))
+        else:  # an atom or false
+            out = implies(pre, f)
+        memo[g] = out
+    return out
+
 
 def reduce_formula(f: Formula) -> Formula:
-    """Update-free equivalent of f.
+    """Update-free equivalent of f: `_step` to a fixpoint (`map_updates`).
+    Steps are memoised by node, so a subformula shared under one update
+    is stepped once per event: the work follows the distinct nodes of the
+    result, which can be exponentially larger than f (so TableauLimit is
+    raised past _REDUCE_LIMIT steps), not its size as a tree."""
+    steps: dict = {}
 
-    Innermost-first (see `map_updates`): preconditions are reduced before
-    the update that carries them is pushed through its body, so the push
-    step only ever sees update-free material.  Each distinct node is
-    mapped once, and each action gets one push memo for the whole call,
-    keyed by (event, node) and looked up once per update node, so each
-    shared subformula is pushed once per event: the work follows the
-    distinct nodes of the result, not its size as a tree.
-    """
-    memos: dict = {}  # action -> (its reduced form, its push memo)
-
-    def at_update(U, e, g):
-        R, memo = memos.get(U) or memos.setdefault(U, (_reduce_action(U), {}))
-        return _push(R, e, g, memo)
-    return map_updates(f, at_update)
-
-
-@lru_cache(maxsize=1024)
-def _reduce_action(U):
-    return replace(U, pre={e: reduce_formula(p) for e, p in U.pre})
-
-
-def _push(U, s: str, f: Formula, memo: dict) -> Formula:
-    """Rewrite [U,s]f into the update-free fragment; f and all of U's
-    preconditions are update-free already.  memo is U's own, keyed by
-    (event, node)."""
-    key = (s, f)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    pre, t = U.pre_map[s], type(f)
-    if t is And:
-        out = _and(_push(U, s, f.left, memo), _push(U, s, f.right, memo))
-    elif t is Not:
-        out = implies(pre, _not(_push(U, s, f.sub, memo)))
-    elif t is Atom or t is Bottom:
-        out = implies(pre, f)
-    elif t is Box:
-        out = implies(pre, conj(_box(f.agent, _push(U, s2, f.sub, memo))
-                                for s2 in U._succ[f.agent][s]))
-    elif t is Yesterday:
-        past = U._parents[s]
-        out = implies(pre, conj(_push(U, s2, f.sub, memo) for s2 in past)
-                      if past else _yesterday(_push(U, s, f.sub, memo)))
-    else:
-        raise TypeError(f"unexpected update inside a reduced body: {f!r}")
-    memo[key] = out
-    return out
+    def step(g):
+        if len(steps) >= _REDUCE_LIMIT:
+            raise TableauLimit("reduction step limit exceeded")
+        return _step(g, steps)
+    return map_updates(f, step=step)
 
 
 # ---------------------------------------------------------------------------
 # tableau for multimodal K (each box independent, no frame conditions)
 
 class TableauLimit(Exception):
-    """Raised when the node budget runs out; distinct from invalidity."""
+    """Raised when a tableau or reduction budget runs out; no verdict."""
 
 
 @dataclass(eq=False)
@@ -93,24 +88,28 @@ class _Tableau:
     """Multimodal K tableau over (formula, polarity) entries, a negative
     entry standing for the formula's negation.
 
-    A label is the set of entries one world must satisfy.  Whether a
-    label is satisfiable depends on the label alone (each box is a plain
-    K box, `[Y]` included, with no converse), so each label handed to a
+    An update entry is rewritten by one memoised `_step` as it is taken
+    (Balbiani, van Ditmarsch, Herzig & de Lima, tableaux for public
+    announcement logic), so only the part of the reduct read is built.
+    A label, the set of entries one world must satisfy, may hold updates.
+    Its satisfiability depends on the label alone (each box is a plain K
+    box, `[Y]` included, with no converse), so each label handed to a
     diamond's witness is solved once per tableau and its witness, or
     None, is shared by every diamond that asks for it (global caching:
     Goré & Nguyen, tableaux with global caching for K).  Within a world,
     an entry already taken on the branch is skipped, and a formula taken
-    with both polarities closes it, so a subformula that reduction
-    shares is expanded once per branch.  A negated conjunction waits in
-    a queue until nothing else is pending, and branching is plain: the
-    second branch gets ¬B alone.  One unit of the budget is paid per
-    entry taken off the pending stack.
+    with both polarities closes it, so a shared subformula is expanded
+    once per branch.  A negated conjunction waits in a queue until
+    nothing else is pending, and branching is plain: the second branch
+    gets ¬B alone.  One unit of the budget is paid per entry taken off
+    the pending stack, and one per step.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         # label -> its witness, or None when unsatisfiable
         self.cache: Dict[FrozenSet[tuple], Optional[_TreeWorld]] = {}
+        self.steps: dict = {}  # update node -> its step (see `_step`)
 
     def satisfy(self, entries: list) -> Optional[_TreeWorld]:
         """A model of the entries, its root first, or None; witnesses
@@ -137,7 +136,7 @@ class _Tableau:
         successor label not yet in the cache is yielded as (key,
         entries), and its witness or None is sent back; the label's own
         witness, or None, is returned."""
-        cache = self.cache
+        cache, steps = self.cache, self.steps
         pending = list(pending)
         sign: dict = {}  # formula -> polarity, taken in this branch
         trail = []      # the keys of sign in the order added, for undoing
@@ -149,12 +148,18 @@ class _Tableau:
         while True:
             closed = False
             while pending:
+                f, positive = pending.pop()
                 self.budget -= 1
+                t = type(f)
+                while t is Not or t is Update:
+                    if t is Not:
+                        f, positive = f.sub, not positive
+                    else:  # a step, paid like an entry
+                        f = steps.get(f) or _step(f, steps)
+                        self.budget -= 1
+                    t = type(f)
                 if self.budget < 0:
                     raise TableauLimit("tableau node limit exceeded")
-                f, positive = pending.pop()
-                while isinstance(f, Not):
-                    f, positive = f.sub, not positive
                 known = sign.get(f)
                 if known is not None:
                     if known is positive:
@@ -163,21 +168,19 @@ class _Tableau:
                     break
                 sign[f] = positive
                 trail.append(f)
-                if isinstance(f, And):
+                if t is And:
                     if positive:
                         pending.append((f.left, True))
                         pending.append((f.right, True))
                     else:
                         queue.append(f)
-                elif isinstance(f, Bottom):
+                elif t is Bottom:
                     if positive:
                         closed = True
                         break
-                elif isinstance(f, (Box, Yesterday)):
-                    rel = f.agent if isinstance(f, Box) else None
+                elif t is Box or t is Yesterday:
+                    rel = f.agent if t is Box else None
                     (boxes if positive else diamonds).append((rel, f.sub))
-                elif not isinstance(f, Atom):
-                    raise TypeError(f"update reached the tableau: {f!r}")
             if not closed:
                 if taken < len(queue):
                     f = queue[taken]
@@ -214,30 +217,27 @@ class _Tableau:
 def _tree_to_model(root: _TreeWorld, sig: Signature) -> PointedModel:
     """The tree's worlds, each distinct one once, named in depth-first
     preorder; a witness shared by several diamonds is one world."""
-    names: Dict[int, str] = {}
-    order = []
+    names: Dict[_TreeWorld, str] = {}
     stack = [root]
     while stack:
         node = stack.pop()
-        if id(node) not in names:
-            names[id(node)] = f"w{len(order)}"
-            order.append(node)
+        if node not in names:
+            names[node] = f"w{len(names)}"
             stack.extend(child for _, child in reversed(node.children))
     # per relation the arrows to the children, None for the [Y] witnesses,
     # each one tick before the world that asked for it
     arrows = {rel: [] for rel in (None, *sig.agents)}
     valuation = {p: [] for p in sig.atoms}
-    for node in order:
-        n = names[id(node)]
+    for node, n in names.items():
         for p in node.atoms:
             valuation[p].append(n)
         for rel, child in node.children:
-            arrows[rel].append((n, names[id(child)]))
+            arrows[rel].append((n, names[child]))
     yesterday = [(c, n) for n, c in arrows.pop(None)]
     model = KripkeModel(sig=sig, worlds=tuple(names.values()),
                         epistemic=arrows, yesterday=yesterday,
                         valuation=valuation)
-    return PointedModel(model, names[id(root)])
+    return PointedModel(model, names[root])
 
 
 def validity(f: Formula, max_nodes: int = DEFAULT_NODE_LIMIT):
@@ -247,17 +247,15 @@ def validity(f: Formula, max_nodes: int = DEFAULT_NODE_LIMIT):
     is a pointed model falsifying f.  Raises TableauLimit when the node
     budget is exhausted before a verdict.
     """
-    g = reduce_formula(f)
-    # signature from the original formula too: reduction can drop atoms
-    # (vacuous boxes) and countermodels must still evaluate the original;
-    # built before the tableau, so a bad name raises whatever the verdict;
+    # the signature of f alone (an update node counts its action's atoms
+    # and agents), built first so a bad name raises whatever the verdict;
     # with no agent in f, the first of a, a_, a__, ... that is no atom
-    atoms = tuple(sorted(f.atoms | g.atoms))
+    atoms = tuple(sorted(f.atoms))
     agent = "a"
     while agent in atoms:
         agent += "_"
-    sig = _signature(tuple(sorted(f.agents | g.agents)) or (agent,), atoms)
-    tree = _Tableau(max_nodes).satisfy([(g, False)])
+    sig = _signature(tuple(sorted(f.agents)) or (agent,), atoms)
+    tree = _Tableau(max_nodes).satisfy([(f, False)])
     if tree is None:
         return True, None
     return False, _tree_to_model(tree, sig)

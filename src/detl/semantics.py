@@ -272,11 +272,12 @@ def formula_pool(sig: Signature, max_depth: int = 3) -> List[Formula]:
 
 def language_equivalence_probe(A: PointedModel, B: PointedModel,
                                max_depth: int = 3) -> ProbeVerdict:
-    """Evaluate a finite pool of formulas at both points; report the first
-    disagreement."""
+    """Evaluate a finite pool of formulas at both points, one `_ext` memo
+    per side for the whole pool; report the first disagreement."""
     if A.model.sig != B.model.sig:
         raise ValueError("probe requires a shared signature")
+    sides = [(pm.model, {pm.point}, {}) for pm in (A, B)]
     for f in formula_pool(A.model.sig, max_depth):
-        if evaluate(A.model, A.point, f) != evaluate(B.model, B.point, f):
+        if len({bool(_ext(M, f, D, memos)) for M, D, memos in sides}) > 1:
             return ProbeVerdict(False, f)
     return ProbeVerdict(True)

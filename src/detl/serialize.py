@@ -94,30 +94,23 @@ def _write(v, level: int) -> str:
 
 
 def model_to_document(M: KripkeModel, point: Optional[str] = None) -> dict:
-    doc = {
-        "type": "kripke",
-        "agents": list(M.sig.agents),
-        "atoms": list(M.sig.atoms),
-        "worlds": list(M.worlds),
-        "val": {p: list(ws) for p, ws in M.valuation},
-        "epistemic": {a: [list(e) for e in pairs] for a, pairs in M.epistemic},
-        "yesterday": [list(e) for e in M.yesterday],
-    }
-    if point is not None:
-        doc["point"] = point
-    return doc
+    return _frame_document(M, "kripke", "worlds", "val", {
+        p: list(ws) for p, ws in M.valuation}, point)
 
 
 def action_to_document(U: ActionModel, point: Optional[str] = None) -> dict:
-    doc = {
-        "type": "action",
-        "agents": list(U.sig.agents),
-        "atoms": list(U.sig.atoms),
-        "events": list(U.events),
-        "pre": {e: pretty(p) for e, p in U.pre},
-        "epistemic": {a: [list(e) for e in pairs] for a, pairs in U.epistemic},
-        "yesterday": [list(e) for e in U.yesterday],
-    }
+    return _frame_document(U, "action", "events", "pre", {
+        e: pretty(p) for e, p in U.pre}, point)
+
+
+def _frame_document(F, kind: str, nodes: str, key: str, value: dict,
+                    point: Optional[str]) -> dict:
+    """The document of a model or action, with `value` under `key`."""
+    doc = {"type": kind, "agents": list(F.sig.agents),
+           "atoms": list(F.sig.atoms), nodes: list(F.nodes), key: value,
+           "epistemic": {a: [list(e) for e in pairs]
+                         for a, pairs in F.epistemic},
+           "yesterday": [list(e) for e in F.yesterday]}
     if point is not None:
         doc["point"] = point
     return doc

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from detl import logic
 from detl.cli import main
 from detl.formula import Atom
 from detl.semantics import evaluate
@@ -69,9 +70,10 @@ def test_eval_ydel_long_run_over_updates(capsys, text):
     ("[Y]" * 3000 + "p", 1, "COUNTERMODEL: "),
     ("[a]" * 3000 + "(p | ~p)", 0, "VERDICT: VALID"),
     ("[a]" * 3000 + "[U2@s]q", 1, "COUNTERMODEL: "),
-    ("(" * 3000 + "p | ~p" + ")" * 3000, 0, "VERDICT: VALID")],
+    ("(" * 3000 + "p | ~p" + ")" * 3000, 0, "VERDICT: VALID"),
+    ("[U2@s]" + "[a]" * 3000 + "p", 0, "VERDICT: VALID")],
     ids=["not", "not-update", "implies", "yesterday-boxes", "boxes",
-         "boxes-update", "parentheses"])
+         "boxes-update", "parentheses", "update-boxes"])
 def test_validity_deep_input(capsys, text, code, key):
     # the parser, the reduction, the tableau and the countermodel walk
     # loop over such runs
@@ -86,6 +88,24 @@ def test_deep_parentheses(capsys):
     assert code == 0 and out == "RESULT: true\n"
     code, out = run(capsys, "reduce", text)
     assert code == 0 and out == "REDUCED: p\n"
+
+
+def test_reduce_deep_boxes_under_an_update(capsys):
+    # the update is pushed one step per box, on an explicit stack
+    code, out = run(capsys, "reduce", "[U2@s]" + "[a]" * 3000 + "p")
+    assert code == 0
+    assert out == "REDUCED: " + "p -> [a](" * 3000 + "p -> p" + ")" * 3000 + "\n"
+
+
+def test_reduce_step_limit(capsys, monkeypatch):
+    monkeypatch.setattr(logic, "_REDUCE_LIMIT", 100)
+    assert run(capsys, "reduce", "[U2@t]" * 8 + "q") == (3, "")
+
+
+def test_validity_node_limit(capsys):
+    code, out = run(capsys, "--max-tableau-nodes", "1", "validity", "[U2@s]q")
+    assert code == 3 and out == ""
+    assert run(capsys, "--max-tableau-nodes", "4", "validity", "[U2@s]q")[0] == 1
 
 
 def test_reduce_deep_negation(capsys):

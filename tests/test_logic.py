@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from detl import action
+from detl import action, logic
 from detl.action import (ActionModel, is_past_state, sharp_action,
                          sharp_formula)
 from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
@@ -171,6 +171,17 @@ def test_validity_node_limit():
         validity(f, max_nodes=1)
 
 
+def test_validity_node_limit_pays_for_steps(ws):
+    # the reduct p -> q is decided in 3 units; the one step from [U2@s]q
+    # to it costs a fourth
+    f = ws.parse("[U2@s]q")
+    for n in (1, 3):
+        with pytest.raises(TableauLimit):
+            validity(f, max_nodes=n)
+    assert validity(reduce_formula(f), max_nodes=3)[0] is False
+    assert validity(f, max_nodes=4)[0] is False
+
+
 def _all_small_models(sig, max_worlds=2):
     worlds_opts = [tuple(f"w{i}" for i in range(n))
                    for n in range(1, max_worlds + 1)]
@@ -252,6 +263,34 @@ def test_validity_box_over_box_over_update_sweep():
                 assert validity(f, max_nodes=10 ** 5)[0], (name, pretty(f))
                 count += 1
     assert count == 200
+
+
+def test_validity_agrees_with_deciding_the_reduct():
+    # stepping updates inside the tableau gives the verdict of the
+    # tableau on the update-free reduct, and each countermodel falsifies
+    # f: updates nested three deep over a random core, boxes over boxes
+    # over them, and fig-6 box instances over [b][V@t]ψ
+    rng = random.Random(29)
+    makers = (rand_atemporal_action, rand_forest_action,
+              rand_temporal_action)
+    verdicts = {True: 0, False: 0}
+    for _ in range(100):
+        U, V = (rng.choice(makers)(rng, SIG, name=n) for n in "UV")
+        actions = [(W, e) for W in (U, V) for e in W.events]
+        f = rand_formula(rng, SIG, depth=1)
+        for _ in range(3):
+            f = Update(*rng.choice(actions), f)
+        s, t = rng.choice(U.events), rng.choice(V.events)
+        psi = rand_formula(rng, SIG, depth=1)
+        boxes = [g for name, g in fig6_instances(
+            U, s, Box("b", Update(V, t, psi)), psi) if name.startswith("box-")]
+        for g in (f, Box("a", Box("b", f)), rng.choice(boxes)):
+            ok, counter = validity(g)
+            assert ok == validity(reduce_formula(g))[0], pretty(g)
+            if not ok:
+                assert not evaluate(counter.model, counter.point, g), pretty(g)
+            verdicts[ok] += 1
+    assert verdicts[True] > 150 and verdicts[False] > 80
 
 
 def test_countermodel_shares_a_witness():
@@ -633,6 +672,15 @@ def test_reduce_deep_boxes_over_an_update(ws):
     for _ in range(3000):
         f, g = Box("a", f), Box("a", g)
     assert reduce_formula(f) is g
+
+
+def test_reduce_raises_past_its_step_limit(ws, monkeypatch):
+    # the reduct of [U2@t]^k q grows threefold with each update: it takes
+    # 5,466 steps at k = 8 and 16,401 at k = 9
+    monkeypatch.setattr(logic, "_REDUCE_LIMIT", 10_000)
+    assert is_setl(reduce_formula(ws.parse("[U2@t]" * 8 + "q")))
+    with pytest.raises(TableauLimit, match="reduction step limit"):
+        reduce_formula(ws.parse("[U2@t]" * 9 + "q"))
 
 
 def test_reduce_deep_update_free_formula_is_itself():

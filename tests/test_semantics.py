@@ -10,9 +10,10 @@ from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
 from detl.kripke import INFINITE, KripkeModel, depth, is_restricted
 from detl.logic import bisimilar
 from detl.kripke import PointedModel
-from detl.semantics import (EmptyProductError, Verdict, eval_rdetl, eval_ydel,
-                            evaluate, pair_name, product_update, split_pair,
-                            ydel_update)
+from detl.semantics import (EmptyProductError, ProbeVerdict, Verdict,
+                            eval_rdetl, eval_ydel, evaluate, formula_pool,
+                            language_equivalence_probe, pair_name,
+                            product_update, split_pair, ydel_update)
 
 from generate import (DEFAULT_SIG, rand_atemporal_action,
                       rand_forest_action, rand_formula, rand_kripke,
@@ -485,3 +486,30 @@ def test_eval_rdetl_rejects_bad_actions(ws, M):
         pre={"s": parse("p", SIG), "t": TOP}, name="B")
     assert eval_rdetl(M, "w", parse("[B@t]p", SIG, {"B": bad})) \
         is Verdict.NOT_IN_SCOPE
+
+
+def _probe_by_evaluate(A, B, max_depth):
+    """The probe with a fresh `evaluate` per pooled formula."""
+    for f in formula_pool(A.model.sig, max_depth):
+        if evaluate(A.model, A.point, f) != evaluate(B.model, B.point, f):
+            return ProbeVerdict(False, f)
+    return ProbeVerdict(True)
+
+
+def test_probe_matches_per_formula_evaluation(ws, M):
+    # the fig-3 pair agrees; the fig-5 two-step and one-step products
+    # are told apart
+    pairs = [(PointedModel(product_update(M, ws.actions["U3"][0]), "w|t"),
+              PointedModel(M, "w")),
+             (PointedModel(product_update(M, ws.actions["U5"][0]), "w|r"),
+              PointedModel(product_update(M, ws.actions["U6"][0]), "w|r"))]
+    rng = random.Random(17)
+    for _ in range(30):
+        N1, N2 = rand_kripke(rng, max_worlds=3), rand_kripke(rng, max_worlds=3)
+        pairs.append((PointedModel(N1, rng.choice(N1.worlds)),
+                      PointedModel(N2, rng.choice(N2.worlds))))
+    verdicts = [language_equivalence_probe(A, B, 3 if i < 2 else 2)
+                for i, (A, B) in enumerate(pairs)]
+    assert verdicts[0].agree and not verdicts[1].agree
+    for i, ((A, B), verdict) in enumerate(zip(pairs, verdicts)):
+        assert verdict == _probe_by_evaluate(A, B, 3 if i < 2 else 2)
