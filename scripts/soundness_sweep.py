@@ -5,9 +5,10 @@ reduct of a formula agrees with direct evaluation, that the validity
 verdict on the formula equals the verdict on its reduct and is borne out
 by evaluation (an INVALID countermodel falsifies it, a VALID formula
 holds at every world of the round's model), that the temporal axioms
-hold on forest-like models, and that the round's model and its product
+hold on forest-like models, that the round's model and its product
 by each action come back equal from their saved document and from their
-relations shuffled with repeats.
+relations shuffled with repeats, and that a closure key reads the drawn
+relations of the round's model and of one of its actions alike.
 Useful for longer runs than the test suite's fixed budgets.
 """
 
@@ -16,12 +17,15 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 from detl.formula import Atom, BOT, Box, Not, Yesterday, iff, implies
-from detl.kripke import KripkeModel, is_restricted
+from detl.kripke import (CLOSURE_MODES, KripkeModel, is_restricted,
+                         relation_closure)
 from detl.logic import reduce_formula, validity
 from detl.semantics import EmptyProductError, evaluate, product_update
-from detl.serialize import document_to_object, model_to_document
+from detl.serialize import (action_to_document, document_to_object,
+                            model_to_document)
 
 # the random generators live with the test suite
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -71,13 +75,42 @@ def rebuild_problem(rng, P: KripkeModel):
     return None if again == P else "model differs rebuilt from shuffled input"
 
 
+def closure_problem(rng, M: KripkeModel, U) -> Optional[str]:
+    """Why M's and U's relations, drawn as documents with a random closure
+    mode and sometimes one agent left out, load otherwise than closed;
+    None when they do not.  The model must load as `relation_closure` of
+    its drawing, the action with the relations of a model of its events
+    drawn the same way."""
+    mode = rng.choice(CLOSURE_MODES)
+    drop = rng.choice((None,) + M.sig.agents)
+
+    def drawn(F):
+        return {a: [list(e) for e in pairs]
+                for a, pairs in F.epistemic if a != drop}
+
+    D = KripkeModel(sig=M.sig, worlds=M.worlds, epistemic=drawn(M),
+                    yesterday=M.yesterday, valuation=M.valuation)
+    doc = dict(model_to_document(M), epistemic=drawn(M), closure=mode)
+    if document_to_object(doc)[1] != relation_closure(D, mode):
+        return f"model loads unlike its {mode} closure"
+    doc = dict(action_to_document(U), epistemic=drawn(U), closure=mode)
+    _, A, _ = document_to_object(doc)
+    _, N, _ = document_to_object({
+        "type": "kripke", "agents": list(U.sig.agents),
+        "worlds": list(U.events), "epistemic": drawn(U), "closure": mode})
+    if A.epistemic != N.epistemic:
+        return f"action loads unlike a model of its drawing under {mode}"
+    return None
+
+
 def sweep(cfg: SweepConfig) -> int:
     rng = random.Random(cfg.seed)
     # a stream of its own, so the rounds draw the same models as before
     shuffle_rng = random.Random(f"{cfg.seed}:shuffle")
+    closure_rng = random.Random(f"{cfg.seed}:closure")
     sig = DEFAULT_SIG
     axioms = temporal_axioms(sig)
-    reduction_checks = axiom_checks = rebuild_checks = 0
+    reduction_checks = axiom_checks = rebuild_checks = closure_checks = 0
     verdicts = {True: 0, False: 0}
     for i in range(cfg.rounds):
         M = rand_kripke(rng, sig, max_worlds=cfg.max_worlds)
@@ -96,6 +129,11 @@ def sweep(cfg: SweepConfig) -> int:
                 print(f"FAIL: {bad} at round {i}")
                 return 1
             rebuild_checks += 1
+        bad = closure_problem(closure_rng, M, closure_rng.choice(updates))
+        if bad:
+            print(f"FAIL: {bad} at round {i}")
+            return 1
+        closure_checks += 1
         f = rand_formula(rng, sig, cfg.formula_depth, actions)
         g = reduce_formula(f)
         for w in M.worlds:
@@ -126,7 +164,7 @@ def sweep(cfg: SweepConfig) -> int:
     print(f"OK: {reduction_checks} reduction checks, "
           f"{verdicts[True]} VALID and {verdicts[False]} INVALID verdicts "
           f"checked, {axiom_checks} axiom checks, {rebuild_checks} rebuild "
-          f"checks, {cfg.rounds} rounds")
+          f"checks, {closure_checks} closure checks, {cfg.rounds} rounds")
     return 0
 
 

@@ -16,20 +16,15 @@ from typing import Dict
 
 from .formula import (Formula, Signature, TOP, Update, _join, check_ident,
                       implies, map_updates, subformulas)
-from .kripke import (Frame, PropertyReport, depth as action_depth,
-                     is_initial as is_past_state, is_restricted)
+from .kripke import (KRIPKE_PROPERTIES, Frame, PropertyReport,
+                     depth as action_depth, is_initial as is_past_state,
+                     is_restricted)
 from .logic import is_valid
 
 FLAT = "♭"
 
-ACTION_PROPERTIES = (
-    "depth_definedness",
-    "knowledge_of_past",
-    "knowledge_of_initial_time",
-    "uniqueness_of_past",
-    "perfect_recall",
-    "synchronicity",
-)
+# persistence of facts is vacuous without a valuation
+ACTION_PROPERTIES = KRIPKE_PROPERTIES[1:]
 
 
 def _check_event_name(e: str):

@@ -374,7 +374,8 @@ def main(argv=None) -> int:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # still recursing: _ext's box (and update) case, once per level
+        # still recursing: _ext's box, [Y], update and right-conjunct
+        # cases, once per level
         print("ERROR: input nested too deeply", file=sys.stderr)
         return 3
 

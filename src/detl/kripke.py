@@ -34,6 +34,9 @@ KRIPKE_PROPERTIES = (
 
 RESTRICTED_PROPERTIES = KRIPKE_PROPERTIES[:6]
 
+# the drawing conventions `close_pairs` applies to a relation
+CLOSURE_MODES = ("none", "reflexive", "symmetric", "transitive", "s5")
+
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -399,7 +402,7 @@ def _transitive(pairs: set) -> set:
 
 
 def close_pairs(pairs, nodes, mode: str) -> set:
-    if mode not in ("none", "reflexive", "symmetric", "transitive", "s5"):
+    if mode not in CLOSURE_MODES:
         raise ValueError(f"unknown closure mode {mode!r}")
     out = set(map(tuple, pairs))
     if mode in ("reflexive", "s5"):

@@ -78,67 +78,68 @@ def _ext(M: KripkeModel, f: Formula, D, memos: dict, memo: dict = None) -> set:
     shared by several parents (as in reduced formulas) is decided once
     per world.  Entries hold the very sets passed in and returned, which
     is sound because no set is changed once it is passed or returned.
+    The left spine of a conjunction, seen through even runs of ~ (which
+    covers |), is walked in a loop, not one call per level.
     """
     negated = False
-    while isinstance(f, Not):
+    while type(f) is Not:
         f, negated = f.sub, not negated
-    if isinstance(f, Atom):
+    t = type(f)
+    if t is Atom:
         # leaves are read off the model, not memoised
         return D - M.val[f.name] if negated else D & M.val[f.name]
-    if isinstance(f, Bottom):
+    if t is Bottom:
         return set(D) if negated else set()
     if memo is None:
         memo = memos.setdefault(M, {})
     entry = memo.get(f)
     if entry is None:
-        holds = _decide(M, f, D, memos, memo)
-        memo[f] = D, holds
+        holds = todo = D  # holds stands only when D is empty
     else:
         decided, truths = entry
         holds, todo = D & truths, D - decided
-        if todo:
-            new = _decide(M, f, todo, memos, memo)
+    if todo:
+        # new: the worlds of todo where the compound node f holds
+        if t is And:
+            spine, g = [], f
+            while type(g) is And:
+                spine.append(g.right)
+                g = h = g.left
+                odd = False
+                while type(h) is Not:
+                    h, odd = h.sub, not odd
+                if not odd and type(h) is And:
+                    g = h
+            spine.append(g)
+            # each conjunct only where the ones left of it hold
+            new = todo
+            for g in reversed(spine):
+                new = _ext(M, g, new, memos, memo)
+                if not new:
+                    break
+        elif t is Box or t is Yesterday:
+            succ = M._succ[f.agent] if t is Box else M._parents
+            reach = set().union(*(succ[w] for w in todo))
+            failing = reach - _ext(M, f.sub, reach, memos, memo)
+            new = ({w for w in todo if failing.isdisjoint(succ[w])}
+                   if failing else todo)
+        elif t is Update:
+            fire = _ext(M, f.action.pre_map[f.event], todo, memos, memo)
+            new = todo - fire
+            if fire:
+                # the precondition holds somewhere, so the update is not empty
+                pairs = {pair_name(w, f.event): w for w in fire}
+                sat = _ext(product_update(M, f.action), f.sub, set(pairs),
+                           memos)
+                new |= {pairs[x] for x in sat}
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        if entry is None:
+            memo[f], holds = (todo, new), new
+        else:
             memo[f] = decided | todo, truths | new
             holds |= new
     return D - holds if negated else holds
-
-
-def _decide(M: KripkeModel, f: Formula, D, memos: dict, memo: dict) -> set:
-    """The worlds of D where the compound node f holds.  The left spine of
-    a conjunction, seen through even runs of ~ (which covers |), is
-    walked in a loop, not one call per level."""
-    if isinstance(f, And):
-        spine = []
-        while isinstance(f, And):
-            spine.append(f.right)
-            f = g = f.left
-            odd = False
-            while isinstance(g, Not):
-                g, odd = g.sub, not odd
-            if not odd and isinstance(g, And):
-                f = g
-        spine.append(f)
-        # each conjunct only where the ones left of it hold
-        for g in reversed(spine):
-            D = _ext(M, g, D, memos, memo)
-            if not D:
-                break
-        return D
-    if isinstance(f, (Box, Yesterday)):
-        succ = M._succ[f.agent] if isinstance(f, Box) else M._parents
-        reach = set().union(*(succ[w] for w in D))
-        failing = reach - _ext(M, f.sub, reach, memos, memo)
-        return {w for w in D if failing.isdisjoint(succ[w])} if failing else D
-    if isinstance(f, Update):
-        fire = _ext(M, f.action.pre_map[f.event], D, memos, memo)
-        holds = D - fire
-        if fire:
-            # the precondition holds somewhere, so the update is not empty
-            pairs = {pair_name(w, f.event): w for w in fire}
-            sat = _ext(product_update(M, f.action), f.sub, set(pairs), memos)
-            holds |= {pairs[x] for x in sat}
-        return holds
-    raise TypeError(f"not a formula: {f!r}")
 
 
 @lru_cache(maxsize=UPDATE_CACHE)

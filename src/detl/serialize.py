@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 from .action import ActionModel
 from .formula import Formula, Signature, parse, pretty
-from .kripke import KripkeModel, close_pairs, relation_closure
+from .kripke import CLOSURE_MODES, KripkeModel, close_pairs
 
 _KEY_ORDER = ["type", "agents", "atoms", "worlds", "events", "val", "pre",
               "epistemic", "yesterday", "point", "closure"]
@@ -29,8 +29,9 @@ def canonical_document(doc: dict) -> dict:
     """Reorder keys and sort arrays without touching the content.
 
     ValueError for an unknown key and for what `document_to_object`
-    rejects as a value of the wrong JSON type (see `_SHAPES`), so the
-    documents reprinted are those a workspace can read."""
+    rejects as a value of the wrong JSON type, an unknown type or an
+    unknown closure mode (see `_SHAPES`), so the documents reprinted are
+    those a workspace can read."""
     _check_shapes(doc)
     unknown = set(doc) - set(_KEY_ORDER)
     if unknown:
@@ -121,43 +122,33 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
     """Build the model or action described by doc.
 
     Returns ("kripke", KripkeModel, point) or ("action", ActionModel,
-    point).  Action preconditions are parsed against the given registry.
+    point).  A "closure" key other than "none" closes the drawn relation
+    of every agent of the signature, listed or not, before the frame is
+    built.  Action preconditions are parsed against the given registry.
     ValueError when a key holds a value of the wrong JSON type.
     """
     _check_shapes(doc)
+    kind = doc.get("type")
+    if kind is None:
+        raise ValueError("a document needs a 'type'")
     sig = Signature(tuple(doc["agents"]), tuple(doc.get("atoms", ())))
+    nodes = tuple(doc["worlds" if kind == "kripke" else "events"])
+    epistemic = doc.get("epistemic", {})
     closure = doc.get("closure", "none")
+    if closure != "none":
+        # agents outside the signature are kept for the frame to reject
+        epistemic = {a: close_pairs(epistemic.get(a, ()), nodes, closure)
+                     for a in dict.fromkeys((*sig.agents, *epistemic))}
+    frame = sig, nodes, epistemic, doc.get("yesterday", ())
+    if kind == "kripke":
+        obj = KripkeModel(*frame, doc.get("val", {}))
+    else:
+        obj = ActionModel(*frame, {e: parse(text, sig, registry or {})
+                                   for e, text in doc["pre"].items()}, name)
     point = doc.get("point")
-    if doc.get("type") == "kripke":
-        M = KripkeModel(
-            sig=sig,
-            worlds=tuple(doc["worlds"]),
-            epistemic=doc.get("epistemic", {}),
-            yesterday=doc.get("yesterday", ()),
-            valuation=doc.get("val", {}),
-        )
-        if closure != "none":
-            M = relation_closure(M, closure)
-        if point is not None:
-            M.require_world(point)
-        return "kripke", M, point
-    if doc.get("type") == "action":
-        events = tuple(doc["events"])
-        epistemic = {a: close_pairs(map(tuple, pairs), events, closure)
-                     for a, pairs in doc.get("epistemic", {}).items()}
-        U = ActionModel(
-            sig=sig,
-            events=events,
-            epistemic=epistemic,
-            yesterday=doc.get("yesterday", ()),
-            pre={e: parse(text, sig, registry or {})
-                 for e, text in doc["pre"].items()},
-            name=name,
-        )
-        if point is not None:
-            U.require_event(point)
-        return "action", U, point
-    raise ValueError(f"unknown document type {doc.get('type')!r}")
+    if point is not None:
+        obj._require(point)
+    return kind, obj, point
 
 
 def _strs(v) -> bool:
@@ -174,10 +165,12 @@ def _object(fits):
                       and all(map(fits, v.values())))
 
 
-# the JSON type each document key holds, as a test and as its name
+# the values each document key holds, as a test and as their name
 _SHAPES = {
-    **dict.fromkeys(("type", "point", "closure"),
-                    (lambda v: type(v) is str, "a string")),
+    "type": (lambda v: v in ("kripke", "action"), '"kripke" or "action"'),
+    "point": (lambda v: type(v) is str, "a string"),
+    "closure": (lambda v: v in CLOSURE_MODES,
+                "one of " + ", ".join(map(repr, CLOSURE_MODES))),
     **dict.fromkeys(("agents", "atoms", "worlds", "events"),
                     (_strs, "an array of strings")),
     "val": (_object(_strs), "an object of string arrays"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detl import serialize
+from detl.kripke import CLOSURE_MODES, close_pairs
 from detl.semantics import product_update, ydel_update
 from detl.serialize import (Workspace, action_to_document, canonical_document,
                             canonical_dumps, document_to_object,
@@ -56,6 +57,24 @@ def test_closure_applied_at_load(ws, M):
     }
     _, back, _ = document_to_object(doc)
     assert back == M
+
+
+@pytest.mark.parametrize("mode", CLOSURE_MODES)
+def test_closure_reads_models_and_actions_alike(mode):
+    # the same nodes and drawing, with agent b drawn nowhere: every
+    # agent's relation is closed the same way for both kinds of document
+    drawing = {"agents": ["a", "b"], "atoms": [], "closure": mode,
+               "epistemic": {"a": [["u", "v"], ["v", "w"]]},
+               "yesterday": [["u", "w"]]}
+    nodes = ["u", "v", "w"]
+    _, M, _ = document_to_object(
+        {"type": "kripke", "worlds": nodes, "val": {}, **drawing})
+    _, U, _ = document_to_object(
+        {"type": "action", "events": nodes,
+         "pre": dict.fromkeys(nodes, "true"), **drawing})
+    assert U.epistemic == M.epistemic
+    assert dict(M.epistemic)["b"] == tuple(
+        sorted(close_pairs((), nodes, mode)))
 
 
 def test_unknown_point_rejected():
@@ -148,13 +167,18 @@ def test_writer_matches_json_dumps(ws, monkeypatch):
     {"type": "action", "pre": {"e": 1.5}},
     {"type": "action", "pre": {1: "p"}},
     {"type": "action", "epistemic": {"a": [[["u"], "v"]]}},
+    {"type": "foo", "agents": ["a"]},
+    {"type": "action", "agents": ["a"], "atoms": [], "events": ["e"],
+     "pre": {"e": "true"}, "epistemic": {}, "yesterday": [],
+     "closure": "bogus"},
 ], ids=["int-worlds", "int-point", "null-and-bool", "nested-dict",
         "mixed-list", "str-among-pairs", "triple", "int-in-pair",
-        "float-pre", "int-key", "list-in-pair"])
+        "float-pre", "int-key", "list-in-pair", "bad-type", "bad-closure"])
 def test_writer_falls_back_outside_the_shapes(doc):
     # a value outside the document shapes is one no workspace can load,
     # so the writer rejects it as document_to_object does; there is no
-    # json.dumps fallback
+    # json.dumps fallback.  An unknown closure mode is rejected even
+    # where no arrow is drawn (bad-closure)
     for read in (canonical_document, canonical_dumps, document_to_object):
         with pytest.raises(ValueError):
             read(doc)
