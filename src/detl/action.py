@@ -10,11 +10,10 @@ preservation, time-advancing) ask `logic.is_valid` about preconditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Dict
 
-from .formula import (Formula, Signature, TOP, Update, _join, check_ident,
+from .formula import (Formula, TOP, Update, Value, _join, check_ident,
                       implies, map_updates, subformulas)
 from .kripke import (KRIPKE_PROPERTIES, Frame, PropertyReport,
                      depth as action_depth, is_initial as is_past_state,
@@ -32,22 +31,20 @@ def _check_event_name(e: str):
         check_ident(e, "event")
 
 
-@dataclass(frozen=True)
 class ActionModel(Frame):
-    sig: Signature
-    events: tuple
-    epistemic: tuple  # ((agent, ((x, y), ...)), ...)
-    yesterday: tuple  # ((x, y), ...) with x one tick before y
-    pre: "Dict[str, Formula]"  # stored canonically as ((event, formula), ...)
-    name: str = field(default="U", compare=False)
+    # a Kripke model's fields, events for worlds and pre, stored as
+    # ((event, formula), ...), for the valuation; the name is for
+    # messages, outside equality and hash
+    _fields = ("sig", "events", "epistemic", "yesterday", "pre", "name")
+    _compared = _fields[:-1]
+    name = "U"
 
     _KIND = "event"
     _check_name = staticmethod(_check_event_name)
     nodes = property(lambda self: self.events)
     require_event = Frame._require
-    __hash__ = Frame.__hash__  # kept by the dataclass decorator
 
-    def __post_init__(self):
+    def _post_init(self):
         object.__setattr__(self, "events", self._canonicalise())
         pre_in = dict(self.pre)
         if set(pre_in) != self._nodeset:
@@ -107,12 +104,10 @@ class ActionModel(Frame):
         return PropertyReport("lrdetl_action", True)
 
 
-@dataclass(frozen=True)
-class PointedAction:
-    action: ActionModel
-    point: str
+class PointedAction(Value):
+    _fields = ("action", "point")
 
-    def __post_init__(self):
+    def _post_init(self):
         self.action.require_event(self.point)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import logic, semantics
@@ -29,7 +28,7 @@ class CliError(Exception):
 
 
 def fixture_dir() -> Path:
-    return Path(resources.files("detl") / "fixtures")
+    return Path(__file__).with_name("fixtures")
 
 
 def load_workspace(args) -> Workspace:
@@ -371,7 +370,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ParseError, KeyError, ValueError, OSError,
             logic.TableauLimit) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
+        msg = exc.args[0] if type(exc) is KeyError else exc  # not its repr
+        print(f"ERROR: {msg}", file=sys.stderr)
         return 3
     except RecursionError:
         # still recursing: _ext's box, [Y], update and right-conjunct

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, Mapping, Optional
 
@@ -39,14 +38,58 @@ def check_ident(name: str, kind: str = "identifier") -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Signature:
+class Value:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in `_fields`, in constructor order; a
+    class attribute of a field's name is its default.  The constructor
+    takes the fields by position or keyword, stores them and calls
+    `_post_init`, which may canonicalise them with `object.__setattr__`.
+    `==` and `hash` read the fields of `_compared` (all of them when
+    None); assignment raises AttributeError.
+    """
+
+    _fields: tuple = ()
+    _compared: Optional[tuple] = None
+
+    def __init__(self, *args, **kwargs):
+        cls, values = type(self), dict(zip(self._fields, args), **kwargs)
+        if len(values) < len(args) + len(kwargs) or set(values) != {
+                n for n in self._fields if n in values or not hasattr(cls, n)}:
+            raise TypeError(f"{cls.__name__}() takes {', '.join(self._fields)}")
+        self.__dict__.update(values)
+        self._post_init()
+
+    def _post_init(self):
+        pass
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._compared or self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Signature(Value):
     """Declared agent and atom names; shared by all models of a workspace."""
 
-    agents: tuple
-    atoms: tuple
+    _fields = ("agents", "atoms")  # tuples, sorted and without repeats
 
-    def __post_init__(self):
+    def _post_init(self):
         object.__setattr__(self, "agents", tuple(sorted(set(self.agents))))
         object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
         if not self.agents:
@@ -119,11 +162,7 @@ class Formula:
     agents = property(lambda self: self._occ[1])
     actions = property(lambda self: self._occ[2])
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __setattr__ = __delattr__ = Value.__setattr__
 
     def __repr__(self) -> str:
         args = ", ".join(repr(getattr(self, n)) for n in self.__slots__)

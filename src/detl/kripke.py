@@ -14,11 +14,10 @@ makes histories unbounded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .formula import RESERVED, Signature
+from .formula import RESERVED, Value
 
 INFINITE = float("inf")
 
@@ -38,10 +37,8 @@ RESTRICTED_PROPERTIES = KRIPKE_PROPERTIES[:6]
 CLOSURE_MODES = ("none", "reflexive", "symmetric", "transitive", "s5")
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    property: str
-    holds: bool
+class PropertyReport(Value):
+    _fields = ("property", "holds", "witness")
     witness: Optional[tuple] = None
 
     def __bool__(self):
@@ -59,16 +56,15 @@ def _canon_pairs(pairs, nodes: set, relation: str, kind: str) -> tuple:
     return tuple(out)
 
 
-class Frame:
+class Frame(Value):
     """Nodes, per-agent epistemic arrows and a yesterday relation: the
     structure Kripke models (worlds) and action models (events) share.
 
-    Subclasses are frozen dataclasses with fields `sig`, the node tuple,
+    Subclasses are values whose fields begin `sig`, the node tuple,
     `epistemic` and `yesterday`.  They expose the node tuple as `nodes`,
-    name a node in messages with `_KIND`, check a node name with
-    `_check_name` and set `__hash__ = Frame.__hash__` in their body, so
-    the decorator keeps the cached hash.  Every view below is computed
-    once per model.
+    name a node in messages with `_KIND` and check a node name with
+    `_check_name`.  The hash and every view below are computed once per
+    model.
     """
 
     val = None  # the valuation view of a Kripke model; action models have none
@@ -105,8 +101,7 @@ class Frame:
     def _hash(self) -> int:
         """The hash of the compared fields, computed once: update caches
         and formula nodes key on models."""
-        return hash(tuple(getattr(self, f.name) for f in fields(self)
-                          if f.compare))
+        return hash(self._key())
 
     @cached_property
     def epi(self) -> Dict[str, FrozenSet[Tuple[str, str]]]:
@@ -208,21 +203,18 @@ def _check_world_name(w: str):
         raise ValueError(f"bad world: {w!r}")
 
 
-@dataclass(frozen=True)
 class KripkeModel(Frame):
-    sig: Signature
-    worlds: tuple
-    epistemic: tuple  # ((agent, ((x, y), ...)), ...) for every agent in sig
-    yesterday: tuple  # ((x, y), ...) with x one tick before y
-    valuation: tuple  # ((atom, (w, ...)), ...) for every atom in sig
+    # epistemic ((agent, ((x, y), ...)), ...) for every agent in sig,
+    # yesterday ((x, y), ...) with x one tick before y, valuation
+    # ((atom, (w, ...)), ...) for every atom in sig
+    _fields = ("sig", "worlds", "epistemic", "yesterday", "valuation")
 
     _KIND = "world"
     _check_name = staticmethod(_check_world_name)
     nodes = property(lambda self: self.worlds)
     require_world = Frame._require
-    __hash__ = Frame.__hash__  # kept by the dataclass decorator
 
-    def __post_init__(self):
+    def _post_init(self):
         object.__setattr__(self, "worlds", self._canonicalise())
         val_in = dict(self.valuation)
         val = []
@@ -244,12 +236,10 @@ class KripkeModel(Frame):
         return frozenset(p for p, ws in self.val.items() if w in ws)
 
 
-@dataclass(frozen=True)
-class PointedModel:
-    model: KripkeModel
-    point: str
+class PointedModel(Value):
+    _fields = ("model", "point")
 
-    def __post_init__(self):
+    def _post_init(self):
         self.model.require_world(self.point)
 
 

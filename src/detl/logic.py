@@ -5,12 +5,11 @@ bisimulation by partition refinement.  It imports neither `action` nor
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature,
-                      Update, Yesterday, _and, _box, _not, _update,
+                      Update, Value, Yesterday, _and, _box, _not, _update,
                       _yesterday, conj, implies, map_updates)
 from .kripke import KripkeModel, PointedModel
 
@@ -74,11 +73,12 @@ class TableauLimit(Exception):
     """Raised when a tableau or reduction budget runs out; no verdict."""
 
 
-@dataclass(eq=False)
 class _TreeWorld:
-    atoms: FrozenSet[str]
-    # (agent, witness), the agent None for a [Y] witness
-    children: List[Tuple[Optional[str], "_TreeWorld"]]
+    __slots__ = ("atoms", "children")
+
+    def __init__(self, atoms: FrozenSet[str], children: list):
+        self.atoms = atoms
+        self.children = children  # (agent, witness), None for a [Y] witness
 
 
 _UNSEEN = object()
@@ -274,9 +274,8 @@ def is_valid(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # bisimulation
 
-@dataclass(frozen=True)
-class Bisimulation:
-    relation: FrozenSet[Tuple[str, str]]
+class Bisimulation(Value):
+    _fields = ("relation",)  # a frozenset of (world, world) pairs
 
 
 def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:

@@ -9,14 +9,13 @@ identity naming.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
 
 from .action import (ActionModel, is_atemporal_action, is_lrdetl_action,
                      is_past_state, sharp_action, sharp_formula)
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, Update,
-                      Yesterday, dia_yesterday, diamond)
+                      Value, Yesterday, dia_yesterday, diamond)
 from .kripke import KripkeModel, PointedModel, is_restricted
 
 SEP = "|"
@@ -237,9 +236,8 @@ def eval_rdetl(M: KripkeModel, w: str, f: Formula) -> Verdict:
 POOL_LIMIT = 20000  # formulas the pool keeps at most
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
-    agree: bool
+class ProbeVerdict(Value):
+    _fields = ("agree", "distinguishing")
     distinguishing: Optional[Formula] = None
 
 

@@ -11,11 +11,10 @@ key instead of listing the closed relation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .action import ActionModel
 from .formula import Formula, Signature, parse, pretty
@@ -29,9 +28,9 @@ def canonical_document(doc: dict) -> dict:
     """Reorder keys and sort arrays without touching the content.
 
     ValueError for an unknown key and for what `document_to_object`
-    rejects as a value of the wrong JSON type, an unknown type or an
-    unknown closure mode (see `_SHAPES`), so the documents reprinted are
-    those a workspace can read."""
+    rejects as a missing key, a value of the wrong JSON type, an unknown
+    type or an unknown closure mode (see `_SHAPES`), so the documents
+    reprinted are those a workspace can read."""
     _check_shapes(doc)
     unknown = set(doc) - set(_KEY_ORDER)
     if unknown:
@@ -125,12 +124,11 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
     point).  A "closure" key other than "none" closes the drawn relation
     of every agent of the signature, listed or not, before the frame is
     built.  Action preconditions are parsed against the given registry.
-    ValueError when a key holds a value of the wrong JSON type.
+    ValueError when a key is missing or holds a value of the wrong JSON
+    type.
     """
     _check_shapes(doc)
-    kind = doc.get("type")
-    if kind is None:
-        raise ValueError("a document needs a 'type'")
+    kind = doc["type"]
     sig = Signature(tuple(doc["agents"]), tuple(doc.get("atoms", ())))
     nodes = tuple(doc["worlds" if kind == "kripke" else "events"])
     epistemic = doc.get("epistemic", {})
@@ -186,6 +184,11 @@ def _check_shapes(doc):
     for key, (fits, what) in _SHAPES.items():
         if key in doc and not fits(doc[key]):
             raise ValueError(f"{key!r} must be {what}")
+    # the keys document_to_object reads with doc[...]
+    for key in ("type", "agents") + (("worlds",) if doc.get("type") == "kripke"
+                                     else ("events", "pre")):
+        if key not in doc:
+            raise ValueError(f"a document needs the key {key!r}")
 
 
 # model_to_document and action_to_document build canonical documents, so
@@ -201,11 +204,15 @@ def save_action(path, U: ActionModel, point: Optional[str] = None):
                           encoding="utf-8")
 
 
-@dataclass
 class Workspace:
-    sig: Signature
-    models: Dict[str, Tuple[KripkeModel, Optional[str]]] = field(default_factory=dict)
-    actions: Dict[str, Tuple[ActionModel, Optional[str]]] = field(default_factory=dict)
+    """The models and actions of one directory: name -> (model or action,
+    its point or None)."""
+
+    def __init__(self, sig: Signature, models: Optional[dict] = None,
+                 actions: Optional[dict] = None):
+        self.sig = sig
+        self.models = {} if models is None else models
+        self.actions = {} if actions is None else actions
 
     @classmethod
     def load_dir(cls, directory) -> "Workspace":
@@ -219,8 +226,9 @@ class Workspace:
                 doc = json.loads(f.read_text(encoding="utf-8"))
                 kind, obj, point = document_to_object(
                     doc, ws.actions_by_name() if ws else {}, name=name)
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{f}: {exc}") from exc
+            except (KeyError, ValueError) as exc:  # a KeyError's message bare
+                msg = exc.args[0] if type(exc) is KeyError else exc
+                raise ValueError(f"{f}: {msg}") from exc
             if ws is None:
                 ws = cls(sig=obj.sig)
             elif obj.sig != ws.sig:

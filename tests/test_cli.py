@@ -30,6 +30,14 @@ def test_eval_unknown_world(capsys):
     assert main(["eval", "M", "x", "p"]) == 3
 
 
+@pytest.mark.parametrize("argv", [("eval", "M", "nosuch", "p"),
+                                  ("bisim", "M", "w", "M", "nosuch")])
+def test_unknown_world_message_unquoted(capsys, argv):
+    # the message of a KeyError, not its repr
+    assert main(list(argv)) == 3
+    assert capsys.readouterr().err == "ERROR: unknown world 'nosuch'\n"
+
+
 def test_eval_parse_error(capsys):
     assert main(["eval", "M", "w", "p &"]) == 3
 
@@ -400,6 +408,24 @@ def test_malformed_document_is_a_data_error(tmp_path, capsys, command, doc):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith(f"ERROR: {path}: ")
+
+
+@pytest.mark.parametrize("doc,key", [({"type": "kripke"}, "agents"),
+                                     ({"agents": ["a"], "worlds": ["w"]},
+                                      "type"),
+                                     ({k: v for k, v in _U2_DOC.items()
+                                       if k != "pre"}, "pre")])
+@pytest.mark.parametrize("command", ["load", "fmt"])
+def test_missing_key_is_named(tmp_path, capsys, command, doc, key):
+    # a document without a key the reader needs is exit 3 on loading and
+    # on reprinting, with a message that names the key
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = (["fmt", str(path)] if command == "fmt"
+            else ["--workspace", str(tmp_path), "check", "X"])
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"ERROR: {path}: a document needs the key {key!r}\n")
 
 
 def test_fmt_idempotent(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 
@@ -296,7 +295,7 @@ def test_subformulas_preorder_with_repeats():
 def test_update_prints_its_own_action_name():
     rng = random.Random(4)
     V = rand_atemporal_action(rng, SIG, name="V")
-    W = dataclasses.replace(V, name="W")
+    W = ActionModel(V.sig, V.events, V.epistemic, V.yesterday, V.pre, "W")
     assert V == W
     e = V.events[0]
     f, g = Update(V, e, Atom("p")), Update(W, e, Atom("p"))

@@ -1,8 +1,11 @@
 """The package imports in one direction: each module imports its layers
 at the top, none from inside a function or class body, and the modules'
-top-level imports form no cycle."""
+top-level imports form no cycle.  The command line imports neither
+`dataclasses` nor `inspect`."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 from conftest import FIXTURES
@@ -71,3 +74,15 @@ def test_package_imports_one_way():
     assert nested == []
     assert _cycle(graph) is None
     assert not graph["logic"] & {"action", "semantics"}
+
+
+def test_cli_imports_without_dataclasses():
+    # a detl command is mostly start-up, and dataclasses would pull in
+    # inspect, ast, dis and tokenize; checked in a child without site
+    # packages, so nothing but the package and the standard library loads
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import detl.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code,
+                          str(PACKAGE.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -427,7 +426,8 @@ def test_bisimilar_null_update(ws, M):
 
 def test_bisimilar_absent(M):
     assert bisimilar(PointedModel(M, "w"), PointedModel(M, "v")) is None
-    other = dataclasses.replace(M, sig=Signature(("a", "b"), ("p", "q", "r")))
+    other = KripkeModel(Signature(("a", "b"), ("p", "q", "r")), M.worlds,
+                        M.epistemic, M.yesterday, M.valuation)
     with pytest.raises(ValueError):
         bisimilar(PointedModel(M, "w"), PointedModel(other, "w"))
 
@@ -645,7 +645,8 @@ def test_sharp_formula(ws):
 
 def test_sharp_built_once_per_action_keeping_its_name(ws):
     U8 = ws.actions["U8"][0]
-    V, W = (dataclasses.replace(U8, name=n) for n in ("V", "W"))
+    V, W = (ActionModel(U8.sig, U8.events, U8.epistemic, U8.yesterday,
+                        U8.pre, n) for n in ("V", "W"))
     assert V == W
     assert sharp_action(V) is sharp_action(V)
     assert (sharp_action(V).name, sharp_action(W).name) == ("V_sharp", "W_sharp")

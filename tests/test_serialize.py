@@ -171,14 +171,18 @@ def test_writer_matches_json_dumps(ws, monkeypatch):
     {"type": "action", "agents": ["a"], "atoms": [], "events": ["e"],
      "pre": {"e": "true"}, "epistemic": {}, "yesterday": [],
      "closure": "bogus"},
+    {"type": "kripke"},
+    {"agents": ["a"], "worlds": ["w"]},
 ], ids=["int-worlds", "int-point", "null-and-bool", "nested-dict",
         "mixed-list", "str-among-pairs", "triple", "int-in-pair",
-        "float-pre", "int-key", "list-in-pair", "bad-type", "bad-closure"])
+        "float-pre", "int-key", "list-in-pair", "bad-type", "bad-closure",
+        "no-agents", "no-type"])
 def test_writer_falls_back_outside_the_shapes(doc):
     # a value outside the document shapes is one no workspace can load,
     # so the writer rejects it as document_to_object does; there is no
     # json.dumps fallback.  An unknown closure mode is rejected even
-    # where no arrow is drawn (bad-closure)
+    # where no arrow is drawn (bad-closure), and so is a document without
+    # a key the reader needs (no-agents, no-type)
     for read in (canonical_document, canonical_dumps, document_to_object):
         with pytest.raises(ValueError):
             read(doc)
