@@ -19,12 +19,21 @@ from .action import (ACTION_PROPERTIES, PointedAction, action_depth,
 from .formula import ParseError, pretty
 from .kripke import (KRIPKE_PROPERTIES, PointedModel, check_property, depth,
                      is_restricted)
-from .serialize import (Workspace, canonical_dumps, model_to_document,
-                        save_action, save_model)
+from .serialize import (Workspace, canonical_dumps, check_document,
+                        model_to_document, save_action, save_model)
 
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are CliErrors, exit 3 with an ERROR line after the
+    usage; argparse would exit 2, which means not-in-scope here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
 
 
 def fixture_dir() -> Path:
@@ -176,10 +185,12 @@ def cmd_fmt(args) -> int:
     try:
         doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
         text = canonical_dumps(doc)
+        check_document(doc)  # what loading rejects, fmt does not reprint
         if args.dot:
             text = _to_dot(doc) + "\n"
-    except ValueError as exc:
-        raise CliError(f"{args.file}: {exc}") from exc
+    except (KeyError, ValueError) as exc:  # a KeyError's message bare
+        msg = exc.args[0] if type(exc) is KeyError else exc
+        raise CliError(f"{args.file}: {msg}") from exc
     sys.stdout.write(text)
     return 0
 
@@ -300,7 +311,7 @@ def _demo_claims(ws: Workspace, figure: str):
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="detl",
         description="Dynamic epistemic temporal logic toolbox")
     ap.add_argument("--workspace", help="directory of *.json model/action "
@@ -365,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ParseError, KeyError, ValueError, OSError,
             logic.TableauLimit) as exc:

@@ -357,7 +357,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 def map_updates(f: Formula, at_update=None, step=None) -> Formula:
     """f with each update node [U@e]g replaced by at_update(U, e, g′), g′
     being g mapped the same way, or, given step instead, by the mapping
-    of step([U@e]g): step is applied until no update is left.
+    of step([U@e]g′): step is applied until no update is left.
 
     Innermost first, each distinct node once, on an explicit stack, so
     deep input does not recurse; nodes without updates come back as they
@@ -371,12 +371,6 @@ def map_updates(f: Formula, at_update=None, step=None) -> Formula:
             continue
         if not g._occ[2]:
             done[g] = g
-        elif step and type(g) is Update:
-            h = step(g)
-            if h in done:
-                done[g] = done[h]
-            else:
-                stack += (g, h)
         elif type(g) is And:
             left, right = done.get(g.left), done.get(g.right)
             if left is None or right is None:
@@ -391,8 +385,12 @@ def map_updates(f: Formula, at_update=None, step=None) -> Formula:
             done[g] = _box(g.agent, sub)
         elif type(g) is Yesterday:
             done[g] = _yesterday(sub)
-        else:
+        elif not step:
             done[g] = at_update(g.action, g.event, sub)
+        elif (h := step(_update(g.action, g.event, sub))) in done:
+            done[g] = done[h]
+        else:
+            stack += (g, h)  # back until the step is done
     return done[f]
 
 

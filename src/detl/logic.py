@@ -8,55 +8,78 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature,
-                      Update, Value, Yesterday, _and, _box, _not, _update,
-                      _yesterday, conj, implies, map_updates)
+from .formula import (BOT, TOP, And, Atom, Bottom, Box, Formula, Not,
+                      Signature, Update, Value, Yesterday, _and, _box, _not,
+                      _update, _yesterday, conj, implies, map_updates)
 from .kripke import KripkeModel, PointedModel
 
 DEFAULT_NODE_LIMIT = 10 ** 6
-_REDUCE_LIMIT = 10 ** 5  # [U2@t]^10 q takes 49,206 steps (see reduce_formula)
+_REDUCE_LIMIT = 10 ** 5  # [U2@s]^10 q takes 39,365 steps (see reduce_formula)
 
 
 # ---------------------------------------------------------------------------
 # reduction, one step at a time
 
+def _guard(pre: Formula, f: Formula) -> Formula:
+    """pre -> f, with the guard dropped when pre is true, and ~pre when f
+    is false."""
+    if pre is TOP:
+        return f
+    return _not(pre) if f is BOT else implies(pre, f)
+
+
 def _step(g: Update, memo: dict) -> Formula:
     """The reduction axiom for the update node g = [U@e]f that f's top
     connective selects: it leaves [U@e′]h on f's subformulas h and U's
-    preconditions as they are.  An update f is stepped first, and g's
-    axiom applied to its step.  memo maps update nodes to their steps."""
-    run = []  # g and the updates below it down to one already stepped
-    while (out := memo.get(g)) is None:
-        run.append(g)
-        if type(g := g.sub) is not Update:
-            out = g
-            break
-    for g in reversed(run):
-        U, e, f = g.action, g.event, out
-        pre, t = U.pre_map[e], type(f)
-        if t is And:
+    preconditions as they are.  The trivial cases fold: [U@e]f is true
+    when pre(e) is false or f is true, and `_guard` drops a true
+    precondition and turns pre(e) -> false into ~pre(e).  An update f is
+    stepped first, until its step is no update, and g's axiom applied to
+    that step.  memo maps update nodes to their steps."""
+    out = memo.get(g)
+    if out is not None:
+        return out
+    stack = [g]  # updates waiting for the step of their body
+    while stack:
+        u = stack[-1]
+        U, e, f = u.action, u.event, u.sub
+        pre = U.pre_map[e]
+        if pre is not BOT:
+            while type(f) is Update and (h := memo.get(f)) is not None:
+                f = h
+            if type(f) is Update:
+                stack.append(f)
+                continue
+        stack.pop()
+        t = type(f)
+        if pre is BOT or f is TOP:
+            out = TOP
+        elif t is And:
             out = _and(_update(U, e, f.left), _update(U, e, f.right))
         elif t is Not:
-            out = implies(pre, _not(_update(U, e, f.sub)))
+            out = _guard(pre, _not(_update(U, e, f.sub)))
         elif t is Box:
-            out = implies(pre, conj(_box(f.agent, _update(U, e2, f.sub))
-                                    for e2 in U._succ[f.agent][e]))
+            out = _guard(pre, conj(_box(f.agent, _update(U, e2, f.sub))
+                                   for e2 in U._succ[f.agent][e]))
         elif t is Yesterday:
             past = U._parents[e]
-            out = implies(pre, conj(_update(U, e2, f.sub) for e2 in past)
-                          if past else _yesterday(_update(U, e, f.sub)))
+            out = _guard(pre, conj(_update(U, e2, f.sub) for e2 in past)
+                         if past else _yesterday(_update(U, e, f.sub)))
         else:  # an atom or false
-            out = implies(pre, f)
-        memo[g] = out
-    return out
+            out = _guard(pre, f)
+        memo[u] = out
+    return memo[g]
 
 
 def reduce_formula(f: Formula) -> Formula:
-    """Update-free equivalent of f: `_step` to a fixpoint (`map_updates`).
-    Steps are memoised by node, so a subformula shared under one update
-    is stepped once per event: the work follows the distinct nodes of the
-    result, which can be exponentially larger than f (so TableauLimit is
-    raised past _REDUCE_LIMIT steps), not its size as a tree."""
+    """Update-free equivalent of f: `_step` to a fixpoint (`map_updates`),
+    each update stepped once its body is reduced, so the folds see the
+    reduced body and the result is that of the reduction axioms applied
+    by structural recursion.  Steps are memoised by node, so a subformula
+    shared under one update is stepped once per event: the work follows
+    the distinct nodes of the result, which can be exponentially larger
+    than f (so TableauLimit is raised past _REDUCE_LIMIT steps), not its
+    size as a tree."""
     steps: dict = {}
 
     def step(g):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .action import ActionModel
-from .formula import Formula, Signature, parse, pretty
+from .formula import TOP, Formula, Signature, parse, pretty
 from .kripke import CLOSURE_MODES, KripkeModel, close_pairs
 
 _KEY_ORDER = ["type", "agents", "atoms", "worlds", "events", "val", "pre",
@@ -125,8 +125,24 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
     of every agent of the signature, listed or not, before the frame is
     built.  Action preconditions are parsed against the given registry.
     ValueError when a key is missing or holds a value of the wrong JSON
-    type.
+    type, and ValueError or KeyError when the frame, the preconditions'
+    events or the point do not fit together.
     """
+    return _read(doc, lambda sig, text: parse(text, sig, registry or {}),
+                 name)
+
+
+def check_document(doc: dict):
+    """Raise what `document_to_object` raises on doc, but for the
+    preconditions' text, which may name actions of other files and so is
+    read only in a workspace: each event's precondition stands in as
+    true."""
+    _read(doc, lambda sig, text: TOP, "U")
+
+
+def _read(doc: dict, read_pre, name: str):
+    """`document_to_object`, each precondition read by read_pre(sig,
+    text)."""
     _check_shapes(doc)
     kind = doc["type"]
     sig = Signature(tuple(doc["agents"]), tuple(doc.get("atoms", ())))
@@ -141,7 +157,7 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
     if kind == "kripke":
         obj = KripkeModel(*frame, doc.get("val", {}))
     else:
-        obj = ActionModel(*frame, {e: parse(text, sig, registry or {})
+        obj = ActionModel(*frame, {e: read_pre(sig, text)
                                    for e, text in doc["pre"].items()}, name)
     point = doc.get("point")
     if point is not None:

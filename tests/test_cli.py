@@ -106,8 +106,10 @@ def test_reduce_deep_boxes_under_an_update(capsys):
 
 
 def test_reduce_step_limit(capsys, monkeypatch):
+    # [U2@s]^k q takes 53 steps at k = 4 and 161 at k = 5
     monkeypatch.setattr(logic, "_REDUCE_LIMIT", 100)
-    assert run(capsys, "reduce", "[U2@t]" * 8 + "q") == (3, "")
+    assert run(capsys, "reduce", "[U2@s]" * 4 + "q")[0] == 0
+    assert run(capsys, "reduce", "[U2@s]" * 5 + "q") == (3, "")
 
 
 def test_validity_node_limit(capsys):
@@ -331,6 +333,38 @@ def test_reduce(capsys):
     assert code == 0 and out == "REDUCED: p -> q\n"
 
 
+def test_reduce_folds_true_preconditions(capsys):
+    # t, U2's "nothing happens" event, has precondition true: no guard
+    code, out = run(capsys, "reduce", "[U2@t][U2@t]q")
+    assert code == 0 and out == "REDUCED: q\n"
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("nosuch",),
+    ("eval", "M", "w"),
+    ("--max-tableau-nodes", "abc", "validity", "p"),
+    ("--mode", "bogus", "eval", "M", "w", "p"),
+    ("demo", "nosuch"),
+], ids=["no-command", "unknown-command", "missing-positional", "bad-int",
+        "bad-mode", "unknown-figure"])
+def test_usage_error_is_exit_3(capsys, argv):
+    # argparse would exit 2, which means not-in-scope
+    assert main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: detl")
+    assert captured.err.splitlines()[-1].startswith("ERROR: ")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("eval", "--help")])
+def test_help_is_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: detl")
+
+
 def test_validity(tmp_path, capsys):
     code, out = run(capsys, "validity", "[a](p -> p)")
     assert code == 0 and out == "VERDICT: VALID\n"
@@ -426,6 +460,27 @@ def test_missing_key_is_named(tmp_path, capsys, command, doc, key):
     assert main(argv) == 3
     assert capsys.readouterr().err == (
         f"ERROR: {path}: a document needs the key {key!r}\n")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"type": "action", "agents": ["a"], "events": ["e"], "pre": {}},
+     "exactly one precondition per event required"),
+    ({"type": "kripke", "agents": ["a"], "worlds": []},
+     "a model needs at least one world"),
+    (dict(_M_DOC, point="x"), "unknown world 'x'"),
+], ids=["pre-not-per-event", "no-worlds", "point-off-the-worlds"])
+@pytest.mark.parametrize("command", ["load", "fmt"])
+def test_content_loading_rejects_is_not_reprinted(tmp_path, capsys, command,
+                                                  doc, message):
+    # fmt reprints no document a workspace cannot load, and says why in
+    # the loader's words
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = (["fmt", str(path)] if command == "fmt"
+            else ["--workspace", str(tmp_path), "check", "X"])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"ERROR: {path}: {message}\n"
 
 
 def test_fmt_idempotent(capsys):
