@@ -7,8 +7,11 @@ by evaluation (an INVALID countermodel falsifies it, a VALID formula
 holds at every world of the round's model), that the temporal axioms
 hold on forest-like models, that the round's model and its product
 by each action come back equal from their saved document and from their
-relations shuffled with repeats, and that a closure key reads the drawn
-relations of the round's model and of one of its actions alike.
+relations shuffled with repeats, that a closure key reads the drawn
+relations of the round's model and of one of its actions alike, and
+that `bisimilar` between the round's model and each of its products,
+its ⊕ update and itself agrees with a brute-force greatest bisimulation
+and links only what a re-check from the definition accepts.
 Useful for longer runs than the test suite's fixed budgets.
 """
 
@@ -20,15 +23,18 @@ from pathlib import Path
 from typing import Optional
 
 from detl.formula import Atom, BOT, Box, Not, Yesterday, iff, implies
-from detl.kripke import (CLOSURE_MODES, KripkeModel, is_restricted,
-                         relation_closure)
-from detl.logic import reduce_formula, validity
-from detl.semantics import EmptyProductError, evaluate, product_update
+from detl.kripke import (CLOSURE_MODES, KripkeModel, PointedModel,
+                         is_restricted, relation_closure)
+from detl.logic import bisimilar, reduce_formula, validity
+from detl.semantics import (EmptyProductError, evaluate, product_update,
+                            ydel_update)
 from detl.serialize import (action_to_document, document_to_object,
                             model_to_document)
 
 # the random generators live with the test suite
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from bisimulation import (greatest_bisimulation,  # noqa: E402
+                          verify_bisimulation)
 from generate import (DEFAULT_SIG, rand_atemporal_action,  # noqa: E402
                       rand_formula, rand_kripke, rand_restricted,
                       rand_temporal_action)
@@ -103,15 +109,42 @@ def closure_problem(rng, M: KripkeModel, U) -> Optional[str]:
     return None
 
 
+def bisimulation_problem(rng, M: KripkeModel, K: KripkeModel,
+                         linked: dict) -> Optional[str]:
+    """Why `bisimilar` between a random world of M and a world of K (one
+    the greatest bisimulation links to it, if any, and a random one)
+    disagrees with that bisimulation or links what `verify_bisimulation`
+    rejects; None when it does not.  linked counts the answers by
+    verdict."""
+    R = greatest_bisimulation(M, K)
+    w = rng.choice(M.worlds)
+    for v in [v for x, v in sorted(R) if x == w][:1] + [rng.choice(K.worlds)]:
+        A, B = PointedModel(M, w), PointedModel(K, v)
+        wit = bisimilar(A, B)
+        linked[wit is not None] += 1
+        if (wit is not None) != ((w, v) in R):
+            return f"bisimilar({w}, {v}) disagrees with the brute force"
+        if wit is not None:
+            if wit.relation != R:
+                return f"bisimilar({w}, {v}) is not the greatest"
+            try:
+                verify_bisimulation(A, B, wit.relation)
+            except AssertionError as exc:
+                return f"bisimilar({w}, {v}) fails the re-check: {exc}"
+    return None
+
+
 def sweep(cfg: SweepConfig) -> int:
     rng = random.Random(cfg.seed)
     # a stream of its own, so the rounds draw the same models as before
     shuffle_rng = random.Random(f"{cfg.seed}:shuffle")
     closure_rng = random.Random(f"{cfg.seed}:closure")
+    bisim_rng = random.Random(f"{cfg.seed}:bisim")
     sig = DEFAULT_SIG
     axioms = temporal_axioms(sig)
     reduction_checks = axiom_checks = rebuild_checks = closure_checks = 0
     verdicts = {True: 0, False: 0}
+    linked = {True: 0, False: 0}
     for i in range(cfg.rounds):
         M = rand_kripke(rng, sig, max_worlds=cfg.max_worlds)
         updates = (rand_atemporal_action(rng, sig, name="V"),
@@ -134,6 +167,11 @@ def sweep(cfg: SweepConfig) -> int:
             print(f"FAIL: {bad} at round {i}")
             return 1
         closure_checks += 1
+        for K in models + [ydel_update(M, updates[0], True)]:
+            bad = bisimulation_problem(bisim_rng, M, K, linked)
+            if bad:
+                print(f"FAIL: {bad} at round {i}")
+                return 1
         f = rand_formula(rng, sig, cfg.formula_depth, actions)
         g = reduce_formula(f)
         for w in M.worlds:
@@ -164,7 +202,9 @@ def sweep(cfg: SweepConfig) -> int:
     print(f"OK: {reduction_checks} reduction checks, "
           f"{verdicts[True]} VALID and {verdicts[False]} INVALID verdicts "
           f"checked, {axiom_checks} axiom checks, {rebuild_checks} rebuild "
-          f"checks, {closure_checks} closure checks, {cfg.rounds} rounds")
+          f"checks, {closure_checks} closure checks, {linked[True]} "
+          f"BISIMILAR and {linked[False]} NOT-BISIMILAR verdicts checked, "
+          f"{cfg.rounds} rounds")
     return 0
 
 

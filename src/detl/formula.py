@@ -470,6 +470,10 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+class UnknownAction(ParseError):
+    """An update names an action the registry does not hold."""
+
+
 # leading whitespace, then an identifier, an operator or any other
 # character, which is an error; a token's position is where its leading
 # whitespace starts, a bad character's its own
@@ -519,7 +523,7 @@ def _modal_head(tokens, i: int, dual: bool, sig: Signature,
             f"expected {close!r}, found {val or 'end of input'!r}", cpos)
     if event is not None:
         if name not in registry:
-            raise ParseError(f"unknown action {name!r}", pos)
+            raise UnknownAction(f"unknown action {name!r}", pos)
         action = registry[name]
         if event not in action.events:
             raise ParseError(f"unknown event {event!r} of action {name!r}", epos)

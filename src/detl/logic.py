@@ -305,57 +305,68 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
     """Largest bisimulation between the two models if it links the two
     points, else None.
 
-    Partition refinement over the disjoint union, numbered once; the
-    refinement relations are the epistemic successors plus the step
-    toward the past (the future direction does not discriminate).  A
-    node's signature is the set of (relation, block) of its successors.
-    Splitting is driven by the nodes that changed block: each round
-    recomputes the signatures of their predecessors only and splits
-    those off their blocks by signature.  A recomputed node has a
-    successor in a block made in the last round, so it never shares its
-    old block's part with a node that was not recomputed.  The largest
-    part keeps the block's id and the others move, so a node moves
-    O(log n) times (Hopcroft's "process the smaller half", as in
-    Paige–Tarjan and Valmari's O(m log n) refinement).
+    Partition refinement over the disjoint union, its nodes and arrows
+    numbered once; the refinement relations are the step toward the past
+    (relation 0) and the epistemic successors (the future direction does
+    not discriminate).  Each arrow carries the code block[target] * nrel +
+    relation, and a node's signature is the set of its out-arrows' codes.
+    Blocks are seeded by the atoms true at a node and its depth.  Depth is
+    a bisimulation invariant here, since relation 0 steps to the past:
+    bisimilar worlds have bisimilar parents, each parent of one matched
+    by a parent of the other, so by induction on the smaller depth their
+    longest backward paths have the same length, and neither is infinite
+    alone.
+    Splitting is driven by the nodes that changed block: when a node
+    moves, only its in-arrows' codes are rewritten and their sources
+    marked, and each round splits the marked nodes off their blocks by
+    signature.  A marked node has a successor in a block made in the last
+    round, so it never shares its old block's part with a node that was
+    not marked.  The largest part keeps the block's id and the others
+    move, so a node moves O(log n) times (Hopcroft's "process the smaller
+    half", as in Paige–Tarjan and Valmari's O(m log n) refinement).
     """
     if A.model.sig != B.model.sig:
         raise ValueError("bisimulation requires a shared signature")
-    agents = A.model.sig.agents
-    nrel = len(agents) + 1
-    # per node, (successor index, relation) with relation 0 the step toward
-    # the past; initial blocks by the atoms true there, in signature order
-    succ: List[List[Tuple[int, int]]] = []
+    nrel = len(A.model.sig.agents) + 1
+    # per node its seed block; per arrow its source, target and relation
     block: List[int] = []
-    seed: Dict[Tuple[str, ...], int] = {}
+    seed: Dict[tuple, int] = {}
+    src: List[int] = []
+    tgt: List[int] = []
+    rel: List[int] = []
     points = []
     for pm in (A, B):
         M = pm.model
-        index = {w: len(succ) + i for i, w in enumerate(M.worlds)}
+        index = {w: len(block) + i for i, w in enumerate(M.worlds)}
         points.append(index[pm.point])
         atoms = dict.fromkeys(M.worlds, ())
         for p, ws in M.valuation:
             for w in ws:
                 atoms[w] += (p,)
-        for w in M.worlds:
-            out = [(index[v], 0) for v in M.yesterdays(w)]
-            for r, a in enumerate(agents, 1):
-                out.extend((index[v], r) for v in M.succ(a, w))
-            succ.append(out)
-            block.append(seed.setdefault(atoms[w], len(seed)))
-    pred: List[List[int]] = [[] for _ in succ]
-    for x, out in enumerate(succ):
-        for j, _ in out:
-            pred[j].append(x)
+        depths = M._depths
+        block.extend([seed.setdefault((atoms[w], depths[w]), len(seed))
+                      for w in M.worlds])
+        # a yesterday pair (x, y) is the arrow from y back to x
+        for r, pairs in enumerate([[(y, x) for x, y in M.yesterday],
+                                   *(pairs for _, pairs in M.epistemic)]):
+            src += [index[x] for x, _ in pairs]
+            tgt += [index[y] for _, y in pairs]
+            rel += [r] * len(pairs)
+    out: List[List[int]] = [[] for _ in block]
+    into: List[List[int]] = [[] for _ in block]
+    for i, (x, y) in enumerate(zip(src, tgt)):
+        out[x].append(i)
+        into[y].append(i)
+    code = [block[y] * nrel + r for y, r in zip(tgt, rel)]
     # the members of each block; empty before the first round, which
     # recomputes every node
     members: List[set] = [set() for _ in seed]
-    dirty = range(len(succ))
+    dirty = range(len(block))
     while dirty:
-        # the recomputed nodes, grouped by block and signature
+        # the marked nodes, grouped by block and signature
         groups: Dict[Tuple[int, FrozenSet[int]], set] = {}
         for x in dirty:
-            key = (block[x], frozenset([block[j] * nrel + r
-                                        for j, r in succ[x]]))
+            key = (block[x], frozenset(map(code.__getitem__, out[x])))
             g = groups.get(key)
             if g is None:
                 groups[key] = {x}
@@ -364,7 +375,7 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
         parts: Dict[int, List[set]] = {}
         for (b, _), g in groups.items():
             parts.setdefault(b, []).append(g)
-        moved = []
+        dirty = set()
         for b, split in parts.items():
             rest = members[b]
             for g in split:
@@ -376,10 +387,12 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
                 if g is not keep:
                     nb = len(members)
                     members.append(g)
-                    for x in g:
-                        block[x] = nb
-                    moved.extend(g)
-        dirty = {x for y in moved for x in pred[y]}
+                    shift = (nb - b) * nrel
+                    for y in g:
+                        block[y] = nb
+                        for i in into[y]:
+                            code[i] += shift
+                            dirty.add(src[i])
     if block[points[0]] != block[points[1]]:
         return None
     n = len(A.model.worlds)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .action import ActionModel
-from .formula import TOP, Formula, Signature, parse, pretty
+from .formula import TOP, Formula, Signature, UnknownAction, parse, pretty
 from .kripke import CLOSURE_MODES, KripkeModel, close_pairs
 
 _KEY_ORDER = ["type", "agents", "atoms", "worlds", "events", "val", "pre",
@@ -133,11 +133,18 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
 
 
 def check_document(doc: dict):
-    """Raise what `document_to_object` raises on doc, but for the
-    preconditions' text, which may name actions of other files and so is
-    read only in a workspace: each event's precondition stands in as
-    true."""
-    _read(doc, lambda sig, text: TOP, "U")
+    """Raise what `document_to_object` raises on doc, each precondition
+    parsed against the document's own signature with no actions.  A
+    precondition that names an action, which may be one of another file
+    and so is read only in a workspace, stands in as true."""
+    _read(doc, _parse_alone, "U")
+
+
+def _parse_alone(sig: Signature, text: str) -> Formula:
+    try:
+        return parse(text, sig)
+    except UnknownAction:
+        return TOP
 
 
 def _read(doc: dict, read_pre, name: str):

@@ -30,28 +30,3 @@ def action(ws, name):
 @pytest.fixture
 def rng():
     return random.Random(0)
-
-
-def verify_bisimulation(A, B, relation):
-    """Re-check a claimed bisimulation: nonempty, atoms agree, forth and
-    back for every epistemic relation and for the step into the past."""
-    assert relation, "empty relation"
-    MA, MB = A.model, B.model
-    assert (A.point, B.point) in relation
-
-    def moves(M, w):
-        out = {("Y",): set(M.yesterdays(w))}
-        for a in M.sig.agents:
-            out[("K", a)] = set(M.succ(a, w))
-        return out
-
-    for w, v in relation:
-        assert MA.atoms_at(w) == MB.atoms_at(v), (w, v)
-        mw, mv = moves(MA, w), moves(MB, v)
-        for rel in mw:
-            for w2 in mw[rel]:
-                assert any((w2, v2) in relation for v2 in mv[rel]), \
-                    (w, v, rel, w2, "forth")
-            for v2 in mv[rel]:
-                assert any((w2, v2) in relation for w2 in mw[rel]), \
-                    (w, v, rel, v2, "back")

@@ -27,7 +27,7 @@ from generate import (DEFAULT_SIG, make_knowledge_of_initial_time,
                       rand_temporal_action)
 from axioms import fig6_instances, fig7_instances, fig11_update_instances, \
     k_instances
-from conftest import verify_bisimulation
+from bisimulation import verify_bisimulation
 
 SIG = DEFAULT_SIG
 

@@ -468,7 +468,12 @@ def test_missing_key_is_named(tmp_path, capsys, command, doc, key):
     ({"type": "kripke", "agents": ["a"], "worlds": []},
      "a model needs at least one world"),
     (dict(_M_DOC, point="x"), "unknown world 'x'"),
-], ids=["pre-not-per-event", "no-worlds", "point-off-the-worlds"])
+    (dict(_U2_DOC, pre={"s": "p &", "t": "true"}),
+     "unexpected 'end of input' (at position 3)"),
+    (dict(_U2_DOC, pre={"s": "r", "t": "true"}),
+     "unknown atom 'r' (at position 0)"),
+], ids=["pre-not-per-event", "no-worlds", "point-off-the-worlds",
+        "pre-cut-short", "pre-unknown-atom"])
 @pytest.mark.parametrize("command", ["load", "fmt"])
 def test_content_loading_rejects_is_not_reprinted(tmp_path, capsys, command,
                                                   doc, message):
@@ -481,6 +486,17 @@ def test_content_loading_rejects_is_not_reprinted(tmp_path, capsys, command,
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"ERROR: {path}: {message}\n"
+
+
+def test_fmt_leaves_a_precondition_naming_an_action_unparsed(tmp_path,
+                                                              capsys):
+    # the action may be one of another file, read only in a workspace
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(dict(_U2_DOC, pre={"s": "[U2@s]p",
+                                                  "t": "true"})),
+                    encoding="utf-8")
+    code, out = run(capsys, "fmt", str(path))
+    assert code == 0 and json.loads(out)["pre"]["s"] == "[U2@s]p"
 
 
 def test_fmt_idempotent(capsys):

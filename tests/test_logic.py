@@ -9,7 +9,7 @@ from detl.action import (ActionModel, is_past_state, sharp_action,
 from detl.formula import (BOT, TOP, And, Atom, Bottom, Box, Not, Signature,
                           Update, Yesterday, conj, iff, implies, is_setl,
                           parse, pretty)
-from detl.kripke import KripkeModel, PointedModel
+from detl.kripke import INFINITE, KripkeModel, PointedModel, depth
 from detl.logic import (TableauLimit, bisimilar, is_valid, reduce_formula,
                         validity)
 from detl.semantics import (evaluate, language_equivalence_probe,
@@ -19,7 +19,7 @@ from generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
                       rand_forest_action, rand_kripke,
                       rand_temporal_action)
 from axioms import fig6_instances
-from conftest import verify_bisimulation
+from bisimulation import greatest_bisimulation, verify_bisimulation
 
 SIG = DEFAULT_SIG
 
@@ -507,31 +507,6 @@ def test_bisim_vs_probe(rng):
                 evaluate(N2, B.point, probe.distinguishing)
 
 
-def _greatest_bisimulation(MA, MB):
-    """The greatest bisimulation between two models: from all of A×B,
-    delete pairs that disagree on atoms or fail forth or back under an
-    agent or the step into the past, until none does."""
-    def atoms(M, w):
-        return {p for p, ws in M.valuation if w in ws}
-
-    def moves(M, w):
-        return [M.yesterdays(w)] + [M.succ(a, w) for a in M.sig.agents]
-
-    R = {(w, v) for w in MA.worlds for v in MB.worlds
-         if atoms(MA, w) == atoms(MB, v)}
-    changed = True
-    while changed:
-        changed = False
-        for w, v in sorted(R):
-            for mw, mv in zip(moves(MA, w), moves(MB, v)):
-                if not (all(any((w2, v2) in R for v2 in mv) for w2 in mw)
-                        and all(any((w2, v2) in R for w2 in mw) for v2 in mv)):
-                    R.discard((w, v))
-                    changed = True
-                    break
-    return R
-
-
 def test_bisimilar_is_greatest_fixpoint():
     rng = random.Random(5)
     outcomes = set()
@@ -542,7 +517,7 @@ def test_bisimilar_is_greatest_fixpoint():
         # bisimilar to N
         K = [rand_kripke(rng, max_worlds=4), product_update(N, V),
              ydel_update(N, V, True)][i % 3]
-        R = _greatest_bisimulation(N, K)
+        R = greatest_bisimulation(N, K)
         for w in N.worlds:
             for v in K.worlds:
                 A, B = PointedModel(N, w), PointedModel(K, v)
@@ -553,6 +528,31 @@ def test_bisimilar_is_greatest_fixpoint():
                     continue
                 assert wit.relation == R
                 verify_bisimulation(A, B, wit.relation)
+    assert outcomes == {True, False}
+
+
+def test_bisimilar_depth_seed_on_cyclic_pasts():
+    # blocks are seeded by atoms and depth: on models with yesterday
+    # cycles (infinite depth) and unequal finite depths, the largest
+    # bisimulation links only worlds of equal depth, and seeding by depth
+    # finds it
+    rng = random.Random(11)
+    depths, outcomes = set(), set()
+    for i in range(30):
+        N = rand_kripke(rng, max_worlds=7, density=0.2)
+        K = [N, rand_kripke(rng, max_worlds=7, density=0.2),
+             ydel_update(N, rand_atemporal_action(rng), True)][i % 3]
+        depths.update(depth(N, w) for w in N.worlds)
+        R = greatest_bisimulation(N, K)
+        assert all(depth(N, w) == depth(K, v) for w, v in R)
+        for w in N.worlds:
+            for v in K.worlds:
+                wit = bisimilar(PointedModel(N, w), PointedModel(K, v))
+                outcomes.add(wit is not None)
+                assert (wit is not None) == ((w, v) in R)
+                if wit is not None:
+                    assert wit.relation == R
+    assert INFINITE in depths and len(depths - {INFINITE}) >= 3
     assert outcomes == {True, False}
 
 
@@ -620,7 +620,7 @@ def test_bisimilar_on_deep_refinements():
         if _refinement_rounds(N, K) < 5:
             continue
         checked += 1
-        R = _greatest_bisimulation(N, K)
+        R = greatest_bisimulation(N, K)
         linked += bool(R)
         for w in N.worlds:
             for v in [v for x, v in sorted(R) if x == w][:1] + \
@@ -633,23 +633,24 @@ def test_bisimilar_on_deep_refinements():
 
 
 def test_bisimilar_moves_the_part_not_recomputed():
-    # p marks c0 and d0; c1 … c5 and d1 … d7 are chains below them, and
-    # x0 … x4 hang off c5.  Each round splits the next chain world off
-    # the large block of non-p worlds.  When c5 and d5 split off, the
-    # worlds recomputed in that block are x0 … x4 and d6, and the one
-    # left, d7, is the smaller part: it moves and the block keeps its id.
+    # p marks c0 and d0; c1 … c5 and d1 … d7 are chains of a-arrows back
+    # to them, and x0 … x4 hang off c5, all at depth 0.  Each round
+    # splits the next chain world off the large block of non-p worlds.
+    # When c5 and d5 split off, the worlds recomputed in that block are
+    # x0 … x4 and d6, and the one left, d7, is the smaller part: it
+    # moves and the block keeps its id.
     chain = [f"c{i}" for i in range(6)]
     longer = [f"d{i}" for i in range(8)]
     hang = [f"x{i}" for i in range(5)]
     worlds = tuple(chain + longer + hang)
-    yesterday = {(a, b) for xs in (chain, longer) for a, b in zip(xs, xs[1:])}
-    yesterday |= {("c5", x) for x in hang}
+    back = {(b, a) for xs in (chain, longer) for a, b in zip(xs, xs[1:])}
+    back |= {(x, "c5") for x in hang}
+    loops = {(w, w) for w in worlds}
     N = KripkeModel(sig=SIG, worlds=worlds,
-                    epistemic={a: {(w, w) for w in worlds}
-                               for a in SIG.agents},
-                    yesterday=yesterday, valuation={"p": {"c0", "d0"}})
+                    epistemic={"a": loops | back, "b": loops},
+                    yesterday=(), valuation={"p": {"c0", "d0"}})
     assert _refinement_rounds(N, N) >= 5
-    R = _greatest_bisimulation(N, N)
+    R = greatest_bisimulation(N, N)
     assert R == {(w, w) for w in worlds} | \
         {(f"c{i}", f"d{i}") for i in range(6)} | \
         {(f"d{i}", f"c{i}") for i in range(6)} | \
@@ -661,8 +662,8 @@ def test_bisimilar_moves_the_part_not_recomputed():
 
 
 def test_bisimilar_long_yesterday_chain():
-    # 2,000 worlds in one history: each round splits off one world, and
-    # no two worlds are bisimilar
+    # 2,000 worlds in one history: every world has a depth of its own, so
+    # the seed already splits them all and no two worlds are bisimilar
     worlds = tuple(f"w{i}" for i in range(2000))
     C = KripkeModel(sig=SIG, worlds=worlds,
                     epistemic={"a": {(w, w) for w in worlds}},
@@ -672,6 +673,19 @@ def test_bisimilar_long_yesterday_chain():
     assert wit.relation == {(w, w) for w in worlds}
     assert bisimilar(PointedModel(C, "w1998"), PointedModel(C, "w1999")) \
         is None
+
+
+def test_bisimilar_long_epistemic_chain():
+    # 2,000 worlds at depth 0, each with an a-arrow to the next and p at
+    # the last: each round splits off one world, so the largest part
+    # keeping its block is what keeps the moves at O(log n) per world
+    worlds = tuple(f"w{i}" for i in range(2000))
+    C = KripkeModel(sig=SIG, worlds=worlds,
+                    epistemic={"a": set(zip(worlds, worlds[1:]))},
+                    yesterday=(), valuation={"p": {"w1999"}})
+    wit = bisimilar(PointedModel(C, "w0"), PointedModel(C, "w0"))
+    assert wit.relation == {(w, w) for w in worlds}
+    assert bisimilar(PointedModel(C, "w0"), PointedModel(C, "w1")) is None
 
 
 def test_probe_disagrees_on_atoms(M):

@@ -18,7 +18,7 @@ from detl.semantics import (EmptyProductError, ProbeVerdict, Verdict,
 from generate import (DEFAULT_SIG, rand_atemporal_action,
                       rand_forest_action, rand_formula, rand_kripke,
                       rand_restricted, rand_temporal_action)
-from conftest import verify_bisimulation
+from bisimulation import verify_bisimulation
 
 SIG = DEFAULT_SIG
 
