@@ -474,25 +474,12 @@ class UnknownAction(ParseError):
     """An update names an action the registry does not hold."""
 
 
-# leading whitespace, then an identifier, an operator or any other
-# character, which is an error; a token's position is where its leading
-# whitespace starts, a bad character's its own
-_TOKEN_RE = re.compile(
-    r"(\s*)(?:([A-Za-z_♭][A-Za-z0-9_♭]*)|(<->|->|[~&|()\[\]<>@])|(\S))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    for space, ident, op, bad in _TOKEN_RE.findall(text):
-        pos += len(space)  # a token is placed at itself, not its whitespace
-        if bad:
-            raise ParseError(f"unexpected character {bad!r}", pos)
-        tokens.append(("ident", ident, pos) if ident else ("op", op, pos))
-        pos += len(ident or op)
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
+# after optional whitespace, an identifier, an operator or any other
+# character, which is an error; a token is placed at its first character
+_TOKEN_RE = re.compile(r"\s*([A-Za-z_♭][A-Za-z0-9_♭]*|<->|->|[~&|()\[\]<>@]|\S)")
+_NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_♭")
+_OPERATORS = frozenset(("<->", "->", *"~&|()[]<>@"))
 
 # per binary operator: its precedence, how much higher the printer reads
 # its left operand and the parser and printer its right one, and its
@@ -503,36 +490,51 @@ _PREC_UNARY = 5  # prefixes bind tighter than every binary operator
 _WORDS = {"true": TOP, "false": BOT}
 
 
-def _modal_head(tokens, i: int, dual: bool, sig: Signature,
+def _error(text: str, tokens, i: int, msg: str, error=ParseError):
+    """error(msg) at tokens[i], or the first bad character's ParseError
+    if text holds one; positions are worked out here, not by parse."""
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    for tok, pos in zip(tokens, starts):
+        if tok[0] not in _NAME_START and tok not in _OPERATORS:
+            return ParseError(f"unexpected character {tok!r}", pos)
+    starts.append(len(text))
+    return error(msg, starts[i])
+
+
+def _modal_head(text: str, tokens, i: int, dual: bool, sig: Signature,
                 registry: Mapping[str, "ActionModel"]):
     """The inside of [..] (or of <..> when dual), from tokens[i] on: the
-    builder of its box (or of the box's dual) and the index after it."""
+    builder of its box (or of the box's dual), the argument that goes
+    before the operand (an agent, or None) and the index after it."""
     close = ">" if dual else "]"
-    kind, name, pos = tokens[i]
-    if kind != "ident":
-        raise ParseError(f"expected a name, found {name!r}", pos)
+    name = tokens[i]
+    if name[:1] not in _NAME_START:
+        raise _error(text, tokens, i, f"expected a name, found {name!r}")
     event = None
-    if tokens[i + 1][1] == "@":
-        kind, event, epos = tokens[i + 2]
-        if kind != "ident":
-            raise ParseError(f"expected an event name, found {event!r}", epos)
+    if tokens[i + 1] == "@":
+        event = tokens[i + 2]
+        if event[:1] not in _NAME_START:
+            raise _error(text, tokens, i + 2,
+                         f"expected an event name, found {event!r}")
         i += 2
-    kind, val, cpos = tokens[i + 1]
-    if val != close:
-        raise ParseError(
-            f"expected {close!r}, found {val or 'end of input'!r}", cpos)
+    if tokens[i + 1] != close:
+        raise _error(text, tokens, i + 1, f"expected {close!r}, found "
+                     f"{tokens[i + 1] or 'end of input'!r}")
     if event is not None:
         if name not in registry:
-            raise UnknownAction(f"unknown action {name!r}", pos)
+            raise _error(text, tokens, i - 2, f"unknown action {name!r}",
+                         UnknownAction)
         action = registry[name]
         if event not in action.events:
-            raise ParseError(f"unknown event {event!r} of action {name!r}", epos)
-        return partial(dia_update if dual else _update, action, event), i + 2
+            raise _error(text, tokens, i,
+                         f"unknown event {event!r} of action {name!r}")
+        build = partial(dia_update if dual else _update, action, event)
+        return build, None, i + 2
     if name == "Y":
-        return dia_yesterday if dual else _yesterday, i + 2
+        return dia_yesterday if dual else _yesterday, None, i + 2
     if name not in sig.agents:
-        raise ParseError(f"unknown agent {name!r}", pos)
-    return partial(diamond if dual else _box, name), i + 2
+        raise _error(text, tokens, i, f"unknown agent {name!r}")
+    return diamond if dual else _box, name, i + 2
 
 
 def parse(text: str, sig: Signature,
@@ -541,38 +543,41 @@ def parse(text: str, sig: Signature,
     that no formula can continue with.
 
     One loop over one stack of pending entries, each a triple (right
-    binding power, builder, left operand): prefixes (power _PREC_UNARY,
-    no left operand), open parentheses (power 0) and binary operators,
-    whose powers come from _BINARY.  Once an operand is complete, the
-    next token pops and applies every entry that binds tighter than that
-    token, so neither nesting nor long runs recurse.
+    binding power, builder, left operand): prefixes (power _PREC_UNARY;
+    a box's or diamond's left operand is its agent), open parentheses
+    (power 0) and binary operators, whose powers come from _BINARY.
+    Once an operand is complete, the next token pops and applies every
+    entry that binds tighter than that token, so neither nesting nor long
+    runs recurse.  Tokens are bare strings, "" ending the input.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     registry = registry or {}
     stack = []
     i = 0
     while True:
-        kind, val, pos = tokens[i]
+        tok = tokens[i]
         i += 1
-        if kind == "ident":
-            f = _atom(val) if val in sig.atoms else _WORDS.get(val)
-            if f is None:
-                raise ParseError(f"unknown atom {val!r}", pos)
-        else:
-            if val == "(":
-                stack.append((0, None, None))
-            elif val == "~":
-                stack.append((_PREC_UNARY, _not, None))
-            elif val == "[" or val == "<":
-                build, i = _modal_head(tokens, i, val == "<", sig, registry)
-                stack.append((_PREC_UNARY, build, None))
-            else:
-                raise ParseError(f"unexpected {val or 'end of input'!r}", pos)
+        if tok == "[" or tok == "<":
+            build, arg, i = _modal_head(text, tokens, i, tok == "<", sig,
+                                        registry)
+            stack.append((_PREC_UNARY, build, arg))
             continue
+        if tok == "~":
+            stack.append((_PREC_UNARY, _not, None))
+            continue
+        if tok == "(":
+            stack.append((0, None, None))
+            continue
+        f = _atom(tok) if tok in sig.atoms else _WORDS.get(tok)
+        if f is None:
+            raise _error(text, tokens, i - 1, f"unknown atom {tok!r}"
+                         if tok[:1] in _NAME_START else
+                         f"unexpected {tok or 'end of input'!r}")
         while True:  # f is a complete operand
-            kind, val, pos = tokens[i]
+            tok = tokens[i]
             i += 1
-            op = _BINARY.get(val)
+            op = _BINARY.get(tok)
             prec = op[0] if op else 0
             while stack and stack[-1][0] > prec:
                 _, build, left = stack.pop()
@@ -581,12 +586,12 @@ def parse(text: str, sig: Signature,
                 stack.append((prec + op[2], op[3], f))
                 break
             if stack:  # an open parenthesis
-                if val != ")":
-                    raise ParseError("expected ')', found "
-                                     f"{val or 'end of input'!r}", pos)
+                if tok != ")":
+                    raise _error(text, tokens, i - 1, "expected ')', found "
+                                 f"{tok or 'end of input'!r}")
                 stack.pop()
-            elif kind != "eof":
-                raise ParseError(f"trailing input {val!r}", pos)
+            elif tok:
+                raise _error(text, tokens, i - 1, f"trailing input {tok!r}")
             else:
                 return f
 

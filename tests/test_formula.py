@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from detl import formula
 from detl.action import ActionModel
 from detl.formula import (And, Atom, BOT, Bottom, Box, Not, ParseError,
-                          Signature, TOP, Update, Yesterday, depth_formula,
-                          dia_yesterday, is_atemporal, is_setl, parse,
-                          pretty, subformulas, y_nesting_depth)
+                          Signature, TOP, UnknownAction, Update, Yesterday,
+                          depth_formula, dia_yesterday, is_atemporal, is_setl,
+                          parse, pretty, subformulas, y_nesting_depth)
 
+import reference_parse
 from generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
                       rand_forest_action, rand_temporal_action)
 
@@ -49,19 +50,35 @@ def test_parse_unknown_action():
         parse("[V@s]p", SIG)
 
 
-@pytest.mark.parametrize("text,msg,pos", [
-    ("p & ", "unexpected 'end of input'", 4),
-    ("(p q", "expected ')', found 'q'", 3),
-    ("(p", "expected ')', found 'end of input'", 2),
-    ("p)", "trailing input ')'", 1),
-    ("[a p", "expected ']', found 'p'", 3),
-    ("[U2@ ]p", "expected an event name, found ']'", 5),
-    ("<", "expected a name, found ''", 1)],
+@pytest.mark.parametrize("text,error,msg,pos", [
+    ("p & ", ParseError, "unexpected 'end of input'", 4),
+    ("(p q", ParseError, "expected ')', found 'q'", 3),
+    ("(p", ParseError, "expected ')', found 'end of input'", 2),
+    ("p)", ParseError, "trailing input ')'", 1),
+    ("[a p", ParseError, "expected ']', found 'p'", 3),
+    ("[U2@ ]p", ParseError, "expected an event name, found ']'", 5),
+    ("<", ParseError, "expected a name, found ''", 1),
+    ("p & r", ParseError, "unknown atom 'r'", 4),
+    ("[c]p", ParseError, "unknown agent 'c'", 1),
+    ("[V@s]p", UnknownAction, "unknown action 'V'", 1),
+    ("[U2@x]p", ParseError, "unknown event 'x' of action 'U2'", 4),
+    ("p) $", ParseError, "unexpected character '$'", 3),
+    ("[V@s]p $", ParseError, "unexpected character '$'", 7),
+    ("p &\t\n ", ParseError, "unexpected 'end of input'", 6),
+    ("q\n r", ParseError, "trailing input 'r'", 3),
+    ("Y", ParseError, "unknown atom 'Y'", 0),
+    ("[a@]p", ParseError, "expected an event name, found ']'", 3)],
     ids=["end-of-input", "unclosed", "unclosed-at-end", "trailing",
-         "unclosed-box", "event-name", "modal-name"])
-def test_parse_error_position(text, msg, pos):
+         "unclosed-box", "event-name", "modal-name", "unknown-atom",
+         "unknown-agent", "unknown-action", "unknown-event",
+         "bad-after-trailing", "bad-before-unknown-action",
+         "end-after-newline", "trailing-after-newline", "reserved-Y",
+         "missing-event"])
+def test_parse_error_position(ws, text, error, msg, pos):
+    # a bad character anywhere is reported before every other error
     with pytest.raises(ParseError) as exc:
-        parse(text, SIG)
+        ws.parse(text)
+    assert type(exc.value) is error
     assert exc.value.pos == pos
     assert str(exc.value) == f"{msg} (at position {pos})"
 
@@ -89,21 +106,29 @@ def test_parse_precedence():
 _TOKEN_TEXTS = ["p", "q", "r", "Y", "true", "false", "a", "U2", "s", "~",
                 "&", "|", "->", "<->", "(", ")", "[", "]", "<", ">", "@",
                 "[a]", "<b>", "[Y]", "<Y>", "[U2@s]", "<U2@t>", "$", "[c]",
-                "[U2@x]", "[a@]", "-", " ", "\t"]
+                "[U2@x]", "[a@]", "-", " ", "\t", "V", "[V@s]", "9", "\n",
+                "♭"]
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(_TOKEN_TEXTS), max_size=16))
 def test_parse_fuzz(ws, tokens):
     # any text either parses to a formula that prints back to itself or
-    # raises ParseError inside the text, never another exception
+    # raises ParseError inside the text, never another exception; and the
+    # reference parser builds the same node or raises the same error
     text = "".join(tokens)
+    registry = ws.actions_by_name()
     try:
         f = ws.parse(text)
     except ParseError as exc:
         assert 0 <= exc.pos <= len(text)
+        with pytest.raises(ParseError) as ref:
+            reference_parse.parse(text, ws.sig, registry)
+        assert (type(exc), str(exc), exc.pos) == \
+            (type(ref.value), str(ref.value), ref.value.pos)
     else:
         assert ws.parse(pretty(f)) is f
+        assert reference_parse.parse(text, ws.sig, registry) is f
 
 
 def test_print_basics():
