@@ -47,7 +47,7 @@ class ActionModel(Frame):
     def _post_init(self):
         object.__setattr__(self, "events", self._canonicalise())
         pre_in = dict(self.pre)
-        if set(pre_in) != self._nodeset:
+        if pre_in.keys() != self._pos.keys():
             raise ValueError("exactly one precondition per event required")
         object.__setattr__(self, "pre", tuple((e, pre_in[e]) for e in self.events))
         # what an update by it adds to its body's occurrences, itself aside

@@ -289,7 +289,7 @@ def _update(action: "ActionModel", event: str, sub: Formula) -> Update:
     key = (Update, action, action.name, event, sub)
     ref = _get(key)
     if ref is None or (node := ref()) is None:
-        if event not in action._nodeset:
+        if event not in action._pos:
             raise ValueError(f"event {event!r} not in action model")
         occ = _join(sub._occ, action._occ)
         if action not in occ[2]:

@@ -107,36 +107,54 @@ class Frame(Value):
     def epi(self) -> Dict[str, FrozenSet[Tuple[str, str]]]:
         return {a: frozenset(pairs) for a, pairs in self.epistemic}
 
-    @cached_property
-    def _nodeset(self) -> FrozenSet[str]:
-        return frozenset(self.nodes)
+    def _lists(self, pairs) -> Dict[str, tuple]:
+        """The nodes y of the pairs (x, y) at each node x, in pair order."""
+        m: Dict[str, list] = {n: [] for n in self.nodes}
+        for x, y in pairs:
+            m[x].append(y)
+        return {n: tuple(vs) for n, vs in m.items()}
 
     @cached_property
     def _succ(self) -> Dict[str, Dict[str, tuple]]:
         """Per agent, the sorted successors of every node."""
-        out = {}
-        for a, pairs in self.epistemic:
-            m: Dict[str, list] = {n: [] for n in self.nodes}
-            for x, y in pairs:
-                m[x].append(y)
-            out[a] = {n: tuple(vs) for n, vs in m.items()}
-        return out
+        return {a: self._lists(pairs) for a, pairs in self.epistemic}
 
     @cached_property
     def _parents(self) -> Dict[str, tuple]:
         """The sorted yesterday-predecessors of every node."""
-        m: Dict[str, list] = {n: [] for n in self.nodes}
-        for x, y in self.yesterday:
-            m[y].append(x)
-        return {n: tuple(vs) for n, vs in m.items()}
+        return self._lists((y, x) for x, y in self.yesterday)
 
     @cached_property
     def _children(self) -> Dict[str, tuple]:
         """The sorted nodes one tick after every node."""
-        m: Dict[str, list] = {n: [] for n in self.nodes}
-        for x, y in self.yesterday:
-            m[x].append(y)
-        return {n: tuple(vs) for n, vs in m.items()}
+        return self._lists(self.yesterday)
+
+    @cached_property
+    def _pos(self) -> Dict[str, int]:
+        """Each node's position: bit i of a node-set mask is `nodes[i]`."""
+        return {n: i for i, n in enumerate(self.nodes)}
+
+    def _masks(self, pairs) -> list:
+        """By position, the mask of the ys of the pairs (x, y) at x and the
+        mask of the nodes sharing it: one shared pair per distinct mask."""
+        pos, out = self._pos, [0] * len(self.nodes)
+        for x, y in pairs:
+            out[pos[x]] |= 1 << pos[y]
+        twins = {}
+        for i, m in enumerate(out):
+            twins[m] = twins.get(m, 0) | 1 << i
+        shared = {m: (m, ts) for m, ts in twins.items()}
+        return [shared[m] for m in out]
+
+    @cached_property
+    def _succ_masks(self) -> Dict[str, list]:
+        """Per agent, the successor and twin masks of each position."""
+        return {a: self._masks(pairs) for a, pairs in self.epistemic}
+
+    @cached_property
+    def _parent_masks(self) -> list:
+        """The yesterday-predecessor and twin masks of each position."""
+        return self._masks((y, x) for x, y in self.yesterday)
 
     @cached_property
     def _depths(self) -> dict:
@@ -187,7 +205,7 @@ class Frame(Value):
         return self._parents[n]
 
     def _require(self, n: str):
-        if n not in self._nodeset:
+        if n not in self._pos:
             raise KeyError(f"unknown {self._KIND} {n!r}")
 
 
@@ -220,7 +238,7 @@ class KripkeModel(Frame):
         val = []
         for p in self.sig.atoms:
             ws = tuple(dict.fromkeys(sorted(val_in.get(p, ()))))
-            if not self._nodeset.issuperset(ws):
+            if not self._pos.keys() >= set(ws):
                 raise ValueError(f"valuation of {p} mentions unknown worlds")
             val.append((p, ws))
         extra = set(val_in) - set(self.sig.atoms)
@@ -231,6 +249,12 @@ class KripkeModel(Frame):
     @cached_property
     def val(self) -> Dict[str, FrozenSet[str]]:
         return {p: frozenset(ws) for p, ws in self.valuation}
+
+    @cached_property
+    def _val_masks(self) -> Dict[str, int]:
+        """The mask of the worlds where each atom holds."""
+        pos = self._pos
+        return {p: sum(1 << pos[w] for w in ws) for p, ws in self.valuation}
 
     def atoms_at(self, w: str) -> FrozenSet[str]:
         return frozenset(p for p, ws in self.val.items() if w in ws)

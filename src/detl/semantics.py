@@ -63,22 +63,30 @@ def evaluate(M: KripkeModel, w: str, f: Formula) -> bool:
     """M, w ⊨ f with the product-update reading of the update modality."""
     M.require_world(w)
     _check_formula_sig(M, f)
-    return bool(_ext(M, f, {w}, {}))
+    return bool(_ext(M, f, 1 << M._pos[w], {}))
 
 
-def _ext(M: KripkeModel, f: Formula, D, memos: dict, memo: dict = None) -> set:
+def _positions(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ext(M: KripkeModel, f: Formula, D: int, memos: dict,
+         memo: dict = None) -> int:
     """The worlds of D where f holds in M, an update modality moving into
-    the product.
+    the product.  A set of worlds is an int, bit i standing for
+    `M.worlds[i]`.
 
     The labelling algorithm of Clarke–Emerson–Sistla, driven by demand:
     `memos` maps each model reached within one top-level call to its
     `memo`, which maps each compound node reached there to the worlds
     decided so far and those of them where the node holds, so a node
     shared by several parents (as in reduced formulas) is decided once
-    per world.  Entries hold the very sets passed in and returned, which
-    is sound because no set is changed once it is passed or returned.
-    The left spine of a conjunction, seen through even runs of ~ (which
-    covers |), is walked in a loop, not one call per level.
+    per world.  The left spine of a conjunction, seen through even runs
+    of ~ (which covers |), is walked in a loop, not one call per level.
     """
     negated = False
     while type(f) is Not:
@@ -86,9 +94,10 @@ def _ext(M: KripkeModel, f: Formula, D, memos: dict, memo: dict = None) -> set:
     t = type(f)
     if t is Atom:
         # leaves are read off the model, not memoised
-        return D - M.val[f.name] if negated else D & M.val[f.name]
+        val = M._val_masks[f.name]
+        return D & ~val if negated else D & val
     if t is Bottom:
-        return set(D) if negated else set()
+        return D if negated else 0
     if memo is None:
         memo = memos.setdefault(M, {})
     entry = memo.get(f)
@@ -96,7 +105,7 @@ def _ext(M: KripkeModel, f: Formula, D, memos: dict, memo: dict = None) -> set:
         holds = todo = D  # holds stands only when D is empty
     else:
         decided, truths = entry
-        holds, todo = D & truths, D - decided
+        holds, todo = D & truths, D & ~decided
     if todo:
         # new: the worlds of todo where the compound node f holds
         if t is And:
@@ -117,20 +126,33 @@ def _ext(M: KripkeModel, f: Formula, D, memos: dict, memo: dict = None) -> set:
                 if not new:
                     break
         elif t is Box or t is Yesterday:
-            succ = M._succ[f.agent] if t is Box else M._parents
-            reach = set().union(*(succ[w] for w in todo))
-            failing = reach - _ext(M, f.sub, reach, memos, memo)
-            new = ({w for w in todo if failing.isdisjoint(succ[w])}
-                   if failing else todo)
+            succ = M._succ_masks[f.agent] if t is Box else M._parent_masks
+            # the successors of todo, each distinct successor mask taken
+            # once: its twins are the worlds that share it
+            reach, rest = 0, todo
+            while rest:
+                m, twins = succ[(rest & -rest).bit_length() - 1]
+                reach |= m
+                rest &= ~twins
+            failing = reach & ~_ext(M, f.sub, reach, memos, memo)
+            new, rest = todo, todo if failing else 0
+            while rest:
+                m, twins = succ[(rest & -rest).bit_length() - 1]
+                if m & failing:
+                    new &= ~twins
+                rest &= ~twins
         elif t is Update:
             fire = _ext(M, f.action.pre_map[f.event], todo, memos, memo)
-            new = todo - fire
+            new = todo & ~fire
             if fire:
                 # the precondition holds somewhere, so the update is not empty
-                pairs = {pair_name(w, f.event): w for w in fire}
-                sat = _ext(product_update(M, f.action), f.sub, set(pairs),
-                           memos)
-                new |= {pairs[x] for x in sat}
+                P, e = product_update(M, f.action), f.event
+                pos, worlds, pairs = P._pos, M.worlds, 0
+                for i in _positions(fire):
+                    pairs |= 1 << pos[pair_name(worlds[i], e)]
+                pos, worlds = M._pos, P.worlds
+                for j in _positions(_ext(P, f.sub, pairs, memos)):
+                    new |= 1 << pos[split_pair(worlds[j])[0]]
         else:
             raise TypeError(f"not a formula: {f!r}")
         if entry is None:
@@ -138,7 +160,7 @@ def _ext(M: KripkeModel, f: Formula, D, memos: dict, memo: dict = None) -> set:
         else:
             memo[f] = decided | todo, truths | new
             holds |= new
-    return D - holds if negated else holds
+    return D & ~holds if negated else holds
 
 
 @lru_cache(maxsize=UPDATE_CACHE)
@@ -147,10 +169,12 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     asynchronous yesterday arrows."""
     _check_compatible(M, U)
     # each precondition's extension computed once over all worlds
-    memos, worlds = {}, set(M.worlds)
-    ext = [(t, _ext(M, U.pre_map[t], worlds, memos)) for t in U.events]
+    memos, worlds = {}, M.worlds
+    everywhere = (1 << len(worlds)) - 1
+    ext = [(t, _ext(M, U.pre_map[t], everywhere, memos)) for t in U.events]
     names = {(v, t): pair_name(v, t)
-             for v in M.worlds for t, holds in ext if v in holds}
+             for i, v in enumerate(worlds) for t, holds in ext
+             if holds >> i & 1}
     if not names:
         raise EmptyProductError("no world satisfies any precondition")
     # relations are lists in (world, event) order, nearly string order,
@@ -215,19 +239,20 @@ def eval_ydel(M: KripkeModel, w: str, f: Formula,
         if not rep.holds:
             raise ValueError(f"ydel evaluation requires a restricted model "
                              f"(fails {rep.witness[0]})")
-    return bool(_ext(M, sharp_formula(f), {w}, {}))
+    return bool(_ext(M, sharp_formula(f), 1 << M._pos[w], {}))
 
 
 def eval_rdetl(M: KripkeModel, w: str, f: Formula) -> Verdict:
     """Three-valued: truth is only defined over restricted models and
     forest-like actions; anything else is out of scope, not false."""
     M.require_world(w)
+    _check_formula_sig(M, f)
     if not is_restricted(M).holds:
         return Verdict.NOT_IN_SCOPE
     for U in f.actions:
         if not is_lrdetl_action(U).holds:
             return Verdict.NOT_IN_SCOPE
-    return Verdict.TRUE if evaluate(M, w, f) else Verdict.FALSE
+    return Verdict.TRUE if _ext(M, f, 1 << M._pos[w], {}) else Verdict.FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +300,7 @@ def language_equivalence_probe(A: PointedModel, B: PointedModel,
     per side for the whole pool; report the first disagreement."""
     if A.model.sig != B.model.sig:
         raise ValueError("probe requires a shared signature")
-    sides = [(pm.model, {pm.point}, {}) for pm in (A, B)]
+    sides = [(pm.model, 1 << pm.model._pos[pm.point], {}) for pm in (A, B)]
     for f in formula_pool(A.model.sig, max_depth):
         if len({bool(_ext(M, f, D, memos)) for M, D, memos in sides}) > 1:
             return ProbeVerdict(False, f)

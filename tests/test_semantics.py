@@ -6,8 +6,9 @@ import pytest
 from detl.action import ActionModel, check_history_preservation, \
     action_depth, is_past_state, sharp_action
 from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
-                          Update, Yesterday, parse, subformulas)
-from detl.kripke import INFINITE, KripkeModel, depth, is_restricted
+                          Update, Yesterday, diamond, parse, subformulas)
+from detl.kripke import (INFINITE, KripkeModel, depth, is_restricted,
+                         relation_closure)
 from detl.logic import bisimilar
 from detl.kripke import PointedModel
 from detl.semantics import (EmptyProductError, ProbeVerdict, Verdict,
@@ -302,6 +303,57 @@ def test_evaluators_equal_definition():
                 (Verdict.TRUE if expected else Verdict.FALSE), (R, w, f)
 
 
+def _wide_model(rng, n, cycle):
+    """An n-world model whose epistemic relations are the s5 closures of
+    sparse random arrows, so the few worlds of a class share one
+    successor mask; its yesterday relation is a few random arrows and,
+    when asked, a cycle through the first five worlds."""
+    worlds = [f"w{i}" for i in range(n)]
+    sparse = {a: {(x, rng.choice(worlds)) for x in worlds
+                  if rng.random() < 0.35} for a in SIG.agents}
+    yesterday = {(rng.choice(worlds), rng.choice(worlds)) for _ in range(5)}
+    if cycle:
+        yesterday |= {(worlds[i], worlds[(i + 1) % 5]) for i in range(5)}
+    N = KripkeModel(sig=SIG, worlds=worlds, epistemic=sparse,
+                    yesterday=yesterday,
+                    valuation={p: {w for w in worlds if rng.random() < 0.5}
+                               for p in SIG.atoms})
+    return relation_closure(N, "s5")
+
+
+def test_evaluators_equal_definition_past_one_machine_word():
+    # world sets of several 64-bit limbs: models of 65 to 80 worlds, and
+    # 40-world models whose products grow past 64 worlds
+    rng = random.Random(29)
+    widest = 0
+    for k in range(8):
+        N = _wide_model(rng, rng.randint(65, 80) if k % 2 else 40, k % 4 < 2)
+        acts = _pointed([rand_temporal_action(rng, max_events=2, name="T"),
+                         rand_atemporal_action(rng, max_events=2)])
+        widest = max([widest] + [len(product_update(N, U).worlds)
+                                 for U, _ in acts])
+        # a diamond over a box of the other agent reads the box at
+        # several worlds of one class
+        g = rand_formula(rng, SIG, 2)
+        for f in [_under_updates(rng, acts), diamond("a", Box("b", g)),
+                  diamond("b", Box("a", g))]:
+            for w in N.worlds:
+                assert evaluate(N, w, f) == _holds_by_definition(
+                    N, w, f, _product_by_definition), (N, w, f)
+        # the ⊕ reading under one update: restricted on the atemporal
+        # s5 model, permissive with the yesterday arrows
+        A = _wide_model(rng, 70, False)
+        A = KripkeModel(sig=SIG, worlds=A.worlds, epistemic=A.epi,
+                        yesterday=(), valuation=A.valuation)
+        U = rand_atemporal_action(rng, max_events=2)
+        f = Update(U, rng.choice(U.events), rand_formula(rng, SIG, 3))
+        for R, permissive in ((A, False), (N, True)):
+            for w in R.worlds:
+                assert eval_ydel(R, w, f, permissive) == _holds_by_definition(
+                    R, w, f, _oplus_by_definition), (R, w, f)
+    assert widest > 64
+
+
 class _CountingDict(dict):
     lookups = 0
 
@@ -310,17 +362,23 @@ class _CountingDict(dict):
         return super().__getitem__(key)
 
 
-def _complete_model_counting_lookups(n):
+def _counting_lookups(M, view="_val_masks"):
+    """M's cached valuation view, the mask per atom that the evaluator
+    reads or the world set per atom that `_holds_by_definition` reads,
+    replaced by a dict that counts look-ups."""
+    M.__dict__[view] = val = _CountingDict(getattr(M, view))
+    return val
+
+
+def _complete_model_counting_lookups(n, view="_val_masks"):
     """The n-world model with every arrow of agents a and b and p
-    everywhere, its cached valuation view replaced by a dict that counts
-    look-ups."""
+    everywhere, with its valuation view counting look-ups."""
     worlds = [f"w{i}" for i in range(n)]
     every = {(x, y) for x in worlds for y in worlds}
     M = KripkeModel(sig=Signature(("a", "b"), ("p",)), worlds=worlds,
                     epistemic={"a": every, "b": every}, yesterday=(),
                     valuation={"p": worlds})
-    M.__dict__["val"] = val = _CountingDict(M.val)
-    return M, val
+    return M, _counting_lookups(M, view)
 
 
 def test_box_tower_work_is_linear():
@@ -331,9 +389,9 @@ def test_box_tower_work_is_linear():
     # successors, so the valuation is read at most once per node
     M, val = _complete_model_counting_lookups(6)
     assert evaluate(M, "w0", f)
-    assert val.lookups <= 7
+    assert 1 <= val.lookups <= 7
     # top-down, the valuation is read at the end of each of the 6^6 paths
-    M, val = _complete_model_counting_lookups(6)
+    M, val = _complete_model_counting_lookups(6, "val")
     assert _holds_by_definition(M, "w0", f, _product_by_definition)
     assert val.lookups == 6 ** 6
 
@@ -349,16 +407,16 @@ def test_shared_subformulas_decided_once():
     for check in (evaluate, eval_ydel):
         M, val = _complete_model_counting_lookups(6)
         assert check(M, "w0", f)
-        assert val.lookups <= 2
+        assert 1 <= val.lookups <= 2
     # the same inside an update, where the memo is the product's
     M, _ = _complete_model_counting_lookups(6)
     ident = ActionModel(sig=M.sig, events=("e",),
                         epistemic={a: {("e", "e")} for a in M.sig.agents},
                         yesterday=(), pre={"e": TOP}, name="I")
     P = product_update(M, ident)
-    P.__dict__["val"] = val = _CountingDict(P.val)
+    val = _counting_lookups(P)
     assert evaluate(M, "w0", Update(ident, "e", f))
-    assert val.lookups <= 2
+    assert 1 <= val.lookups <= 2
 
 
 def test_depth_additivity_under_history_preservation(rng):
@@ -474,6 +532,17 @@ def test_eval_rdetl(ws, M):
     assert eval_rdetl(two_pasts, "w", ws.parse("p")) is Verdict.NOT_IN_SCOPE
     axiom = ws.parse("[Y]p <-> (~[Y]false -> p)")
     assert eval_rdetl(M, "w", axiom) is Verdict.TRUE
+
+
+def test_readings_reject_formula_outside_signature(ws):
+    # q is outside the model's signature; the model is not restricted,
+    # and the signature check comes before the restricted one
+    two_pasts = KripkeModel(
+        sig=Signature(("a", "b"), ("p",)), worlds=("u", "v", "w"),
+        epistemic={}, yesterday={("u", "w"), ("v", "w")}, valuation={})
+    for check in (evaluate, eval_ydel, eval_rdetl):
+        with pytest.raises(ValueError, match="atoms outside"):
+            check(two_pasts, "w", Atom("q"))
 
 
 def test_eval_rdetl_rejects_bad_actions(ws, M):
