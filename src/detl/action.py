@@ -13,8 +13,8 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from typing import Dict
 
-from .formula import (Formula, TOP, Update, Value, _join, check_ident,
-                      implies, map_updates, subformulas)
+from .formula import (Formula, TOP, Update, Value, _join, _reachable,
+                      check_ident, implies, map_updates, subformulas)
 from .kripke import (KRIPKE_PROPERTIES, Frame, PropertyReport,
                      depth as action_depth, is_initial as is_past_state,
                      is_restricted)
@@ -136,27 +136,14 @@ def check_past_preservation(A: PointedAction) -> PropertyReport:
     hp = U._history
     if not hp.holds:
         return PropertyReport("past_preservation", False, hp.witness)
-    seen = {A.point}
-    stack = [A.point]
-    while stack:
-        e = stack.pop()
-        for p in U.yesterdays(e):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
+    earlier = _reachable([A.point], U.yesterdays)
     # an event reaches a past state going backward exactly when it is
     # reached going forward from one: one search finds them all
-    later = U._children
-    stack = [e for e in U.events if not U.yesterdays(e)]
-    grounded = set(stack)
-    while stack:
-        for y in later[stack.pop()]:
-            if y not in grounded:
-                grounded.add(y)
-                stack.append(y)
-    if seen - grounded:
+    grounded = _reachable([e for e in U.events if not U.yesterdays(e)],
+                          U._children.__getitem__)
+    if stray := earlier.keys() - grounded:
         return PropertyReport("past_preservation", False,
-                              (min(seen - grounded), "no_past_state_reachable"))
+                              (min(stray), "no_past_state_reachable"))
     return PropertyReport("past_preservation", True)
 
 

@@ -340,6 +340,21 @@ def conj(formulas) -> Formula:
     return out
 
 
+def _reachable(start, step) -> dict:
+    """The nodes reachable from those in start by zero or more calls of
+    step (a node's successors), as the keys of a dict, in the order a
+    depth-first search first pops them: preorder when step lists a node's
+    successors last-first.  A loop on an explicit stack, so long paths do
+    not recurse."""
+    seen, stack = {}, list(start)
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen[x] = None
+            stack += step(x)
+    return seen
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     """All subformulas of f, preorder, not descending into preconditions;
     a subformula occurring twice is yielded twice."""
@@ -422,24 +437,18 @@ def is_setl(f: Formula) -> bool:
 
 
 def y_nesting_depth(f: Formula) -> int:
-    """The most [Y] on one path of f; one loop over (node, [Y] above it)
+    """The most [Y] on one path of f; one search over (node, [Y] above it)
     pairs, each distinct pair once."""
     if f.actions:
         raise ValueError("y_nesting_depth is defined on update-free formulas only")
-    best, seen, stack = 0, set(), [(f, 0)]
-    while stack:
-        item = g, d = stack.pop()
-        if item in seen:
-            continue
-        seen.add(item)
+
+    def below(item):
+        g, d = item
         t = type(g)
         if t is And:
-            stack += ((g.left, d), (g.right, d))
-        elif t is not Atom and t is not Bottom:
-            d += t is Yesterday
-            best = max(best, d)
-            stack.append((g.sub, d))
-    return best
+            return (g.left, d), (g.right, d)
+        return () if t is Atom or t is Bottom else ((g.sub, d + (t is Yesterday)),)
+    return max(d for _, d in _reachable([(f, 0)], below))
 
 
 def depth_formula(n: int, unique_past: bool = False) -> Formula:

@@ -17,7 +17,7 @@ import re
 from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .formula import RESERVED, Value
+from .formula import RESERVED, Value, _reachable
 
 INFINITE = float("inf")
 
@@ -381,13 +381,8 @@ def generated_submodel(M: KripkeModel, w: str) -> KripkeModel:
     """Restriction of M to worlds reachable from w via epistemic arrows
     (forward) and yesterday arrows toward the past."""
     M.require_world(w)
-    seen, stack = {w}, [w]
-    while stack:
-        x = stack.pop()
-        new = {*M.yesterdays(x),
-               *(y for a in M.sig.agents for y in M.succ(a, x))} - seen
-        seen |= new
-        stack.extend(new)
+    seen = _reachable([w], lambda x: (*M.yesterdays(x), *(
+        y for a in M.sig.agents for y in M.succ(a, x))))
     return KripkeModel(
         sig=M.sig,
         worlds=[x for x in M.worlds if x in seen],
@@ -400,19 +395,11 @@ def generated_submodel(M: KripkeModel, w: str) -> KripkeModel:
 
 def _transitive(pairs: set) -> set:
     """Pairs (x, z) with z reachable from x in one or more steps."""
-    succ: Dict[str, set] = {}
+    succ: Dict[str, list] = {n: [] for e in pairs for n in e}
     for x, y in pairs:
-        succ.setdefault(x, set()).add(y)
-    out = set()
-    for x in succ:
-        reach, stack = set(), [x]
-        while stack:
-            for y in succ.get(stack.pop(), ()):
-                if y not in reach:
-                    reach.add(y)
-                    stack.append(y)
-        out.update((x, y) for y in reach)
-    return out
+        succ[x].append(y)
+    return {(x, z) for x, ys in succ.items()
+            for z in _reachable(ys, succ.__getitem__)}
 
 
 def close_pairs(pairs, nodes, mode: str) -> set:

@@ -10,7 +10,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .formula import (BOT, TOP, And, Atom, Bottom, Box, Formula, Not,
                       Signature, Update, Value, Yesterday, _and, _box, _not,
-                      _update, _yesterday, conj, implies, map_updates)
+                      _reachable, _update, _yesterday, conj, implies,
+                      map_updates)
 from .kripke import KripkeModel, PointedModel
 
 DEFAULT_NODE_LIMIT = 10 ** 6
@@ -240,13 +241,8 @@ class _Tableau:
 def _tree_to_model(root: _TreeWorld, sig: Signature) -> PointedModel:
     """The tree's worlds, each distinct one once, named in depth-first
     preorder; a witness shared by several diamonds is one world."""
-    names: Dict[_TreeWorld, str] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node not in names:
-            names[node] = f"w{len(names)}"
-            stack.extend(child for _, child in reversed(node.children))
+    names = {node: f"w{i}" for i, node in enumerate(_reachable(
+        [root], lambda node: [child for _, child in reversed(node.children)]))}
     # per relation the arrows to the children, None for the [Y] witnesses,
     # each one tick before the world that asked for it
     arrows = {rel: [] for rel in (None, *sig.agents)}

@@ -210,17 +210,20 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
 # YDEL: the ⊕ update is the product with the ♯ translation (Sack, "Temporal
 # languages for epistemic programs", 2008)
 
+def _require_restricted(M: KripkeModel, use: str, permissive: bool):
+    """Reject a model the ⊕ reading is undefined on, unless permissive."""
+    if not permissive and not (rep := is_restricted(M)):
+        raise ValueError(f"ydel {use} requires a restricted model "
+                         f"(fails {rep.witness[0]})")
+
+
 def ydel_update(M: KripkeModel, U: ActionModel,
                 permissive: bool = False) -> KripkeModel:
     """M ⊕ U, the ♭-copy of M as the shared yesterday of all event worlds:
     the product M[U♯]."""
     if not is_atemporal_action(U):
         raise ValueError("ydel update requires an atemporal action")
-    if not permissive:
-        rep = is_restricted(M)
-        if not rep.holds:
-            raise ValueError(f"ydel update requires a restricted model "
-                             f"(fails {rep.witness[0]})")
+    _require_restricted(M, "update", permissive)
     return product_update(M, sharp_action(U))
 
 
@@ -234,11 +237,7 @@ def eval_ydel(M: KripkeModel, w: str, f: Formula,
     for U in f.actions:
         if not is_atemporal_action(U):
             raise ValueError("formula outside the atemporal-action fragment")
-    if not permissive:
-        rep = is_restricted(M)
-        if not rep.holds:
-            raise ValueError(f"ydel evaluation requires a restricted model "
-                             f"(fails {rep.witness[0]})")
+    _require_restricted(M, "evaluation", permissive)
     return bool(_ext(M, sharp_formula(f), 1 << M._pos[w], {}))
 
 

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from detl import logic
+from detl.action import sharp_formula
 from detl.cli import main
 from detl.formula import Atom
 from detl.semantics import evaluate
-from detl.serialize import document_to_object
+from detl.serialize import Workspace, document_to_object
 
 from conftest import FIXTURES
 
@@ -170,6 +171,47 @@ def test_update_ydel(tmp_path, capsys):
     assert code == 0 and "WORLDS: 5" in out
     doc = json.loads(out_file.read_text(encoding="utf-8"))
     assert "w|♭" in doc["worlds"] and "v|♭" in doc["worlds"]
+
+
+def _two_pasts(tmp_path):
+    """A workspace with N, p everywhere and w one tick after both u and v
+    (so N fails only uniqueness of past), and A, one event firing always."""
+    (tmp_path / "N.json").write_text(json.dumps({
+        "type": "kripke", "agents": ["a"], "atoms": ["p"],
+        "worlds": ["u", "v", "w"], "val": {"p": ["u", "v", "w"]},
+        "epistemic": {}, "yesterday": [["u", "w"], ["v", "w"]],
+        "closure": "s5"}), encoding="utf-8")
+    (tmp_path / "A.json").write_text(json.dumps({
+        "type": "action", "agents": ["a"], "atoms": ["p"], "events": ["e"],
+        "pre": {"e": "true"}, "epistemic": {}, "yesterday": [],
+        "closure": "s5"}), encoding="utf-8")
+    return Workspace.load_dir(tmp_path)
+
+
+def test_permissive_ydel_eval(tmp_path, capsys):
+    ws = _two_pasts(tmp_path)
+    argv = ("--workspace", str(tmp_path), "--mode", "ydel")
+    assert main([*argv, "eval", "N", "w", "[A@e]p"]) == 3
+    assert capsys.readouterr() == ("", "ERROR: ydel evaluation requires a "
+                                   "restricted model (fails uniqueness_of_past)\n")
+    code, out = run(capsys, *argv, "--permissive-ydel", "eval", "N", "w",
+                    "[A@e]p")
+    assert code == 0 and out == "RESULT: true\n"
+    N = ws.models["N"][0]
+    assert evaluate(N, "w", sharp_formula(ws.parse("[A@e]p")))
+
+
+def test_permissive_ydel_update(tmp_path, capsys):
+    _two_pasts(tmp_path)
+    argv = ("--workspace", str(tmp_path), "--mode", "ydel")
+    out_file = tmp_path / "P.json"  # written after the workspace is read
+    assert main([*argv, "update", "N", "A", str(out_file)]) == 3
+    assert capsys.readouterr() == ("", "ERROR: ydel update requires a "
+                                   "restricted model (fails uniqueness_of_past)\n")
+    assert not out_file.exists()
+    code, out = run(capsys, *argv, "--permissive-ydel", "update", "N", "A",
+                    str(out_file))
+    assert code == 0 and "WORLDS: 6\n" in out
 
 
 def test_check_model(capsys):
@@ -385,6 +427,18 @@ def test_validity(tmp_path, capsys):
     assert code == 1 and out.startswith("VERDICT: INVALID\nCOUNTERMODEL: ")
     _, C, point = document_to_object(json.loads(out.split(": ", 2)[2]))
     assert not evaluate(C, point, Atom("a"))
+
+
+def test_validity_countermodel_names_pinned(capsys):
+    # worlds are named in depth-first preorder of the tableau's tree, and
+    # w3 is one world: the witness of w2's <a>p and of w4's <b>p
+    code, out = run(capsys, "validity", "~(<a><b>p & <b><a>p & <a>q)")
+    assert code == 1 and out == (
+        'VERDICT: INVALID\nCOUNTERMODEL: {"type": "kripke", "agents": '
+        '["a", "b"], "atoms": ["p", "q"], "worlds": ["w0", "w1", "w2", '
+        '"w3", "w4"], "val": {"p": ["w3"], "q": ["w1"]}, "epistemic": '
+        '{"a": [["w0", "w1"], ["w0", "w4"], ["w2", "w3"]], "b": [["w0", '
+        '"w2"], ["w4", "w3"]]}, "yesterday": [], "point": "w0"}\n')
 
 
 def test_bisim(capsys):

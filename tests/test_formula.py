@@ -191,6 +191,15 @@ def test_y_nesting_depth_of_deep_input():
     assert y_nesting_depth(parse("~[a]" * 3000 + "[Y]p", SIG)) == 1
 
 
+def test_y_nesting_depth_of_shared_dag():
+    # f(i+1) = [Y]f(i) & f(i): 61 distinct nodes on 2^60 paths, each
+    # distinct (node, [Y] count) pair visited once
+    f = Atom("p")
+    for _ in range(60):
+        f = And(Yesterday(f), f)
+    assert y_nesting_depth(f) == 60
+
+
 def test_depth_formula():
     assert pretty(depth_formula(1, unique_past=True)) == "<Y>[Y]false"
     assert pretty(depth_formula(2, unique_past=False)) == \

@@ -221,6 +221,46 @@ def test_generated_submodel_product(ws, M):
         {"u|t", "v|t", "w|t"}
 
 
+def _generated_by_definition(M, w):
+    """M restricted to the least world set that holds w and is closed
+    under epistemic successors and yesterday-predecessors: the union of
+    one more step of both, until nothing is added."""
+    steps = [e for _, pairs in M.epistemic for e in pairs]
+    steps += [(y, x) for x, y in M.yesterday]
+    keep, grown = set(), {w}
+    while grown != keep:
+        keep = grown
+        grown = keep | {y for x, y in steps if x in keep}
+    return KripkeModel(
+        sig=M.sig, worlds=keep,
+        epistemic={a: {(x, y) for x, y in pairs if {x, y} <= keep}
+                   for a, pairs in M.epistemic},
+        yesterday={(x, y) for x, y in M.yesterday if {x, y} <= keep},
+        valuation={p: set(ws) & keep for p, ws in M.valuation})
+
+
+def test_generated_submodel_equals_definition():
+    rng = random.Random(41)
+    models = []
+    for _ in range(25):
+        models += [rand_kripke(rng, max_worlds=6),
+                   rand_kripke(rng, max_worlds=6, acyclic=True),
+                   rand_restricted(rng),
+                   product_update(rand_kripke(rng, max_worlds=3),
+                                  rand_temporal_action(rng, name="T"))]
+    # with and without a yesterday cycle, and some point generating less
+    # than the whole model
+    assert {any(depth(M, w) == INFINITE for w in M.worlds)
+            for M in models} == {True, False}
+    smaller = 0
+    for M in models:
+        for w in M.worlds:
+            G = generated_submodel(M, w)
+            assert G == _generated_by_definition(M, w), (M, w)
+            smaller += len(G.worlds) < len(M.worlds)
+    assert smaller
+
+
 def test_relation_closure_transitive(M):
     drawn = KripkeModel(
         sig=M.sig, worlds=M.worlds,

@@ -7,8 +7,8 @@ from detl.action import ActionModel, check_history_preservation, \
     action_depth, is_past_state, sharp_action
 from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
                           Update, Yesterday, diamond, parse, subformulas)
-from detl.kripke import (INFINITE, KripkeModel, depth, is_restricted,
-                         relation_closure)
+from detl.kripke import (INFINITE, KripkeModel, depth, generated_submodel,
+                         is_restricted, relation_closure)
 from detl.logic import bisimilar
 from detl.kripke import PointedModel
 from detl.semantics import (EmptyProductError, ProbeVerdict, Verdict,
@@ -301,6 +301,24 @@ def test_evaluators_equal_definition():
             expected = _holds_by_definition(R, w, f, _product_by_definition)
             assert eval_rdetl(R, w, f) is \
                 (Verdict.TRUE if expected else Verdict.FALSE), (R, w, f)
+
+
+def test_truth_invariant_under_generated_submodels():
+    # what holds at w, updates included, depends only on the worlds w
+    # reaches by epistemic arrows and steps into its past
+    rng = random.Random(29)
+    smaller = 0
+    for _ in range(60):
+        acts = _pointed([rand_temporal_action(rng, name="T"),
+                         rand_atemporal_action(rng),
+                         rand_forest_action(rng, name="F")])
+        for N in (rand_kripke(rng, max_worlds=5), rand_restricted(rng)):
+            f = _under_updates(rng, acts)
+            for w in N.worlds:
+                G = generated_submodel(N, w)
+                assert evaluate(N, w, f) == evaluate(G, w, f), (N, w, f)
+                smaller += len(G.worlds) < len(N.worlds)
+    assert smaller
 
 
 def _wide_model(rng, n, cycle):
