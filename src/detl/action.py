@@ -11,7 +11,6 @@ preservation, time-advancing) ask `logic.is_valid` about preconditions.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from typing import Dict
 
 from .formula import (Formula, TOP, Update, Value, _join, _reachable,
                       check_ident, implies, map_updates, subformulas)
@@ -56,7 +55,7 @@ class ActionModel(Frame):
             _join, (p._occ for _, p in self.pre), occ))
 
     @cached_property
-    def pre_map(self) -> Dict[str, Formula]:
+    def pre_map(self) -> dict[str, Formula]:
         return dict(self.pre)
 
     @cached_property

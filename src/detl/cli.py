@@ -310,6 +310,32 @@ def _demo_claims(ws: Workspace, figure: str):
 
 # ---------------------------------------------------------------------------
 
+# name: (help, handler, arguments), an argument a name or (name, options)
+_COMMANDS = {
+    "eval": ("evaluate a formula at a world", cmd_eval,
+             ["model", "world", "formula"]),
+    "update": ("write the updated model", cmd_update,
+               ["model", "action", "out"]),
+    "check": ("property reports for a model, an action, or a pointed action "
+              "Name@event", cmd_check,
+              ["target", ("properties", {"nargs": "*"})]),
+    "reduce": ("update-free equivalent of a formula", cmd_reduce,
+               ["formula"]),
+    "validity": ("decide validity over all models", cmd_validity,
+                 ["formula", ("--countermodel",
+                              {"help": "write the countermodel here"})]),
+    "bisim": ("bisimulation between two pointed models", cmd_bisim,
+              ["model_a", "world_a", "model_b", "world_b"]),
+    "sharp": ("translate an atemporal action", cmd_sharp, ["action", "out"]),
+    "demo": ("replay the bundled figure claims", cmd_demo,
+             [("figure", {"choices": ["fig1", "fig2", "fig3", "fig4", "fig5",
+                                      "fig8", "fig9", "fig10"]})]),
+    "fmt": ("canonical reprint of a model file", cmd_fmt,
+            ["file", ("--dot", {"action": "store_true",
+                                "help": "DOT export instead"})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="detl",
@@ -323,55 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--permissive-ydel", action="store_true",
                     help="allow ydel operations on non-restricted models")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a formula at a world")
-    p.add_argument("model")
-    p.add_argument("world")
-    p.add_argument("formula")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("update", help="write the updated model")
-    p.add_argument("model")
-    p.add_argument("action")
-    p.add_argument("out")
-    p.set_defaults(func=cmd_update)
-
-    p = sub.add_parser("check", help="property reports for a model, an "
-                       "action, or a pointed action Name@event")
-    p.add_argument("target")
-    p.add_argument("properties", nargs="*")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("reduce", help="update-free equivalent of a formula")
-    p.add_argument("formula")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("validity", help="decide validity over all models")
-    p.add_argument("formula")
-    p.add_argument("--countermodel", help="write the countermodel here")
-    p.set_defaults(func=cmd_validity)
-
-    p = sub.add_parser("bisim", help="bisimulation between two pointed models")
-    p.add_argument("model_a")
-    p.add_argument("world_a")
-    p.add_argument("model_b")
-    p.add_argument("world_b")
-    p.set_defaults(func=cmd_bisim)
-
-    p = sub.add_parser("sharp", help="translate an atemporal action")
-    p.add_argument("action")
-    p.add_argument("out")
-    p.set_defaults(func=cmd_sharp)
-
-    p = sub.add_parser("demo", help="replay the bundled figure claims")
-    p.add_argument("figure", choices=["fig1", "fig2", "fig3", "fig4", "fig5",
-                                      "fig8", "fig9", "fig10"])
-    p.set_defaults(func=cmd_demo)
-
-    p = sub.add_parser("fmt", help="canonical reprint of a model file")
-    p.add_argument("file")
-    p.add_argument("--dot", action="store_true", help="DOT export instead")
-    p.set_defaults(func=cmd_fmt)
+    for name, (text, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg in arguments:
+            flag, options = (arg, {}) if type(arg) is str else arg
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return ap
 
 

@@ -21,10 +21,6 @@ from __future__ import annotations
 import re
 import weakref
 from functools import partial
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, Mapping, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .action import ActionModel
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -50,7 +46,7 @@ class Value:
     """
 
     _fields: tuple = ()
-    _compared: Optional[tuple] = None
+    _compared: tuple | None = None
 
     def __init__(self, *args, **kwargs):
         cls, values = type(self), dict(zip(self._fields, args), **kwargs)
@@ -109,10 +105,10 @@ class _Ref(weakref.ref):
 
 
 #: the intern table, structural key -> weak reference to the one node
-_NODES: Dict[tuple, _Ref] = {}
+_NODES: dict[tuple, _Ref] = {}
 _get = _NODES.get
 
-_EMPTY: FrozenSet = frozenset()
+_EMPTY: frozenset = frozenset()
 _EMPTY_OCC = (_EMPTY, _EMPTY, _EMPTY)  # no atoms, agents or actions
 
 
@@ -355,9 +351,9 @@ def _reachable(start, step) -> dict:
     return seen
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformulas of f, preorder, not descending into preconditions;
-    a subformula occurring twice is yielded twice."""
+def subformulas(f: Formula):
+    """An iterator over all subformulas of f, preorder, not descending into
+    preconditions; a subformula occurring twice is yielded twice."""
     stack = [f]
     while stack:
         g = stack.pop()
@@ -378,7 +374,7 @@ def map_updates(f: Formula, at_update=None, step=None) -> Formula:
     deep input does not recurse; nodes without updates come back as they
     are.  Preconditions are left to at_update or step.
     """
-    done: Dict[Formula, Formula] = {}
+    done: dict[Formula, Formula] = {}
     stack = [f]
     while stack:
         g = stack.pop()
@@ -409,16 +405,16 @@ def map_updates(f: Formula, at_update=None, step=None) -> Formula:
     return done[f]
 
 
-def actions_in(f: Formula) -> FrozenSet["ActionModel"]:
+def actions_in(f: Formula) -> frozenset["ActionModel"]:
     """The action models occurring in f, including inside preconditions."""
     return f.actions
 
 
-def atoms_in(f: Formula) -> FrozenSet[str]:
+def atoms_in(f: Formula) -> frozenset[str]:
     return f.atoms
 
 
-def agents_in(f: Formula) -> FrozenSet[str]:
+def agents_in(f: Formula) -> frozenset[str]:
     return f.agents
 
 
@@ -511,7 +507,7 @@ def _error(text: str, tokens, i: int, msg: str, error=ParseError):
 
 
 def _modal_head(text: str, tokens, i: int, dual: bool, sig: Signature,
-                registry: Mapping[str, "ActionModel"]):
+                registry: dict[str, "ActionModel"]):
     """The inside of [..] (or of <..> when dual), from tokens[i] on: the
     builder of its box (or of the box's dual), the argument that goes
     before the operand (an agent, or None) and the index after it."""
@@ -547,7 +543,7 @@ def _modal_head(text: str, tokens, i: int, dual: bool, sig: Signature,
 
 
 def parse(text: str, sig: Signature,
-          registry: Optional[Mapping[str, "ActionModel"]] = None) -> Formula:
+          registry: dict[str, "ActionModel"] | None = None) -> Formula:
     """The formula that text writes, or a ParseError at the first token
     that no formula can continue with.
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Dict, FrozenSet, Optional, Tuple
 
 from .formula import RESERVED, Value, _reachable
 
@@ -39,7 +38,7 @@ CLOSURE_MODES = ("none", "reflexive", "symmetric", "transitive", "s5")
 
 class PropertyReport(Value):
     _fields = ("property", "holds", "witness")
-    witness: Optional[tuple] = None
+    witness: tuple | None = None
 
     def __bool__(self):
         return self.holds
@@ -104,33 +103,33 @@ class Frame(Value):
         return hash(self._key())
 
     @cached_property
-    def epi(self) -> Dict[str, FrozenSet[Tuple[str, str]]]:
+    def epi(self) -> dict[str, frozenset[tuple[str, str]]]:
         return {a: frozenset(pairs) for a, pairs in self.epistemic}
 
-    def _lists(self, pairs) -> Dict[str, tuple]:
+    def _lists(self, pairs) -> dict[str, tuple]:
         """The nodes y of the pairs (x, y) at each node x, in pair order."""
-        m: Dict[str, list] = {n: [] for n in self.nodes}
+        m: dict[str, list] = {n: [] for n in self.nodes}
         for x, y in pairs:
             m[x].append(y)
         return {n: tuple(vs) for n, vs in m.items()}
 
     @cached_property
-    def _succ(self) -> Dict[str, Dict[str, tuple]]:
+    def _succ(self) -> dict[str, dict[str, tuple]]:
         """Per agent, the sorted successors of every node."""
         return {a: self._lists(pairs) for a, pairs in self.epistemic}
 
     @cached_property
-    def _parents(self) -> Dict[str, tuple]:
+    def _parents(self) -> dict[str, tuple]:
         """The sorted yesterday-predecessors of every node."""
         return self._lists((y, x) for x, y in self.yesterday)
 
     @cached_property
-    def _children(self) -> Dict[str, tuple]:
+    def _children(self) -> dict[str, tuple]:
         """The sorted nodes one tick after every node."""
         return self._lists(self.yesterday)
 
     @cached_property
-    def _pos(self) -> Dict[str, int]:
+    def _pos(self) -> dict[str, int]:
         """Each node's position: bit i of a node-set mask is `nodes[i]`."""
         return {n: i for i, n in enumerate(self.nodes)}
 
@@ -147,7 +146,7 @@ class Frame(Value):
         return [shared[m] for m in out]
 
     @cached_property
-    def _succ_masks(self) -> Dict[str, list]:
+    def _succ_masks(self) -> dict[str, list]:
         """Per agent, the successor and twin masks of each position."""
         return {a: self._masks(pairs) for a, pairs in self.epistemic}
 
@@ -179,7 +178,7 @@ class Frame(Value):
         return depth
 
     @cached_property
-    def _reports(self) -> Dict[str, PropertyReport]:
+    def _reports(self) -> dict[str, PropertyReport]:
         """The report of each frame property checked so far."""
         return {}
 
@@ -247,16 +246,16 @@ class KripkeModel(Frame):
         object.__setattr__(self, "valuation", tuple(val))
 
     @cached_property
-    def val(self) -> Dict[str, FrozenSet[str]]:
+    def val(self) -> dict[str, frozenset[str]]:
         return {p: frozenset(ws) for p, ws in self.valuation}
 
     @cached_property
-    def _val_masks(self) -> Dict[str, int]:
+    def _val_masks(self) -> dict[str, int]:
         """The mask of the worlds where each atom holds."""
         pos = self._pos
         return {p: sum(1 << pos[w] for w in ws) for p, ws in self.valuation}
 
-    def atoms_at(self, w: str) -> FrozenSet[str]:
+    def atoms_at(self, w: str) -> frozenset[str]:
         return frozenset(p for p, ws in self.val.items() if w in ws)
 
 
@@ -395,7 +394,7 @@ def generated_submodel(M: KripkeModel, w: str) -> KripkeModel:
 
 def _transitive(pairs: set) -> set:
     """Pairs (x, z) with z reachable from x in one or more steps."""
-    succ: Dict[str, list] = {n: [] for e in pairs for n in e}
+    succ: dict[str, list] = {n: [] for e in pairs for n in e}
     for x, y in pairs:
         succ[x].append(y)
     return {(x, z) for x, ys in succ.items()

@@ -6,7 +6,6 @@ bisimulation by partition refinement.  It imports neither `action` nor
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .formula import (BOT, TOP, And, Atom, Bottom, Box, Formula, Not,
                       Signature, Update, Value, Yesterday, _and, _box, _not,
@@ -100,7 +99,7 @@ class TableauLimit(Exception):
 class _TreeWorld:
     __slots__ = ("atoms", "children")
 
-    def __init__(self, atoms: FrozenSet[str], children: list):
+    def __init__(self, atoms: frozenset[str], children: list):
         self.atoms = atoms
         self.children = children  # (agent, witness), None for a [Y] witness
 
@@ -132,10 +131,10 @@ class _Tableau:
     def __init__(self, budget: int):
         self.budget = budget
         # label -> its witness, or None when unsatisfiable
-        self.cache: Dict[FrozenSet[tuple], Optional[_TreeWorld]] = {}
+        self.cache: dict[frozenset[tuple], _TreeWorld | None] = {}
         self.steps: dict = {}  # update node -> its step (see `_step`)
 
-    def satisfy(self, entries: list) -> Optional[_TreeWorld]:
+    def satisfy(self, entries: list) -> _TreeWorld | None:
         """A model of the entries, its root first, or None; witnesses
         shared through the cache make it a DAG.  The labels in progress
         sit on an explicit stack, each as the generator `_world`, so the
@@ -297,7 +296,7 @@ class Bisimulation(Value):
     _fields = ("relation",)  # a frozenset of (world, world) pairs
 
 
-def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
+def bisimilar(A: PointedModel, B: PointedModel) -> Bisimulation | None:
     """Largest bisimulation between the two models if it links the two
     points, else None.
 
@@ -325,11 +324,11 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
         raise ValueError("bisimulation requires a shared signature")
     nrel = len(A.model.sig.agents) + 1
     # per node its seed block; per arrow its source, target and relation
-    block: List[int] = []
-    seed: Dict[tuple, int] = {}
-    src: List[int] = []
-    tgt: List[int] = []
-    rel: List[int] = []
+    block: list[int] = []
+    seed: dict[tuple, int] = {}
+    src: list[int] = []
+    tgt: list[int] = []
+    rel: list[int] = []
     points = []
     for pm in (A, B):
         M = pm.model
@@ -348,19 +347,19 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
             src += [index[x] for x, _ in pairs]
             tgt += [index[y] for _, y in pairs]
             rel += [r] * len(pairs)
-    out: List[List[int]] = [[] for _ in block]
-    into: List[List[int]] = [[] for _ in block]
+    out: list[list[int]] = [[] for _ in block]
+    into: list[list[int]] = [[] for _ in block]
     for i, (x, y) in enumerate(zip(src, tgt)):
         out[x].append(i)
         into[y].append(i)
     code = [block[y] * nrel + r for y, r in zip(tgt, rel)]
     # the members of each block; empty before the first round, which
     # recomputes every node
-    members: List[set] = [set() for _ in seed]
+    members: list[set] = [set() for _ in seed]
     dirty = range(len(block))
     while dirty:
         # the marked nodes, grouped by block and signature
-        groups: Dict[Tuple[int, FrozenSet[int]], set] = {}
+        groups: dict[tuple[int, frozenset[int]], set] = {}
         for x in dirty:
             key = (block[x], frozenset(map(code.__getitem__, out[x])))
             g = groups.get(key)
@@ -368,7 +367,7 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
                 groups[key] = {x}
             else:
                 g.add(x)
-        parts: Dict[int, List[set]] = {}
+        parts: dict[int, list[set]] = {}
         for (b, _), g in groups.items():
             parts.setdefault(b, []).append(g)
         dirty = set()
@@ -392,7 +391,7 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Optional[Bisimulation]:
     if block[points[0]] != block[points[1]]:
         return None
     n = len(A.model.worlds)
-    by_block: Dict[int, List[str]] = {}
+    by_block: dict[int, list[str]] = {}
     for v, b in zip(B.model.worlds, block[n:]):
         by_block.setdefault(b, []).append(v)
     return Bisimulation(frozenset((w, v)

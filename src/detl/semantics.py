@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import List, Optional
 
 from .action import (ActionModel, is_atemporal_action, is_lrdetl_action,
                      is_past_state, sharp_action, sharp_formula)
@@ -262,14 +261,14 @@ POOL_LIMIT = 20000  # formulas the pool keeps at most
 
 class ProbeVerdict(Value):
     _fields = ("agree", "distinguishing")
-    distinguishing: Optional[Formula] = None
+    distinguishing: Formula | None = None
 
 
-def formula_pool(sig: Signature, max_depth: int = 3) -> List[Formula]:
+def formula_pool(sig: Signature, max_depth: int = 3) -> list[Formula]:
     """Update-free formulas up to the given modal depth: literal
     conjunctions at the base, all four modalities layered on top.
     Negations are omitted since a disagreement on φ is one on ¬φ."""
-    base: List[Formula] = [Atom(p) for p in sig.atoms]
+    base: list[Formula] = [Atom(p) for p in sig.atoms]
     lits = base + [Not(b) for b in base]
     for i, l1 in enumerate(lits):
         for l2 in lits[i + 1:]:

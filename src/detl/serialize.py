@@ -14,7 +14,6 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Dict, Optional
 
 from .action import ActionModel
 from .formula import TOP, Formula, Signature, UnknownAction, parse, pretty
@@ -27,14 +26,11 @@ _KEY_ORDER = ["type", "agents", "atoms", "worlds", "events", "val", "pre",
 def canonical_document(doc: dict) -> dict:
     """Reorder keys and sort arrays without touching the content.
 
-    ValueError for an unknown key and for what `document_to_object`
-    rejects as a missing key, a value of the wrong JSON type, an unknown
-    type or an unknown closure mode (see `_SHAPES`), so the documents
+    ValueError for what `document_to_object` rejects as a missing or
+    unknown key, a value of the wrong JSON type, an unknown type or an
+    unknown closure mode (see `_check_shapes`), so the documents
     reprinted are those a workspace can read."""
     _check_shapes(doc)
-    unknown = set(doc) - set(_KEY_ORDER)
-    if unknown:
-        raise ValueError(f"unknown keys in document: {sorted(unknown)}")
     out = {}
     for key in _KEY_ORDER:
         if key not in doc:
@@ -67,44 +63,38 @@ _PAIR = ["[%s%%s,%s%%s%s]" % (_BREAK[k + 2], _BREAK[k + 2], _BREAK[k + 1])
 
 
 def _write(v, level: int) -> str:
-    """v laid out at the given nesting level; TypeError outside the
-    document shapes."""
+    """v, a value of a document that passed `_check_shapes` or that
+    `_frame_document` built, laid out at the given nesting level."""
     if type(v) is str:
         return encode_basestring(v)
+    if not v:
+        return "[]" if type(v) is list else "{}"
     inner, close = _BREAK[level + 1], _BREAK[level]
-    if type(v) is list:
-        if not v:
-            return "[]"
-        if type(v[0]) is str:
-            items = map(encode_basestring, v)
-        elif set(map(type, v)) == {list} and set(map(len, v)) == {2}:
-            pair = _PAIR[level]
-            items = [pair % (encode_basestring(x), encode_basestring(y))
-                     for x, y in v]
-        else:
-            raise TypeError("not a document shape")
-        return "[" + inner + ("," + inner).join(items) + close + "]"
-    if type(v) is dict and level < 2:
-        if not v:
-            return "{}"
+    if type(v) is dict:
         return "{" + inner + ("," + inner).join(
             [encode_basestring(k) + ": " + _write(x, level + 1)
              for k, x in v.items()]) + close + "}"
-    raise TypeError("not a document shape")
+    if type(v[0]) is str:
+        items = map(encode_basestring, v)
+    else:  # string pairs
+        pair = _PAIR[level]
+        items = [pair % (encode_basestring(x), encode_basestring(y))
+                 for x, y in v]
+    return "[" + inner + ("," + inner).join(items) + close + "]"
 
 
-def model_to_document(M: KripkeModel, point: Optional[str] = None) -> dict:
+def model_to_document(M: KripkeModel, point: str | None = None) -> dict:
     return _frame_document(M, "kripke", "worlds", "val", {
         p: list(ws) for p, ws in M.valuation}, point)
 
 
-def action_to_document(U: ActionModel, point: Optional[str] = None) -> dict:
+def action_to_document(U: ActionModel, point: str | None = None) -> dict:
     return _frame_document(U, "action", "events", "pre", {
         e: pretty(p) for e, p in U.pre}, point)
 
 
 def _frame_document(F, kind: str, nodes: str, key: str, value: dict,
-                    point: Optional[str]) -> dict:
+                    point: str | None) -> dict:
     """The document of a model or action, with `value` under `key`."""
     doc = {"type": kind, "agents": list(F.sig.agents),
            "atoms": list(F.sig.atoms), nodes: list(F.nodes), key: value,
@@ -116,7 +106,7 @@ def _frame_document(F, kind: str, nodes: str, key: str, value: dict,
     return doc
 
 
-def document_to_object(doc: dict, registry: Optional[dict] = None,
+def document_to_object(doc: dict, registry: dict | None = None,
                        name: str = "U"):
     """Build the model or action described by doc.
 
@@ -124,9 +114,9 @@ def document_to_object(doc: dict, registry: Optional[dict] = None,
     point).  A "closure" key other than "none" closes the drawn relation
     of every agent of the signature, listed or not, before the frame is
     built.  Action preconditions are parsed against the given registry.
-    ValueError when a key is missing or holds a value of the wrong JSON
-    type, and ValueError or KeyError when the frame, the preconditions'
-    events or the point do not fit together.
+    ValueError when a key is missing, outside the format or holds a value
+    of the wrong JSON type, and ValueError or KeyError when the frame,
+    the preconditions' events or the point do not fit together.
     """
     return _read(doc, lambda sig, text: parse(text, sig, registry or {}),
                  name)
@@ -202,6 +192,8 @@ _SHAPES = {
 
 
 def _check_shapes(doc):
+    """The gate of every reader: ValueError unless doc is a JSON object of
+    format keys, each holding its shape, with the keys the reader needs."""
     if type(doc) is not dict:
         raise ValueError("a document is a JSON object")
     for key, (fits, what) in _SHAPES.items():
@@ -212,17 +204,20 @@ def _check_shapes(doc):
                                      else ("events", "pre")):
         if key not in doc:
             raise ValueError(f"a document needs the key {key!r}")
+    unknown = doc.keys() - _SHAPES.keys()
+    if unknown:
+        raise ValueError(f"unknown keys in document: {sorted(unknown)}")
 
 
 # model_to_document and action_to_document build canonical documents, so
 # saving writes them as they are
 
-def save_model(path, M: KripkeModel, point: Optional[str] = None):
+def save_model(path, M: KripkeModel, point: str | None = None):
     Path(path).write_text(_write(model_to_document(M, point), 0) + "\n",
                           encoding="utf-8")
 
 
-def save_action(path, U: ActionModel, point: Optional[str] = None):
+def save_action(path, U: ActionModel, point: str | None = None):
     Path(path).write_text(_write(action_to_document(U, point), 0) + "\n",
                           encoding="utf-8")
 
@@ -231,18 +226,17 @@ class Workspace:
     """The models and actions of one directory: name -> (model or action,
     its point or None)."""
 
-    def __init__(self, sig: Signature, models: Optional[dict] = None,
-                 actions: Optional[dict] = None):
+    def __init__(self, sig: Signature):
         self.sig = sig
-        self.models = {} if models is None else models
-        self.actions = {} if actions is None else actions
+        self.models = {}
+        self.actions = {}
 
     @classmethod
     def load_dir(cls, directory) -> "Workspace":
         files = sorted(Path(directory).glob("*.json"))
         if not files:
             raise ValueError(f"no *.json files in {directory}")
-        ws: Optional[Workspace] = None
+        ws: Workspace | None = None
         for f in files:
             name = f.stem
             try:
@@ -262,7 +256,7 @@ class Workspace:
                 ws.actions[name] = (obj, point)
         return ws
 
-    def actions_by_name(self) -> Dict[str, ActionModel]:
+    def actions_by_name(self) -> dict[str, ActionModel]:
         return {name: U for name, (U, _) in self.actions.items()}
 
     def parse(self, text: str) -> Formula:

@@ -1,10 +1,12 @@
+import argparse
 import json
+import shutil
 
 import pytest
 
 from detl import logic
 from detl.action import sharp_formula
-from detl.cli import main
+from detl.cli import build_parser, main
 from detl.formula import Atom
 from detl.semantics import evaluate
 from detl.serialize import Workspace, document_to_object
@@ -37,6 +39,16 @@ def test_unknown_world_message_unquoted(capsys, argv):
     # the message of a KeyError, not its repr
     assert main(list(argv)) == 3
     assert capsys.readouterr().err == "ERROR: unknown world 'nosuch'\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("eval", "NOSUCH", "w", "p"), "unknown model 'NOSUCH'"),
+    (("check", "NOSUCH"), "unknown model or action 'NOSUCH'"),
+], ids=["eval", "check"])
+def test_unknown_name_is_a_usage_error(capsys, argv, message):
+    assert main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"ERROR: {message}\n"
 
 
 def test_eval_parse_error(capsys):
@@ -407,6 +419,92 @@ def test_help_is_exit_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: detl")
 
 
+def _arguments(parser):
+    """(option strings, dest, nargs, choices, action class, default, help,
+    type) of each argument of parser but argparse's own -h and the
+    subcommand slot."""
+    return [(tuple(a.option_strings), a.dest, a.nargs,
+             None if a.choices is None else list(a.choices),
+             type(a).__name__, a.default, a.help,
+             getattr(a.type, "__name__", a.type))
+            for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction,
+                                  argparse._SubParsersAction))]
+
+
+_STORE = "_StoreAction"
+_PARSER = {
+    "arguments": [
+        (("--workspace",), "workspace", None, None, _STORE, None,
+         "directory of *.json model/action files (default: bundled figure "
+         "fixtures)", None),
+        (("--mode",), "mode", None, ["detl", "ydel", "rdetl"], _STORE,
+         "detl", "semantics used by eval/update", None),
+        (("--max-tableau-nodes",), "max_tableau_nodes", None, None, _STORE,
+         1000000, None, "int"),
+        (("--permissive-ydel",), "permissive_ydel", 0, None,
+         "_StoreTrueAction", False,
+         "allow ydel operations on non-restricted models", None)],
+    "commands": [
+        ("eval", "evaluate a formula at a world", "cmd_eval", [
+            ((), "model", None, None, _STORE, None, None, None),
+            ((), "world", None, None, _STORE, None, None, None),
+            ((), "formula", None, None, _STORE, None, None, None)]),
+        ("update", "write the updated model", "cmd_update", [
+            ((), "model", None, None, _STORE, None, None, None),
+            ((), "action", None, None, _STORE, None, None, None),
+            ((), "out", None, None, _STORE, None, None, None)]),
+        ("check", "property reports for a model, an action, or a pointed "
+         "action Name@event", "cmd_check", [
+             ((), "target", None, None, _STORE, None, None, None),
+             ((), "properties", "*", None, _STORE, None, None, None)]),
+        ("reduce", "update-free equivalent of a formula", "cmd_reduce", [
+            ((), "formula", None, None, _STORE, None, None, None)]),
+        ("validity", "decide validity over all models", "cmd_validity", [
+            ((), "formula", None, None, _STORE, None, None, None),
+            (("--countermodel",), "countermodel", None, None, _STORE, None,
+             "write the countermodel here", None)]),
+        ("bisim", "bisimulation between two pointed models", "cmd_bisim", [
+            ((), "model_a", None, None, _STORE, None, None, None),
+            ((), "world_a", None, None, _STORE, None, None, None),
+            ((), "model_b", None, None, _STORE, None, None, None),
+            ((), "world_b", None, None, _STORE, None, None, None)]),
+        ("sharp", "translate an atemporal action", "cmd_sharp", [
+            ((), "action", None, None, _STORE, None, None, None),
+            ((), "out", None, None, _STORE, None, None, None)]),
+        ("demo", "replay the bundled figure claims", "cmd_demo", [
+            ((), "figure", None, ["fig1", "fig2", "fig3", "fig4", "fig5",
+                                  "fig8", "fig9", "fig10"],
+             _STORE, None, None, None)]),
+        ("fmt", "canonical reprint of a model file", "cmd_fmt", [
+            ((), "file", None, None, _STORE, None, None, None),
+            (("--dot",), "dot", 0, None, "_StoreTrueAction", False,
+             "DOT export instead", None)]),
+    ],
+}
+
+
+def test_parser_structure_pinned():
+    # the subcommands, their order, arguments, help and handlers as
+    # build_parser gave them when it spelled out each subparser; the
+    # structure, since --help text differs between Python versions
+    ap = build_parser()
+    sub, = [a for a in ap._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert (ap.prog, ap.description) == (
+        "detl", "Dynamic epistemic temporal logic toolbox")
+    assert (sub.dest, sub.required) == ("command", True)
+    assert all(isinstance(a, argparse._HelpAction) for a in (
+        ap._actions[0], *(p._actions[0] for p in sub.choices.values())))
+    got = {"arguments": _arguments(ap),
+           "commands": [(c.dest, c.help,
+                         sub.choices[c.dest].get_default("func").__name__,
+                         _arguments(sub.choices[c.dest]))
+                        for c in sub._choices_actions]}
+    assert got == _PARSER
+    assert list(sub.choices) == [c for c, *_ in _PARSER["commands"]]
+
+
 def test_validity(tmp_path, capsys):
     code, out = run(capsys, "validity", "[a](p -> p)")
     assert code == 0 and out == "VERDICT: VALID\n"
@@ -498,6 +596,20 @@ def test_malformed_document_is_a_data_error(tmp_path, capsys, command, doc):
     assert captured.err.startswith(f"ERROR: {path}: ")
 
 
+def test_unknown_key_is_a_data_error(tmp_path, capsys):
+    # a misspelt key is not read as a missing one: M with "epistemc" would
+    # have no arrows, and [a]p would hold at w
+    work = tmp_path / "ws"
+    shutil.copytree(FIXTURES, work)
+    path = work / "M.json"
+    path.write_text(path.read_text(encoding="utf-8").replace(
+        '"epistemic"', '"epistemc"'), encoding="utf-8")
+    assert main(["--workspace", str(work), "eval", "M", "w", "[a]p"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"ERROR: {path}: unknown keys in document: ['epistemc']\n")
+
+
 @pytest.mark.parametrize("doc,key", [({"type": "kripke"}, "agents"),
                                      ({"agents": ["a"], "worlds": ["w"]},
                                       "type"),
@@ -562,3 +674,20 @@ def test_fmt_idempotent(capsys):
 def test_fmt_dot(capsys):
     code, out = run(capsys, "fmt", str(FIXTURES / "M.json"), "--dot")
     assert code == 0 and out.startswith("digraph")
+
+
+def test_fmt_dot_of_an_action_pinned(capsys):
+    # preconditions as labels, the point doubled and the yesterday arrow
+    # dashed; the drawn arrows, since the closure is applied on loading
+    code, out = run(capsys, "fmt", str(FIXTURES / "U2.json"), "--dot")
+    assert code == 0 and out == """\
+digraph model {
+  "s" [label="s\\np", peripheries=2];
+  "t" [label="t\\ntrue"];
+  "s" -> "s" [label="a"];
+  "t" -> "t" [label="a"];
+  "s" -> "s" [label="b"];
+  "t" -> "t" [label="b"];
+  "t" -> "s" [style=dashed];
+}
+"""

@@ -15,14 +15,10 @@ PACKAGE = FIXTURES.parent
 
 def _imports(path: Path):
     """(top-level package imports as module names, the lines of nested
-    imports) of one module.  formula.py's `if TYPE_CHECKING:` block, which
-    names the action model for annotations only, is neither."""
+    imports) of one module."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     top, nested = set(), []
     for stmt in tree.body:
-        if (path.name == "formula.py" and isinstance(stmt, ast.If)
-                and ast.unparse(stmt.test) == "TYPE_CHECKING"):
-            continue
         for node in ast.walk(stmt):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
@@ -78,10 +74,13 @@ def test_package_imports_one_way():
 
 def test_cli_imports_without_dataclasses():
     # a detl command is mostly start-up, and dataclasses would pull in
-    # inspect, ast, dis and tokenize; checked in a child without site
-    # packages, so nothing but the package and the standard library loads
+    # inspect, ast, dis and tokenize; typing is not needed either, since
+    # annotations are strings nothing evaluates.  Checked in a child
+    # without site packages, so nothing but the package and the standard
+    # library loads
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import detl.cli; "
-            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(*sorted({'dataclasses', 'inspect', 'typing'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code,
                           str(PACKAGE.parent)], capture_output=True,
                          text=True, check=True).stdout

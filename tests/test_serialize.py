@@ -8,8 +8,9 @@ from detl import serialize
 from detl.kripke import CLOSURE_MODES, close_pairs
 from detl.semantics import product_update, ydel_update
 from detl.serialize import (Workspace, action_to_document, canonical_document,
-                            canonical_dumps, document_to_object,
-                            model_to_document, save_action, save_model)
+                            canonical_dumps, check_document,
+                            document_to_object, model_to_document,
+                            save_action, save_model)
 
 from generate import (rand_atemporal_action, rand_forest_action,
                       rand_kripke, rand_restricted)
@@ -29,6 +30,13 @@ def test_fixtures_round_trip_byte_identical():
 def test_canonical_document_rejects_unknown_keys():
     with pytest.raises(ValueError):
         canonical_document({"type": "kripke", "bogus": 1})
+    # and so does every reader, on a document that is whole but for it
+    doc = json.loads((FIXTURES / "M.json").read_text(encoding="utf-8"))
+    doc["epistemc"] = doc.pop("epistemic")
+    for read in (canonical_document, document_to_object, check_document):
+        with pytest.raises(ValueError,
+                           match=r"^unknown keys in document: \['epistemc'\]$"):
+            read(doc)
 
 
 def test_model_document_round_trip(ws, M):
