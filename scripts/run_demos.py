@@ -2,9 +2,7 @@
 
 import sys
 
-from detl.cli import main
-
-FIGURES = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig8", "fig9", "fig10"]
+from detl.cli import FIGURES, main
 
 
 def run():

@@ -12,13 +12,13 @@ import sys
 from pathlib import Path
 
 from . import logic, semantics
-from .action import (ACTION_PROPERTIES, PointedAction, action_depth,
+from .action import (ACTION_PROPERTIES, PointedAction,
                      check_history_preservation, check_past_preservation,
                      check_time_advancing, is_epistemic_past_state,
                      is_lrdetl_action, sharp_action)
-from .formula import ParseError, pretty
-from .kripke import (KRIPKE_PROPERTIES, PointedModel, check_property, depth,
-                     is_restricted)
+from .formula import ParseError, depth_formula, pretty
+from .kripke import (KRIPKE_PROPERTIES, KripkeModel, PointedModel,
+                     check_property, depth, is_restricted)
 from .serialize import (Workspace, canonical_dumps, check_document,
                         model_to_document, save_action, save_model)
 
@@ -95,35 +95,33 @@ def cmd_update(args) -> int:
     return 0
 
 
-def _frame_checks(props) -> dict:
-    return {p: (lambda F, p=p: check_property(F, p)) for p in props}
-
-
-def _check_target(ws: Workspace, target: str):
-    """The object a `check` target names, its checks by property name and
-    the names checked when none are given."""
-    if "@" in target:
-        name, _, event = target.partition("@")
-        U, _ = _named(ws.actions, name, "action")
+def _checks(obj):
+    """The checks of a model, an action or a pointed action by property
+    name, and the names checked when none are given."""
+    if type(obj) is PointedAction:
         checks = {"past_preservation": check_past_preservation,
                   "time_advancing": check_time_advancing}
-        return PointedAction(U, event), checks, list(checks)
-    if target in ws.models:
-        checks = _frame_checks(KRIPKE_PROPERTIES)
+        return checks, list(checks)
+    kripke = type(obj) is KripkeModel
+    props = KRIPKE_PROPERTIES if kripke else ACTION_PROPERTIES
+    checks = {p: (lambda F, p=p: check_property(F, p)) for p in props}
+    if kripke:
         checks["restricted"] = is_restricted
-        return ws.models[target][0], checks, list(KRIPKE_PROPERTIES)
-    if target in ws.actions:
-        checks = _frame_checks(ACTION_PROPERTIES)
-        checks["history_preservation"] = check_history_preservation
-        defaults = list(checks)
-        checks["lrdetl"] = is_lrdetl_action
-        return ws.actions[target][0], checks, defaults
-    raise CliError(f"unknown model or action {target!r}")
+        return checks, list(props)
+    checks["history_preservation"] = check_history_preservation
+    defaults = list(checks)
+    checks["lrdetl"] = is_lrdetl_action
+    return checks, defaults
 
 
 def cmd_check(args) -> int:
     ws = load_workspace(args)
-    obj, checks, defaults = _check_target(ws, args.target)
+    name, at, event = args.target.partition("@")
+    if at:
+        obj = PointedAction(_named(ws.actions, name, "action")[0], event)
+    else:
+        obj = _named({**ws.actions, **ws.models}, name, "model or action")[0]
+    checks, defaults = _checks(obj)
     names = [p.replace("-", "_") for p in args.properties] or defaults
     unknown = [p for p in names if p not in checks]
     if unknown:
@@ -196,16 +194,14 @@ def cmd_fmt(args) -> int:
 
 
 def _to_dot(doc: dict) -> str:
-    nodes = doc.get("worlds") or doc.get("events") or []
-    val = doc.get("val", {})
-    pre = doc.get("pre", {})
+    kripke = doc["type"] == "kripke"
     lines = ["digraph model {"]
-    for n in nodes:
-        if pre:
-            label = f"{n}\\n{pre.get(n, 'true')}"
-        else:
-            atoms = sorted(p for p, ws in val.items() if n in ws)
+    for n in doc["worlds" if kripke else "events"]:
+        if kripke:
+            atoms = sorted(p for p, ws in doc.get("val", {}).items() if n in ws)
             label = f"{n}\\n{{{','.join(atoms)}}}"
+        else:
+            label = f"{n}\\n{doc['pre'][n]}"
         shape = ", peripheries=2" if doc.get("point") == n else ""
         lines.append(f'  "{n}" [label="{label}"{shape}];')
     for agent, pairs in sorted(doc.get("epistemic", {}).items()):
@@ -220,92 +216,98 @@ def _to_dot(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # figure demos
 
+# figure: its claims (key, kind, arguments, the value the claim states), in
+# the order `demo` prints them.  The first argument names a bundled model or
+# action, "M⊗U" a product update, "M⊕U" a ⊕ update, "U♯" a ♯ translation
+# and "X@n" the object X pointed at n; `_claim` reads the kinds.
+FIGURES = {
+    "fig1": [("neither-knows-p", "holds", ("M@w", "~[a]p & ~[b]p"), True),
+             ("restricted", "check", ("M", "restricted"), True)],
+    "fig2": [("know-but-yesterday-did-not", "holds",
+              ("M@w", "[U2@s](([a]p & [b]p) & <Y>(~[a]p & ~[b]p))"), True),
+             ("five-worlds", "size", ("M⊗U2", "worlds"), 5),
+             ("depth-one", "depth", ("M⊗U2@w|s", 1), True),
+             ("time-advancing", "check", ("U2@s", "time_advancing"), True)],
+    "fig3": [("bisimilar", "bisimilar", ("M⊗U3@w|t", "M@w"), True),
+             ("probe-depth-3", "probe", ("M⊗U3@w|t", "M@w", 3), True),
+             ("not-time-advancing", "check", ("U3@t", "time_advancing"),
+              False)],
+    "fig4": [("seven-worlds", "size", ("M⊗U4", "worlds"), 7),
+             ("depth-two", "depth", ("M⊗U4@w|r", 2), True)],
+    "fig5": [("two-step-maybe-learned-before", "holds",
+              ("M@w", "<U5@r><a>[Y][b](p & q)"), True),
+             ("one-step-not", "holds", ("M@w", "[U6@r]<a>[Y][b](p & q)"),
+              False),
+             ("asynchronous", "check", ("M⊗U5", "synchronicity"), False),
+             ("witness-arrow", "arrow", ("M⊗U5", "a", "w|r", "u|s"),
+              (True, 2, 1))],
+    "fig8": [("atemporal", "size", ("U8", "yesterday"), 0),
+             ("restricted", "check", ("M8", "restricted"), True)],
+    "fig9": [("five-worlds", "size", ("M8⊕U8", "worlds"), 5),
+             ("oplus-equals-sharp-product", "equal", ("M8⊕U8", "M8⊗U8♯"),
+              True),
+             ("restricted", "check", ("M8⊕U8", "restricted"), True),
+             ("flat-layer-bisimilar", "bisimilar", ("M8⊕U8@w|♭", "M8@w"),
+              True)],
+    "fig10": [("three-events", "size", ("U8♯", "events"), 3),
+              ("flat-epistemic-past-state", "past-state", ("U8♯", "♭"), True),
+              ("forest-action", "check", ("U8♯", "lrdetl"), True),
+              ("histories-length-one", "depth-at-most", ("U8♯", 1), True)],
+}
+
+
 def cmd_demo(args) -> int:
     ws = Workspace.load_dir(fixture_dir())
-    claims = _demo_claims(ws, args.figure)
-    for key, value in claims:
-        out(key, "PASS" if value else "FAIL")
-    return 0 if all(value for _, value in claims) else 1
+    results = [(key, _claim(ws, kind, *arguments) == value)
+               for key, kind, arguments, value in FIGURES[args.figure]]
+    for key, ok in results:
+        out(key, "PASS" if ok else "FAIL")
+    return 0 if all(ok for _, ok in results) else 1
 
 
-def _demo_claims(ws: Workspace, figure: str):
-    M, _ = ws.models["M"]
-    ev = semantics.evaluate
-    if figure == "fig1":
-        return [
-            ("neither-knows-p", ev(M, "w", ws.parse("~[a]p & ~[b]p"))),
-            ("restricted", is_restricted(M).holds),
-        ]
-    if figure == "fig2":
-        P = semantics.product_update(M, ws.actions["U2"][0])
-        return [
-            ("know-but-yesterday-did-not",
-             ev(M, "w", ws.parse("[U2@s](([a]p & [b]p) & <Y>(~[a]p & ~[b]p))"))),
-            ("five-worlds", len(P.worlds) == 5),
-            ("depth-one", depth(P, "w|s") == 1),
-            ("time-advancing",
-             check_time_advancing(PointedAction(ws.actions["U2"][0], "s")).holds),
-        ]
-    if figure == "fig3":
-        P = semantics.product_update(M, ws.actions["U3"][0])
-        A, B = PointedModel(P, "w|t"), PointedModel(M, "w")
-        return [
-            ("bisimilar", logic.bisimilar(A, B) is not None),
-            ("probe-depth-3",
-             semantics.language_equivalence_probe(A, B, max_depth=3).agree),
-            ("not-time-advancing",
-             not check_time_advancing(
-                 PointedAction(ws.actions["U3"][0], "t")).holds),
-        ]
-    if figure == "fig4":
-        P = semantics.product_update(M, ws.actions["U4"][0])
-        return [
-            ("seven-worlds", len(P.worlds) == 7),
-            ("depth-two", depth(P, "w|r") == 2),
-        ]
-    if figure == "fig5":
-        P5 = semantics.product_update(M, ws.actions["U5"][0])
-        P6 = semantics.product_update(M, ws.actions["U6"][0])
-        f = ws.parse("<a>[Y][b](p & q)")
-        sync = check_property(P5, "synchronicity")
-        d = lambda w: depth(P5, w)
-        return [
-            ("two-step-maybe-learned-before", ev(P5, "w|r", f)),
-            ("one-step-not", not ev(P6, "w|r", f)),
-            ("asynchronous", not sync.holds),
-            ("witness-arrow",
-             ("w|r", "u|s") in P5.epi["a"] and d("w|r") == 2 and d("u|s") == 1),
-        ]
-    if figure == "fig8":
-        M8, _ = ws.models["M8"]
-        U8, _ = ws.actions["U8"]
-        return [
-            ("atemporal", not U8.yesterday),
-            ("restricted", is_restricted(M8).holds),
-        ]
-    if figure == "fig9":
-        M8, _ = ws.models["M8"]
-        U8, _ = ws.actions["U8"]
-        Y = semantics.ydel_update(M8, U8)
-        S = semantics.product_update(M8, sharp_action(U8))
-        flat = logic.bisimilar(PointedModel(Y, "w|♭"), PointedModel(M8, "w"))
-        return [
-            ("five-worlds", len(Y.worlds) == 5),
-            ("oplus-equals-sharp-product", Y == S),
-            ("restricted", is_restricted(Y).holds),
-            ("flat-layer-bisimilar", flat is not None),
-        ]
-    if figure == "fig10":
-        U8, _ = ws.actions["U8"]
-        S = sharp_action(U8)
-        return [
-            ("three-events", len(S.events) == 3),
-            ("flat-epistemic-past-state", is_epistemic_past_state(S, "♭")),
-            ("forest-action", is_lrdetl_action(S).holds),
-            ("histories-length-one",
-             all(action_depth(S, e) <= 1 for e in S.events)),
-        ]
-    raise CliError(f"unknown figure {figure!r}")
+def _claim(ws: Workspace, kind: str, name: str, *args):
+    """What a figure claim of that kind finds on the named object, given
+    the claim's further arguments."""
+    obj = _demo_object(ws, name)
+    if kind == "holds":  # a formula at a pointed model
+        return semantics.evaluate(obj.model, obj.point, ws.parse(args[0]))
+    if kind == "depth":  # the point's depth is args[0]
+        return semantics.evaluate(obj.model, obj.point, depth_formula(args[0]))
+    if kind == "depth-at-most":  # every node's depth is at most args[0]
+        return all(depth(obj, n) <= args[0] for n in obj.nodes)
+    if kind == "size":  # of the nodes or a relation
+        return len(getattr(obj, args[0]))
+    if kind == "check":  # a property report of `check`
+        return _checks(obj)[0][args[0]](obj).holds
+    if kind == "past-state":
+        return is_epistemic_past_state(obj, args[0])
+    if kind == "arrow":  # an agent's arrow x -> y, and the depths of x and y
+        agent, x, y = args
+        return (x, y) in obj.epi[agent], depth(obj, x), depth(obj, y)
+    other = _demo_object(ws, args[0])
+    if kind == "equal":
+        return obj == other
+    if kind == "bisimilar":
+        return logic.bisimilar(obj, other) is not None
+    # "probe": the two points agree on the formulas up to depth args[1]
+    return semantics.language_equivalence_probe(obj, other, args[1]).agree
+
+
+def _demo_object(ws: Workspace, name: str):
+    """The object a figure claim names (see `FIGURES`)."""
+    if "@" in name:
+        base, _, point = name.partition("@")
+        obj = _demo_object(ws, base)
+        pointed = PointedModel if type(obj) is KripkeModel else PointedAction
+        return pointed(obj, point)
+    for sign, update in (("⊗", semantics.product_update),
+                         ("⊕", semantics.ydel_update)):
+        if sign in name:
+            M, U = name.split(sign)
+            return update(_demo_object(ws, M), _demo_object(ws, U))
+    if name.endswith("♯"):
+        return sharp_action(_demo_object(ws, name[:-1]))
+    return (ws.models.get(name) or ws.actions[name])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +330,7 @@ _COMMANDS = {
               ["model_a", "world_a", "model_b", "world_b"]),
     "sharp": ("translate an atemporal action", cmd_sharp, ["action", "out"]),
     "demo": ("replay the bundled figure claims", cmd_demo,
-             [("figure", {"choices": ["fig1", "fig2", "fig3", "fig4", "fig5",
-                                      "fig8", "fig9", "fig10"]})]),
+             [("figure", {"choices": list(FIGURES)})]),
     "fmt": ("canonical reprint of a model file", cmd_fmt,
             ["file", ("--dot", {"action": "store_true",
                                 "help": "DOT export instead"})]),

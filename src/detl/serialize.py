@@ -193,18 +193,22 @@ _SHAPES = {
 
 def _check_shapes(doc):
     """The gate of every reader: ValueError unless doc is a JSON object of
-    format keys, each holding its shape, with the keys the reader needs."""
+    its type's keys, each holding its shape, with the keys the reader needs."""
     if type(doc) is not dict:
         raise ValueError("a document is a JSON object")
     for key, (fits, what) in _SHAPES.items():
         if key in doc and not fits(doc[key]):
             raise ValueError(f"{key!r} must be {what}")
-    # the keys document_to_object reads with doc[...]
-    for key in ("type", "agents") + (("worlds",) if doc.get("type") == "kripke"
-                                     else ("events", "pre")):
+    # the keys document_to_object reads with doc[...], and those of the
+    # other type only
+    if doc.get("type") == "kripke":
+        needed, other = ("worlds",), {"events", "pre"}
+    else:  # an action, or no type and "type" is the key missing
+        needed, other = ("events", "pre"), {"worlds", "val"}
+    for key in ("type", "agents", *needed):
         if key not in doc:
             raise ValueError(f"a document needs the key {key!r}")
-    unknown = doc.keys() - _SHAPES.keys()
+    unknown = doc.keys() - (_SHAPES.keys() - other)
     if unknown:
         raise ValueError(f"unknown keys in document: {sorted(unknown)}")
 

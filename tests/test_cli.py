@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
+import re
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detl import logic
 from detl.action import sharp_formula
@@ -556,12 +560,28 @@ def test_sharp(tmp_path, capsys):
     assert sorted(map(tuple, doc["yesterday"])) == [("♭", "s"), ("♭", "t")]
 
 
-@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig4", "fig5",
-                                    "fig8", "fig9", "fig10"])
+# each figure's claims, in the order `demo` prints them
+_DEMO_KEYS = {
+    "fig1": ["neither-knows-p", "restricted"],
+    "fig2": ["know-but-yesterday-did-not", "five-worlds", "depth-one",
+             "time-advancing"],
+    "fig3": ["bisimilar", "probe-depth-3", "not-time-advancing"],
+    "fig4": ["seven-worlds", "depth-two"],
+    "fig5": ["two-step-maybe-learned-before", "one-step-not", "asynchronous",
+             "witness-arrow"],
+    "fig8": ["atemporal", "restricted"],
+    "fig9": ["five-worlds", "oplus-equals-sharp-product", "restricted",
+             "flat-layer-bisimilar"],
+    "fig10": ["three-events", "flat-epistemic-past-state", "forest-action",
+              "histories-length-one"],
+}
+
+
+@pytest.mark.parametrize("figure", list(_DEMO_KEYS))
 def test_demo(capsys, figure):
     code, out = run(capsys, "demo", figure)
     assert code == 0
-    assert "FAIL" not in out and "PASS" in out
+    assert out == "".join(f"{key}: PASS\n" for key in _DEMO_KEYS[figure])
 
 
 _M_DOC = json.loads((FIXTURES / "M.json").read_text(encoding="utf-8"))
@@ -596,18 +616,33 @@ def test_malformed_document_is_a_data_error(tmp_path, capsys, command, doc):
     assert captured.err.startswith(f"ERROR: {path}: ")
 
 
-def test_unknown_key_is_a_data_error(tmp_path, capsys):
+_STRAY_KEYS = [
     # a misspelt key is not read as a missing one: M with "epistemc" would
     # have no arrows, and [a]p would hold at w
-    work = tmp_path / "ws"
-    shutil.copytree(FIXTURES, work)
-    path = work / "M.json"
-    path.write_text(path.read_text(encoding="utf-8").replace(
-        '"epistemic"', '"epistemc"'), encoding="utf-8")
-    assert main(["--workspace", str(work), "eval", "M", "w", "[a]p"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == (
-        f"ERROR: {path}: unknown keys in document: ['epistemc']\n")
+    ("M", {k.replace("epistemic", "epistemc"): v for k, v in _M_DOC.items()},
+     ["epistemc"]),
+    # the keys of the other kind are not read either: M with an event and
+    # its precondition would still answer, and `fmt --dot` would label w q
+    ("M", dict(_M_DOC, events=["zz"], pre={"w": "q"}), ["events", "pre"]),
+    ("U2", dict(_U2_DOC, worlds=["s"], val={"p": ["s"]}), ["val", "worlds"]),
+]
+
+
+def test_unknown_key_is_a_data_error(tmp_path, capsys):
+    # every reader rejects a document with a key outside its kind's keys,
+    # with one message
+    for i, (name, doc, unknown) in enumerate(_STRAY_KEYS):
+        work = tmp_path / f"ws{i}"
+        shutil.copytree(FIXTURES, work)
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["--workspace", str(work), "eval", "M", "w", "[a]p"],
+                     ["--workspace", str(work), "check", "M"],
+                     ["fmt", str(path)], ["fmt", str(path), "--dot"]):
+            assert main(argv) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                f"ERROR: {path}: unknown keys in document: {unknown}\n"), argv
 
 
 @pytest.mark.parametrize("doc,key", [({"type": "kripke"}, "agents"),
@@ -691,3 +726,45 @@ digraph model {
   "t" -> "s" [style=dashed];
 }
 """
+
+
+# formula text over the bundled signature, with update prefixes, names
+# outside the signature and stray characters put in at drawn places
+_FUZZ_FORMULAS = st.recursive(
+    st.sampled_from(["p", "q", "true", "false"]),
+    lambda sub: st.one_of(
+        st.builds("~{}".format, sub),
+        st.builds("({1} {0} {2})".format,
+                  st.sampled_from(["&", "|", "->", "<->"]), sub, sub),
+        st.builds("{}{}".format,
+                  st.sampled_from(["[a]", "<b>", "[Y]", "<Y>"]), sub)),
+    max_leaves=8)
+_FUZZ_INSERTS = ["[U2@s]", "<U2@t>", "[U3@t]", "[U5@r]", "<U8@s>", "[U2@x]",
+                 "[V@s]", "r", "[c]", "$", "9", "é", "♭", "@", "[", ")", " "]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FUZZ_FORMULAS,
+       st.lists(st.tuples(st.integers(0, 60), st.sampled_from(_FUZZ_INSERTS)),
+                max_size=2),
+       st.sampled_from([["eval", "M", "w"], ["eval", "M", "u"],
+                        ["eval", "M8", "w"], ["eval", "M8", "v"],
+                        ["eval", "M", "x"], ["eval", "NOSUCH", "w"],
+                        ["reduce"], ["reduce"],
+                        ["--max-tableau-nodes", "10000", "validity"],
+                        ["--max-tableau-nodes", "10000", "validity"]]),
+       st.sampled_from(["detl", "ydel", "rdetl"]))
+def test_cli_contract_fuzz(text, inserts, command, mode):
+    # whatever the input, the command line answers with an exit code of its
+    # contract and KEY: value lines, and no exception leaves main; at most
+    # two inserts, so update nesting stays at most 2
+    for at, insert in inserts:
+        at %= len(text) + 1
+        text = text[:at] + insert + text[at:]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--mode", mode, *command, text])
+    assert code in (0, 1, 2, 3)
+    assert all(re.fullmatch(r"[A-Z]+: .*", line)
+               for line in stdout.getvalue().splitlines())

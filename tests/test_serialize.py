@@ -30,13 +30,21 @@ def test_fixtures_round_trip_byte_identical():
 def test_canonical_document_rejects_unknown_keys():
     with pytest.raises(ValueError):
         canonical_document({"type": "kripke", "bogus": 1})
-    # and so does every reader, on a document that is whole but for it
-    doc = json.loads((FIXTURES / "M.json").read_text(encoding="utf-8"))
-    doc["epistemc"] = doc.pop("epistemic")
-    for read in (canonical_document, document_to_object, check_document):
-        with pytest.raises(ValueError,
-                           match=r"^unknown keys in document: \['epistemc'\]$"):
-            read(doc)
+    # and so does every reader, on a document that is whole but for it,
+    # the keys of the other type included
+    M, U2 = (json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+             for name in ("M", "U2"))
+    misspelt = dict(M, epistemc=M["epistemic"])
+    del misspelt["epistemic"]
+    for doc, unknown in [(misspelt, r"\['epistemc'\]"),
+                         (dict(M, events=["zz"], pre={"w": "q"}),
+                          r"\['events', 'pre'\]"),
+                         (dict(U2, worlds=["s"], val={"p": ["s"]}),
+                          r"\['val', 'worlds'\]")]:
+        for read in (canonical_document, document_to_object, check_document):
+            with pytest.raises(ValueError,
+                               match=rf"^unknown keys in document: {unknown}$"):
+                read(doc)
 
 
 def test_model_document_round_trip(ws, M):
