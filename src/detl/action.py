@@ -35,7 +35,7 @@ class ActionModel(Frame):
     # ((event, formula), ...), for the valuation; the name is for
     # messages, outside equality and hash
     _fields = ("sig", "events", "epistemic", "yesterday", "pre", "name")
-    _compared = _fields[:-1]
+    _compared = ("sig", "events", "_arrows", "pre")
     name = "U"
 
     _KIND = "event"
@@ -111,15 +111,17 @@ class PointedAction(Value):
 
 
 def is_atemporal_action(U: ActionModel) -> bool:
-    return not U.yesterday
+    return not any(U._arrows[0])
 
 
 def is_epistemic_past_state(U: ActionModel, s: str) -> bool:
     """Past state with a valid precondition whose only epistemic arrows,
     in either direction, are the self-loops required for every agent."""
-    return is_past_state(U, s) and all(
-        {(x, y) for x, y in U.epi[a] if s in (x, y)} == {(s, s)}
-        for a in U.sig.agents) and is_valid(U.pre_map[s])
+    if not is_past_state(U, s):
+        return False
+    i = U._pos[s]
+    return all(succ[i] == (i,) and sum(i in js for js in succ) == 1
+               for succ in U._arrows[1:]) and is_valid(U.pre_map[s])
 
 
 def check_history_preservation(U: ActionModel) -> PropertyReport:
@@ -135,14 +137,15 @@ def check_past_preservation(A: PointedAction) -> PropertyReport:
     hp = U._history
     if not hp.holds:
         return PropertyReport("past_preservation", False, hp.witness)
-    earlier = _reachable([A.point], U.yesterdays)
+    parents = U._parent_pos
+    earlier = _reachable([U._pos[A.point]], parents.__getitem__)
     # an event reaches a past state going backward exactly when it is
     # reached going forward from one: one search finds them all
-    grounded = _reachable([e for e in U.events if not U.yesterdays(e)],
-                          U._children.__getitem__)
+    grounded = _reachable([i for i, ps in enumerate(parents) if not ps],
+                          U._arrows[0].__getitem__)
     if stray := earlier.keys() - grounded:
         return PropertyReport("past_preservation", False,
-                              (min(stray), "no_past_state_reachable"))
+                              (U.events[min(stray)], "no_past_state_reachable"))
     return PropertyReport("past_preservation", True)
 
 

@@ -20,7 +20,8 @@ from .formula import ParseError, depth_formula, pretty
 from .kripke import (KRIPKE_PROPERTIES, KripkeModel, PointedModel,
                      check_property, depth, is_restricted)
 from .serialize import (Workspace, canonical_dumps, check_document,
-                        model_to_document, save_action, save_model)
+                        error_message, model_to_document, save_action,
+                        save_model)
 
 
 class CliError(Exception):
@@ -186,9 +187,8 @@ def cmd_fmt(args) -> int:
         check_document(doc)  # what loading rejects, fmt does not reprint
         if args.dot:
             text = _to_dot(doc) + "\n"
-    except (KeyError, ValueError) as exc:  # a KeyError's message bare
-        msg = exc.args[0] if type(exc) is KeyError else exc
-        raise CliError(f"{args.file}: {msg}") from exc
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"{args.file}: {error_message(exc)}") from exc
     sys.stdout.write(text)
     return 0
 
@@ -283,7 +283,7 @@ def _claim(ws: Workspace, kind: str, name: str, *args):
         return is_epistemic_past_state(obj, args[0])
     if kind == "arrow":  # an agent's arrow x -> y, and the depths of x and y
         agent, x, y = args
-        return (x, y) in obj.epi[agent], depth(obj, x), depth(obj, y)
+        return y in obj.succ(agent, x), depth(obj, x), depth(obj, y)
     other = _demo_object(ws, args[0])
     if kind == "equal":
         return obj == other
@@ -365,8 +365,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ParseError, KeyError, ValueError, OSError,
             logic.TableauLimit) as exc:
-        msg = exc.args[0] if type(exc) is KeyError else exc  # not its repr
-        print(f"ERROR: {msg}", file=sys.stderr)
+        print(f"ERROR: {error_message(exc)}", file=sys.stderr)
         return 3
     except RecursionError:
         # still recursing: _ext's box, [Y], update and right-conjunct

@@ -38,11 +38,11 @@ class Value:
     """Base of the immutable value classes.
 
     A subclass names its fields in `_fields`, in constructor order; a
-    class attribute of a field's name is its default.  The constructor
-    takes the fields by position or keyword, stores them and calls
-    `_post_init`, which may canonicalise them with `object.__setattr__`.
-    `==` and `hash` read the fields of `_compared` (all of them when
-    None); assignment raises AttributeError.
+    class attribute of a field's name, unless a property, is its default.
+    The constructor takes the fields by position or keyword, stores them
+    and calls `_post_init`, which may canonicalise them with
+    `object.__setattr__`.  `==` and `hash` read the attributes named in
+    `_compared` (the fields when None); assignment raises AttributeError.
     """
 
     _fields: tuple = ()
@@ -51,7 +51,8 @@ class Value:
     def __init__(self, *args, **kwargs):
         cls, values = type(self), dict(zip(self._fields, args), **kwargs)
         if len(values) < len(args) + len(kwargs) or set(values) != {
-                n for n in self._fields if n in values or not hasattr(cls, n)}:
+                n for n in self._fields if n in values or not hasattr(cls, n)
+                or isinstance(getattr(cls, n), property)}:
             raise TypeError(f"{cls.__name__}() takes {', '.join(self._fields)}")
         self.__dict__.update(values)
         self._post_init()
@@ -424,7 +425,7 @@ def is_atemporal(f: Formula) -> bool:
     [Y] connectives in the formula itself are fine; the restriction is on
     the action models only.
     """
-    return all(not u.yesterday for u in f.actions)
+    return not any(any(u._arrows[0]) for u in f.actions)
 
 
 def is_setl(f: Formula) -> bool:

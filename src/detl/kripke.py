@@ -3,12 +3,13 @@ with action models.
 
 A frame is a set of nodes (the worlds of a Kripke model, the events of an
 action model) with per-agent epistemic arrows and a yesterday relation of
-pairs (x, y) meaning x lies one tick before y.  `Frame` canonicalises and
-validates both relations once and caches the views that evaluation,
-property checks and depth queries read.  Depth of a node is the length of
-the longest history (a backward path that cannot be extended further into
-the past) ending at it, and is infinite when a backward-reachable cycle
-makes histories unbounded.
+pairs (x, y) meaning x lies one tick before y.  `Frame` validates both
+once, keeps them as successor positions over its sorted nodes, builds
+their pair tuples only when asked and caches the views that evaluation,
+property checks and depth queries read.  Depth of a node is the length
+of the longest history (a backward path that cannot be extended further
+into the past) ending at it, and is infinite when a backward-reachable
+cycle makes histories unbounded.
 """
 
 from __future__ import annotations
@@ -44,15 +45,20 @@ class PropertyReport(Value):
         return self.holds
 
 
-def _canon_pairs(pairs, nodes: set, relation: str, kind: str) -> tuple:
-    out, last = [], None
-    for e in sorted(map(tuple, pairs)):
-        if e != last:
-            x, y = last = e
-            if x not in nodes or y not in nodes:
-                raise ValueError(f"{relation} arrow {x}->{y} off the {kind} set")
-            out.append(e)
-    return tuple(out)
+def _successors(pairs, pos: dict, relation: str, kind: str) -> tuple:
+    """By position x, the sorted distinct ys of the pairs (x, y); only an
+    arrow off the node set sorts the pairs, to name the first such."""
+    if not pairs:
+        return ((),) * len(pos)
+    out = [[] for _ in pos]
+    try:
+        for x, y in pairs:
+            out[pos[x]].append(pos[y])
+    except KeyError:  # the arrows before (x, y) were on the node set
+        x, y = min(e for e in [(x, y), *map(tuple, pairs)]
+                   if not pos.keys() >= set(e))
+        raise ValueError(f"{relation} arrow {x}->{y} off the {kind} set") from None
+    return tuple([tuple(sorted(set(ys)) if len(ys) > 1 else ys) for ys in out])
 
 
 class Frame(Value):
@@ -62,34 +68,48 @@ class Frame(Value):
     Subclasses are values whose fields begin `sig`, the node tuple,
     `epistemic` and `yesterday`.  They expose the node tuple as `nodes`,
     name a node in messages with `_KIND` and check a node name with
-    `_check_name`.  The hash and every view below are computed once per
-    model.
+    `_check_name`.  The relations are kept in one store, `_arrows`:
+    yesterday's, then each agent's in signature order, each holding at
+    every node position the sorted successor positions.  `epistemic` and
+    `yesterday` build the pair tuples from it on each access; equality,
+    the hash and the views below, each computed once, read the store.
     """
 
-    val = None  # the valuation view of a Kripke model; action models have none
+    _val_masks = None  # the valuation view of a Kripke model; actions have none
 
     def _canonicalise(self) -> tuple:
-        """Sort the relations as given (linear on input already nearly in
-        order, which a set would scramble), drop repeats, in place, and
-        return the sorted node tuple; reject an empty node set, a bad node
-        name, an unknown agent and any arrow off the node set."""
-        kind = self._KIND
+        """Store the relations, repeats dropped, and return the sorted node
+        tuple; reject, in this order, no node, a bad node name, an
+        epistemic arrow off the nodes, an unknown agent, then yesterday's."""
+        kind, given = self._KIND, self.__dict__
         nodes = tuple(dict.fromkeys(sorted(self.nodes)))
         if not nodes:
             raise ValueError(f"a model needs at least one {kind}")
         for n in nodes:
             self._check_name(n)
-        nset = set(nodes)
-        epi_in = dict(self.epistemic)
-        epi = tuple((a, _canon_pairs(epi_in.get(a, ()), nset, "epistemic", kind))
-                    for a in self.sig.agents)
-        extra = set(epi_in) - set(self.sig.agents)
-        if extra:
+        pos = {n: i for i, n in enumerate(nodes)}
+        epi_in = dict(given.pop("epistemic"))
+        epi = [_successors(epi_in.get(a, ()), pos, "epistemic", kind)
+               for a in self.sig.agents]
+        if extra := set(epi_in) - set(self.sig.agents):
             raise ValueError(f"unknown agents in epistemic relation: {sorted(extra)}")
-        object.__setattr__(self, "epistemic", epi)
-        object.__setattr__(self, "yesterday",
-                           _canon_pairs(self.yesterday, nset, "yesterday", kind))
+        yesterday = _successors(given.pop("yesterday"), pos, "yesterday", kind)
+        given.update(_arrows=(yesterday, *epi), _pos=pos)  # mask bit i: nodes[i]
         return nodes
+
+    def _pairs(self, succ) -> tuple:
+        nodes = self.nodes
+        return tuple([(x, nodes[j]) for x, js in zip(nodes, succ) for j in js])
+
+    @property
+    def epistemic(self) -> tuple:
+        """((agent, ((x, y), ...)), ...) for every agent of the signature."""
+        return tuple(zip(self.sig.agents, map(self._pairs, self._arrows[1:])))
+
+    @property
+    def yesterday(self) -> tuple:
+        """((x, y), ...) with x one tick before y."""
+        return self._pairs(self._arrows[0])
 
     # -- derived views -----------------------------------------------------
 
@@ -104,76 +124,75 @@ class Frame(Value):
 
     @cached_property
     def epi(self) -> dict[str, frozenset[tuple[str, str]]]:
+        """Per agent, the set of its pairs, built when first asked for."""
         return {a: frozenset(pairs) for a, pairs in self.epistemic}
 
-    def _lists(self, pairs) -> dict[str, tuple]:
-        """The nodes y of the pairs (x, y) at each node x, in pair order."""
-        m: dict[str, list] = {n: [] for n in self.nodes}
-        for x, y in pairs:
-            m[x].append(y)
-        return {n: tuple(vs) for n, vs in m.items()}
+    def _names(self, succ) -> dict[str, tuple]:
+        """The nodes at the positions of succ, at each node."""
+        nodes, out = self.nodes, {}
+        for x, js in zip(nodes, succ):
+            out[x] = tuple([nodes[j] for j in js]) if js else ()
+        return out
 
     @cached_property
     def _succ(self) -> dict[str, dict[str, tuple]]:
         """Per agent, the sorted successors of every node."""
-        return {a: self._lists(pairs) for a, pairs in self.epistemic}
+        return dict(zip(self.sig.agents, map(self._names, self._arrows[1:])))
 
     @cached_property
     def _parents(self) -> dict[str, tuple]:
         """The sorted yesterday-predecessors of every node."""
-        return self._lists((y, x) for x, y in self.yesterday)
+        return self._names(self._parent_pos)
 
     @cached_property
-    def _children(self) -> dict[str, tuple]:
-        """The sorted nodes one tick after every node."""
-        return self._lists(self.yesterday)
+    def _parent_pos(self) -> tuple:
+        """By position, the sorted positions one tick before it."""
+        out = [[] for _ in self.nodes]
+        for x, ys in enumerate(self._arrows[0]):
+            for y in ys:
+                out[y].append(x)
+        return tuple(map(tuple, out))
 
-    @cached_property
-    def _pos(self) -> dict[str, int]:
-        """Each node's position: bit i of a node-set mask is `nodes[i]`."""
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    def _masks(self, pairs) -> list:
-        """By position, the mask of the ys of the pairs (x, y) at x and the
-        mask of the nodes sharing it: one shared pair per distinct mask."""
-        pos, out = self._pos, [0] * len(self.nodes)
-        for x, y in pairs:
-            out[pos[x]] |= 1 << pos[y]
+    def _masks(self, succ) -> list:
+        """By position, the mask of its positions in succ and the mask of
+        the nodes sharing it: one shared pair per distinct mask."""
+        bits = [1 << i for i in range(len(succ))]
+        out = [sum(map(bits.__getitem__, js)) for js in succ]
         twins = {}
         for i, m in enumerate(out):
-            twins[m] = twins.get(m, 0) | 1 << i
+            twins[m] = twins.get(m, 0) | bits[i]
         shared = {m: (m, ts) for m, ts in twins.items()}
         return [shared[m] for m in out]
 
     @cached_property
     def _succ_masks(self) -> dict[str, list]:
         """Per agent, the successor and twin masks of each position."""
-        return {a: self._masks(pairs) for a, pairs in self.epistemic}
+        return dict(zip(self.sig.agents, map(self._masks, self._arrows[1:])))
 
     @cached_property
     def _parent_masks(self) -> list:
         """The yesterday-predecessor and twin masks of each position."""
-        return self._masks((y, x) for x, y in self.yesterday)
+        return self._masks(self._parent_pos)
 
     @cached_property
-    def _depths(self) -> dict:
-        """Longest-backward-path length per node; INFINITE past any ⇝-cycle.
+    def _depths(self) -> list:
+        """Per position, the longest backward path; INFINITE past a ⇝-cycle.
 
         Kahn's algorithm over the yesterday edges: the nodes it never
         reaches, which keep INFINITE, are those whose past meets a cycle.
         """
-        indeg = {n: len(ps) for n, ps in self._parents.items()}
-        children = self._children
-        depth = dict.fromkeys(self.nodes, INFINITE)
-        queue = [n for n in self.nodes if indeg[n] == 0]
-        for n in queue:
-            depth[n] = 0
+        parents, children = self._parent_pos, self._arrows[0]
+        indeg = list(map(len, parents))
+        depth = [INFINITE] * len(indeg)
+        queue = [i for i, d in enumerate(indeg) if d == 0]
+        for i in queue:
+            depth[i] = 0
         while queue:
-            n = queue.pop()
-            for c in children[n]:
+            i = queue.pop()
+            for c in children[i]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    depth[c] = 1 + max(depth[p] for p in self._parents[c])
+                    depth[c] = 1 + max(map(depth.__getitem__, parents[c]))
                     queue.append(c)
         return depth
 
@@ -225,6 +244,7 @@ class KripkeModel(Frame):
     # yesterday ((x, y), ...) with x one tick before y, valuation
     # ((atom, (w, ...)), ...) for every atom in sig
     _fields = ("sig", "worlds", "epistemic", "yesterday", "valuation")
+    _compared = ("sig", "worlds", "_arrows", "valuation")
 
     _KIND = "world"
     _check_name = staticmethod(_check_world_name)
@@ -269,7 +289,7 @@ class PointedModel(Value):
 def depth(F: Frame, n: str):
     """Depth of a world or an event (see the module docstring)."""
     F._require(n)
-    return F._depths[n]
+    return F._depths[F._pos[n]]
 
 
 def is_initial(F: Frame, n: str) -> bool:
@@ -282,68 +302,69 @@ def is_initial(F: Frame, n: str) -> bool:
 # properties, shared between Kripke and action models
 
 def check_frame_property(prop: str, frame: Frame) -> PropertyReport:
-    """Evaluate one defining condition over a frame's cached views.
+    """Evaluate one defining condition over a frame's store and cached
+    views, by node position.
 
     Works for Kripke models and action models (no valuation, persistence
     vacuous).  Witnesses list the violating items in the order the
     condition quantifies them.  Callers read the report through
     `Frame._report`, which computes it once per frame.
     """
-    nodes, yesterday, valuation = frame.nodes, frame.yesterday, frame.val
-    parents, succ, agents = frame._parents, frame._succ, sorted(frame._succ)
+    n, agents, parents = frame.nodes, frame.sig.agents, frame._parent_pos
+    children, *succ = frame._arrows  # n[i] names position i in witnesses
 
     if prop == "persistence_of_facts":
-        if valuation is not None:
-            for w, w2 in yesterday:
-                for p, ws in valuation.items():
-                    if (w in ws) != (w2 in ws):
-                        return PropertyReport(prop, False, (w, w2, p))
+        masks = (frame._val_masks or {}).items()
+        for w, vs in enumerate(children):
+            for w2 in vs:
+                for p, m in masks:
+                    if (m >> w ^ m >> w2) & 1:
+                        return PropertyReport(prop, False, (n[w], n[w2], p))
         return PropertyReport(prop, True)
 
     if prop == "depth_definedness":
-        for n in nodes:
-            if frame._depths[n] == INFINITE:
-                return PropertyReport(prop, False, (n,))
+        if INFINITE in frame._depths:
+            return PropertyReport(prop, False, (n[frame._depths.index(INFINITE)],))
         return PropertyReport(prop, True)
 
     if prop == "knowledge_of_past":
-        for w2, w in yesterday:
-            for a in agents:
-                for v in succ[a][w]:
-                    if not parents[v]:
-                        return PropertyReport(prop, False, (w2, w, a, v))
+        for w2, ws in enumerate(children):
+            for w in ws:
+                for a, s in zip(agents, succ):
+                    for v in s[w]:
+                        if not parents[v]:
+                            return PropertyReport(
+                                prop, False, (n[w2], n[w], a, n[v]))
         return PropertyReport(prop, True)
 
     if prop == "knowledge_of_initial_time":
-        for w in nodes:
-            if parents[w]:
+        for w, ps in enumerate(parents):
+            if ps:
                 continue
-            for a in agents:
-                for v in succ[a][w]:
+            for a, s in zip(agents, succ):
+                for v in s[w]:
                     if parents[v]:
-                        return PropertyReport(prop, False, (w, a, v))
+                        return PropertyReport(prop, False, (n[w], a, n[v]))
         return PropertyReport(prop, True)
 
     if prop == "uniqueness_of_past":
-        for w in nodes:
-            ps = parents[w]
+        for w, ps in enumerate(parents):
             if len(ps) > 1:
-                return PropertyReport(prop, False, (w, ps[0], ps[1]))
+                return PropertyReport(prop, False, (n[w], n[ps[0]], n[ps[1]]))
         return PropertyReport(prop, True)
 
     if prop == "perfect_recall":
         # per (w, a), the nodes one tick after an a-successor of w, built
         # once for all the pairs (w, v) that share w
-        children, last = frame._children, None
-        for w, v in yesterday:
-            if w != last:
-                last = w
-                later = {a: {c for u in succ[a][w] for c in children[u]}
-                         for a in agents}
-            for a in agents:
-                if not later[a].issuperset(succ[a][v]):
-                    v2 = next(v2 for v2 in succ[a][v] if v2 not in later[a])
-                    return PropertyReport(prop, False, (w, v, a, v2))
+        for w, vs in enumerate(children):
+            later = [{c for u in s[w] for c in children[u]}
+                     for s in succ] if vs else ()
+            for v in vs:
+                for a, s, after in zip(agents, succ, later):
+                    if not after.issuperset(s[v]):
+                        v2 = next(v2 for v2 in s[v] if v2 not in after)
+                        return PropertyReport(
+                            prop, False, (n[w], n[v], a, n[v2]))
         return PropertyReport(prop, True)
 
     if prop == "synchronicity":
@@ -351,12 +372,12 @@ def check_frame_property(prop: str, frame: Frame) -> PropertyReport:
         if not dd.holds:
             return PropertyReport(prop, False, dd.witness)
         depths = frame._depths
-        for a in agents:
-            for w in nodes:
-                for v in succ[a][w]:
+        for a, s in zip(agents, succ):
+            for w, vs in enumerate(s):
+                for v in vs:
                     if depths[w] != depths[v]:
-                        return PropertyReport(
-                            prop, False, (w, a, v, depths[w], depths[v]))
+                        return PropertyReport(prop, False, (
+                            n[w], a, n[v], depths[w], depths[v]))
         return PropertyReport(prop, True)
 
     raise ValueError(f"unknown property {prop!r}")
@@ -419,7 +440,7 @@ def relation_closure(M: KripkeModel, mode: str) -> KripkeModel:
         sig=M.sig,
         worlds=M.worlds,
         epistemic={a: close_pairs(pairs, M.worlds, mode)
-                   for a, pairs in M.epi.items()},
+                   for a, pairs in M.epistemic},
         yesterday=M.yesterday,
         valuation=M.valuation,
     )

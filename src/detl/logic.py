@@ -300,11 +300,12 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Bisimulation | None:
     """Largest bisimulation between the two models if it links the two
     points, else None.
 
-    Partition refinement over the disjoint union, its nodes and arrows
-    numbered once; the refinement relations are the step toward the past
-    (relation 0) and the epistemic successors (the future direction does
-    not discriminate).  Each arrow carries the code block[target] * nrel +
-    relation, and a node's signature is the set of its out-arrows' codes.
+    Partition refinement over the disjoint union, a node numbered by its
+    model's offset plus its position and each arrow once; the refinement
+    relations are the step toward the past (relation 0) and the epistemic
+    successors (the future direction does not discriminate).  Each arrow
+    carries the code block[target] * nrel + relation, and a node's
+    signature is the set of its out-arrows' codes.
     Blocks are seeded by the atoms true at a node and its depth.  Depth is
     a bisimulation invariant here, since relation 0 steps to the past:
     bisimilar worlds have bisimilar parents, each parent of one matched
@@ -331,22 +332,18 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Bisimulation | None:
     rel: list[int] = []
     points = []
     for pm in (A, B):
-        M = pm.model
-        index = {w: len(block) + i for i, w in enumerate(M.worlds)}
-        points.append(index[pm.point])
-        atoms = dict.fromkeys(M.worlds, ())
+        M, off = pm.model, len(block)
+        points.append(off + M._pos[pm.point])
+        atoms = [()] * len(M.worlds)
         for p, ws in M.valuation:
             for w in ws:
-                atoms[w] += (p,)
-        depths = M._depths
-        block.extend([seed.setdefault((atoms[w], depths[w]), len(seed))
-                      for w in M.worlds])
-        # a yesterday pair (x, y) is the arrow from y back to x
-        for r, pairs in enumerate([[(y, x) for x, y in M.yesterday],
-                                   *(pairs for _, pairs in M.epistemic)]):
-            src += [index[x] for x, _ in pairs]
-            tgt += [index[y] for _, y in pairs]
-            rel += [r] * len(pairs)
+                atoms[M._pos[w]] += (p,)
+        block.extend([seed.setdefault(key, len(seed))
+                      for key in zip(atoms, M._depths)])
+        for r, succ in enumerate((M._parent_pos, *M._arrows[1:])):
+            src += [x for x, ys in enumerate(succ, off) for _ in ys]
+            tgt += [off + y for ys in succ for y in ys]
+            rel += [r] * (len(src) - len(rel))
     out: list[list[int]] = [[] for _ in block]
     into: list[list[int]] = [[] for _ in block]
     for i, (x, y) in enumerate(zip(src, tgt)):

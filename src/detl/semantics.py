@@ -12,7 +12,7 @@ import enum
 from functools import lru_cache
 
 from .action import (ActionModel, is_atemporal_action, is_lrdetl_action,
-                     is_past_state, sharp_action, sharp_formula)
+                     sharp_action, sharp_formula)
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, Update,
                       Value, Yesterday, dia_yesterday, diamond)
 from .kripke import KripkeModel, PointedModel, is_restricted
@@ -170,32 +170,32 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     # each precondition's extension computed once over all worlds
     memos, worlds = {}, M.worlds
     everywhere = (1 << len(worlds)) - 1
-    ext = [(t, _ext(M, U.pre_map[t], everywhere, memos)) for t in U.events]
-    names = {(v, t): pair_name(v, t)
-             for i, v in enumerate(worlds) for t, holds in ext
-             if holds >> i & 1}
+    ext = [_ext(M, U.pre_map[t], everywhere, memos) for t in U.events]
+    # the surviving pairs by the positions of their world and event
+    names = {(v, t): pair_name(w, e)
+             for v, w in enumerate(worlds) for t, e in enumerate(U.events)
+             if ext[t] >> v & 1}
     if not names:
         raise EmptyProductError("no world satisfies any precondition")
-    # relations are lists in (world, event) order, nearly string order,
-    # which the model sorts in about one pass; per agent, join the two
-    # successor lists of each surviving pair, so the cost follows the arrows
-    epistemic = {}
-    for a in M.sig.agents:
-        ms, us = M._succ[a], U._succ[a]
-        epistemic[a] = [(x, names[v2, t2])
-                        for (v, t), x in names.items()
-                        for v2 in ms[v] for t2 in us[t] if (v2, t2) in names]
+    # per agent, join the two successor positions of each surviving pair,
+    # so the cost follows the arrows
+    (m_next, *ms), (u_next, *us) = M._arrows, U._arrows
+    epistemic = {a: [(x, names[v2, t2])
+                     for (v, t), x in names.items()
+                     for v2 in m[v] for t2 in u[t] if (v2, t2) in names]
+                 for a, m, u in zip(M.sig.agents, ms, us)}
+    u_past = U._parent_pos
     yesterday = []
     for (v, t), x in names.items():
-        if is_past_state(U, t):
-            for v2 in M._children[v]:
+        if not u_past[t]:
+            for v2 in m_next[v]:
                 if (v2, t) in names:
                     yesterday.append((x, names[v2, t]))
-        for t2 in U._children[t]:
+        for t2 in u_next[t]:
             if (v, t2) in names:
                 yesterday.append((x, names[v, t2]))
-    valuation = {p: [x for (v, _), x in names.items() if v in ws]
-                 for p, ws in M.val.items()}
+    valuation = {p: [x for (v, _), x in names.items() if m >> v & 1]
+                 for p, m in M._val_masks.items()}
     return KripkeModel(
         sig=M.sig,
         worlds=tuple(names.values()),

@@ -96,11 +96,12 @@ def action_to_document(U: ActionModel, point: str | None = None) -> dict:
 def _frame_document(F, kind: str, nodes: str, key: str, value: dict,
                     point: str | None) -> dict:
     """The document of a model or action, with `value` under `key`."""
+    names = F.nodes
+    yesterday, *epi = [[[x, names[j]] for x, js in zip(names, succ) for j in js]
+                       for succ in F._arrows]
     doc = {"type": kind, "agents": list(F.sig.agents),
-           "atoms": list(F.sig.atoms), nodes: list(F.nodes), key: value,
-           "epistemic": {a: [list(e) for e in pairs]
-                         for a, pairs in F.epistemic},
-           "yesterday": [list(e) for e in F.yesterday]}
+           "atoms": list(F.sig.atoms), nodes: list(names), key: value,
+           "epistemic": dict(zip(F.sig.agents, epi)), "yesterday": yesterday}
     if point is not None:
         doc["point"] = point
     return doc
@@ -226,6 +227,11 @@ def save_action(path, U: ActionModel, point: str | None = None):
                           encoding="utf-8")
 
 
+def error_message(exc: Exception):
+    """What to report for exc: a KeyError's bare message, not its repr."""
+    return exc.args[0] if type(exc) is KeyError else exc
+
+
 class Workspace:
     """The models and actions of one directory: name -> (model or action,
     its point or None)."""
@@ -247,9 +253,8 @@ class Workspace:
                 doc = json.loads(f.read_text(encoding="utf-8"))
                 kind, obj, point = document_to_object(
                     doc, ws.actions_by_name() if ws else {}, name=name)
-            except (KeyError, ValueError) as exc:  # a KeyError's message bare
-                msg = exc.args[0] if type(exc) is KeyError else exc
-                raise ValueError(f"{f}: {msg}") from exc
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{f}: {error_message(exc)}") from exc
             if ws is None:
                 ws = cls(sig=obj.sig)
             elif obj.sig != ws.sig:

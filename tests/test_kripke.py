@@ -11,7 +11,7 @@ from detl.kripke import (INFINITE, KRIPKE_PROPERTIES, RESTRICTED_PROPERTIES,
                          generated_submodel, is_initial, is_restricted,
                          relation_closure)
 from detl.semantics import product_update, ydel_update
-from detl.serialize import Workspace, save_model
+from detl.serialize import Workspace, save_action, save_model
 
 from generate import (DEFAULT_SIG, rand_forest_action, rand_kripke,
                       rand_restricted, rand_sync_kripke,
@@ -412,7 +412,7 @@ def _canonical(F):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_construction_ignores_input_order_and_repeats(seed):
+def test_construction_ignores_input_order_and_repeats(seed, tmp_path):
     rng = random.Random(seed)
     M = rand_kripke(rng, SIG, max_worlds=12)
     val = [(p, _three_ways(rng, ws)) for p, ws in M.valuation]
@@ -421,15 +421,40 @@ def test_construction_ignores_input_order_and_repeats(seed):
               for k, kw in enumerate(_rebuilt(rng, M, "worlds"))]
     actions = [ActionModel(**kw, pre=U.pre_map)
                for kw in _rebuilt(rng, U, "events")]
-    for F, built in ((M, models), (U, actions)):
+    for F, built, save in ((M, models, save_model), (U, actions, save_action)):
+        save(tmp_path / "F.json", F)
         for N in built:
             assert N == F and hash(N) == hash(F)
             assert (N.nodes, N.epistemic, N.yesterday) \
                 == (F.nodes, F.epistemic, F.yesterday)
             assert _canonical(N)
+            save(tmp_path / "N.json", N)
+            assert (tmp_path / "N.json").read_bytes() \
+                == (tmp_path / "F.json").read_bytes()
     for N in models:
         assert N.valuation == M.valuation
         assert all(list(ws) == sorted(set(ws)) for _, ws in N.valuation)
+
+
+def test_relations_are_read_off_the_store(ws, M):
+    for F in (M, ws.actions["U2"][0]):
+        assert "epistemic" not in vars(F) and "yesterday" not in vars(F)
+        for name in ("epistemic", "yesterday"):
+            for assign in (setattr, object.__setattr__):
+                with pytest.raises(AttributeError):
+                    assign(F, name, ())
+    # a property named like a field is not that field's default
+    for missing in ("epistemic", "yesterday"):
+        kw = dict(sig=SIG, worlds=("w",), epistemic={}, yesterday=(),
+                  valuation={})
+        del kw[missing]
+        with pytest.raises(TypeError):
+            KripkeModel(**kw)
+        kw = dict(sig=SIG, events=("e",), epistemic={}, yesterday=(),
+                  pre={"e": TOP})
+        del kw[missing]
+        with pytest.raises(TypeError):
+            ActionModel(**kw)
 
 
 @pytest.mark.parametrize("way", ["set", "shuffled", "sorted"])
@@ -449,7 +474,27 @@ def test_construction_still_validates(way):
              "valuation of p mentions unknown worlds"),
             ({"valuation": {"r": given("w")}},
              "unknown atoms in valuation: ['r']"),
-            ({"worlds": given("w", "1w")}, "bad world: '1w'")):
+            ({"worlds": given("w", "1w")}, "bad world: '1w'"),
+            # the first arrow off the set in sorted order, neither the
+            # first nor the last given
+            ({"epistemic": {"a": given(("x", "w"), ("w", "y"), ("w", "x"),
+                                       ("w", "w"), ("y", "w"))}},
+             "epistemic arrow w->x off the world set"),
+            ({"yesterday": given(("y", "w"), ("w", "w"), ("w", "y"),
+                                 ("x", "w"))},
+             "yesterday arrow w->y off the world set"),
+            # each agent's arrows in signature order, then unknown
+            # agents, then yesterday
+            ({"epistemic": {"b": given(("w", "u")), "a": given(("w", "v"))}},
+             "epistemic arrow w->v off the world set"),
+            ({"epistemic": {"c": given(("w", "w")), "b": given(("w", "x"))}},
+             "epistemic arrow w->x off the world set"),
+            ({"epistemic": {"c": given(("w", "w"))},
+              "yesterday": given(("w", "x"))},
+             "unknown agents in epistemic relation: ['c']"),
+            ({"epistemic": {"b": given(("x", "w"))},
+              "yesterday": given(("w", "u"))},
+             "epistemic arrow x->w off the world set")):
         with pytest.raises(ValueError, match=re.escape(msg)):
             loop_model(**kw)
     for epistemic, msg in (
