@@ -3,8 +3,8 @@ and the ♯ translation.
 
 An action model is a frame (see `kripke.Frame`) with events in place of
 worlds and a precondition formula per event; canonicalisation, the
-successor, parent and depth views and the frame properties are the ones
-Kripke models use.  The temporal properties (history and past
+relation store, the neighbour and depth queries and the frame properties
+are the ones Kripke models use.  The temporal properties (history and past
 preservation, time-advancing) ask `logic.is_valid` about preconditions.
 """
 

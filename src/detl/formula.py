@@ -633,12 +633,11 @@ def pretty(f: Formula) -> str:
                     m, op = l, "<->"
                 else:
                     m, op = (f.left, f.right), "&"
-            elif t is Not and type(f.sub) is And and type(f.sub.right) is Not:
-                a, b = f.sub.left, f.sub.right.sub
-                if type(a) is Not:  # ~(~a & ~b)
-                    m, op = (a.sub, b), "|"
+            elif m := _match_imp(f):
+                if type(m[0]) is Not:  # ~(~a & ~b)
+                    m, op = (m[0].sub, m[1]), "|"
                 else:  # ~(a & ~b)
-                    m, op = (a, b), "->"
+                    op = "->"
             elif t is Atom or f in _CONSTANTS:
                 out.append(f.name if t is Atom else _CONSTANTS[f])
                 break

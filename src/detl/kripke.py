@@ -71,8 +71,9 @@ class Frame(Value):
     `_check_name`.  The relations are kept in one store, `_arrows`:
     yesterday's, then each agent's in signature order, each holding at
     every node position the sorted successor positions.  `epistemic` and
-    `yesterday` build the pair tuples from it on each access; equality,
-    the hash and the views below, each computed once, read the store.
+    `yesterday` build the pair tuples from it on each access, and `succ`
+    and `yesterdays` name one node's neighbours on each call; equality,
+    the hash and the cached views below read the store.
     """
 
     _val_masks = None  # the valuation view of a Kripke model; actions have none
@@ -126,23 +127,6 @@ class Frame(Value):
     def epi(self) -> dict[str, frozenset[tuple[str, str]]]:
         """Per agent, the set of its pairs, built when first asked for."""
         return {a: frozenset(pairs) for a, pairs in self.epistemic}
-
-    def _names(self, succ) -> dict[str, tuple]:
-        """The nodes at the positions of succ, at each node."""
-        nodes, out = self.nodes, {}
-        for x, js in zip(nodes, succ):
-            out[x] = tuple([nodes[j] for j in js]) if js else ()
-        return out
-
-    @cached_property
-    def _succ(self) -> dict[str, dict[str, tuple]]:
-        """Per agent, the sorted successors of every node."""
-        return dict(zip(self.sig.agents, map(self._names, self._arrows[1:])))
-
-    @cached_property
-    def _parents(self) -> dict[str, tuple]:
-        """The sorted yesterday-predecessors of every node."""
-        return self._names(self._parent_pos)
 
     @cached_property
     def _parent_pos(self) -> tuple:
@@ -216,11 +200,13 @@ class Frame(Value):
         return PropertyReport("restricted", True)
 
     def succ(self, agent: str, n: str) -> tuple:
-        return self._succ[agent][n]
+        """The sorted agent-successors of n; KeyError for an unknown name."""
+        arrows = dict(zip(self.sig.agents, self._arrows[1:]))[agent]
+        return tuple(map(self.nodes.__getitem__, arrows[self._pos[n]]))
 
     def yesterdays(self, n: str) -> tuple:
-        """Nodes one tick before n."""
-        return self._parents[n]
+        """The sorted nodes one tick before n."""
+        return tuple(map(self.nodes.__getitem__, self._parent_pos[self._pos[n]]))
 
     def _require(self, n: str):
         if n not in self._pos:

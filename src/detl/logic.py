@@ -60,9 +60,9 @@ def _step(g: Update, memo: dict) -> Formula:
             out = _guard(pre, _not(_update(U, e, f.sub)))
         elif t is Box:
             out = _guard(pre, conj(_box(f.agent, _update(U, e2, f.sub))
-                                   for e2 in U._succ[f.agent][e]))
+                                   for e2 in U.succ(f.agent, e)))
         elif t is Yesterday:
-            past = U._parents[e]
+            past = U.yesterdays(e)
             out = _guard(pre, conj(_update(U, e2, f.sub) for e2 in past)
                          if past else _yesterday(_update(U, e, f.sub)))
         else:  # an atom or false

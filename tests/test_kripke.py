@@ -428,6 +428,17 @@ def test_construction_ignores_input_order_and_repeats(seed, tmp_path):
             assert (N.nodes, N.epistemic, N.yesterday) \
                 == (F.nodes, F.epistemic, F.yesterday)
             assert _canonical(N)
+            for n in F.nodes:
+                assert N.yesterdays(n) \
+                    == tuple(sorted({x for x, y in F.yesterday if y == n}))
+                for a, pairs in F.epistemic:
+                    assert N.succ(a, n) \
+                        == tuple(sorted({y for x, y in pairs if x == n}))
+            for bad in (lambda: N.succ("c", F.nodes[0]),
+                        lambda: N.succ("a", "nowhere"),
+                        lambda: N.yesterdays("nowhere")):
+                with pytest.raises(KeyError):
+                    bad()
             save(tmp_path / "N.json", N)
             assert (tmp_path / "N.json").read_bytes() \
                 == (tmp_path / "F.json").read_bytes()
