@@ -37,6 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1; argparse names the option on failure."""
+    try:
+        if (n := int(text)) >= 1:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer of at least 1: {text!r}")
+
+
 def fixture_dir() -> Path:
     return Path(__file__).with_name("fixtures")
 
@@ -345,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "files (default: bundled figure fixtures)")
     ap.add_argument("--mode", choices=["detl", "ydel", "rdetl"],
                     default="detl", help="semantics used by eval/update")
-    ap.add_argument("--max-tableau-nodes", type=int,
-                    default=logic.DEFAULT_NODE_LIMIT)
+    ap.add_argument("--max-tableau-nodes", type=_positive_int,
+                    default=logic.DEFAULT_NODE_LIMIT,
+                    help="tableau nodes validity may expand, at least 1")
     ap.add_argument("--permissive-ydel", action="store_true",
                     help="allow ydel operations on non-restricted models")
     sub = ap.add_subparsers(dest="command", required=True)

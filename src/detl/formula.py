@@ -42,7 +42,9 @@ class Value:
     The constructor takes the fields by position or keyword, stores them
     and calls `_post_init`, which may canonicalise them with
     `object.__setattr__`.  `==` and `hash` read the attributes named in
-    `_compared` (the fields when None); assignment raises AttributeError.
+    `_compared` (the fields when None), but an object equals itself
+    unread, so a cache keyed on it hits cheaply; assignment raises
+    AttributeError.
     """
 
     _fields: tuple = ()
@@ -64,6 +66,8 @@ class Value:
         return tuple(getattr(self, n) for n in self._compared or self._fields)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._key() == other._key()

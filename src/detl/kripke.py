@@ -15,6 +15,7 @@ cycle makes histories unbounded.
 from __future__ import annotations
 
 import re
+import weakref
 from functools import cached_property
 
 from .formula import RESERVED, Value, _reachable
@@ -119,8 +120,8 @@ class Frame(Value):
 
     @cached_property
     def _hash(self) -> int:
-        """The hash of the compared fields, computed once: update caches
-        and formula nodes key on models."""
+        """The hash of the compared fields, computed once: the update
+        cache and formula nodes key on actions."""
         return hash(self._key())
 
     @cached_property
@@ -260,6 +261,12 @@ class KripkeModel(Frame):
         """The mask of the worlds where each atom holds."""
         pos = self._pos
         return {p: sum(1 << pos[w] for w in ws) for p, ws in self.valuation}
+
+    @cached_property
+    def _products(self) -> weakref.WeakKeyDictionary:
+        """The product by each action updated with so far, dropped with
+        the action (see `product_update`)."""
+        return weakref.WeakKeyDictionary()
 
     def atoms_at(self, w: str) -> frozenset[str]:
         return frozenset(p for p, ws in self.val.items() if w in ws)

@@ -9,7 +9,6 @@ identity naming.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 from .action import (ActionModel, is_atemporal_action, is_lrdetl_action,
                      sharp_action, sharp_formula)
@@ -18,10 +17,6 @@ from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, Update,
 from .kripke import KripkeModel, PointedModel, is_restricted
 
 SEP = "|"
-# models the product cache keeps, ⊕ results included: the updates that
-# the queries on one model reach, with room to spare (12 products and 6
-# ⊕ models in the benchmark's model-check workload)
-UPDATE_CACHE = 128
 
 
 class EmptyProductError(ValueError):
@@ -162,10 +157,13 @@ def _ext(M: KripkeModel, f: Formula, D: int, memos: dict,
     return D & ~holds if negated else holds
 
 
-@lru_cache(maxsize=UPDATE_CACHE)
 def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     """The product M[U]: surviving pairs, componentwise epistemic arrows,
-    asynchronous yesterday arrows."""
+    asynchronous yesterday arrows.  Kept on M, weakly keyed by U, so it
+    lives as long as both do."""
+    P = M._products.get(U)
+    if P is not None:
+        return P
     _check_compatible(M, U)
     # each precondition's extension computed once over all worlds
     memos, worlds = {}, M.worlds
@@ -196,13 +194,14 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
                 yesterday.append((x, names[v, t2]))
     valuation = {p: [x for (v, _), x in names.items() if m >> v & 1]
                  for p, m in M._val_masks.items()}
-    return KripkeModel(
+    P = M._products[U] = KripkeModel(
         sig=M.sig,
         worlds=tuple(names.values()),
         epistemic=epistemic,
         yesterday=yesterday,
         valuation=valuation,
     )
+    return P
 
 
 # ---------------------------------------------------------------------------

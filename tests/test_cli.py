@@ -133,6 +133,19 @@ def test_validity_node_limit(capsys):
     code, out = run(capsys, "--max-tableau-nodes", "1", "validity", "[U2@s]q")
     assert code == 3 and out == ""
     assert run(capsys, "--max-tableau-nodes", "4", "validity", "[U2@s]q")[0] == 1
+    code, out = run(capsys, "--max-tableau-nodes", "1", "validity", "p")
+    assert code == 1 and out.startswith("VERDICT: INVALID\n")
+
+
+@pytest.mark.parametrize("limit", ["0", "-3", "1.5", "abc"])
+@pytest.mark.parametrize("formula", ["true", "false"])
+def test_node_limit_must_be_a_positive_integer(capsys, limit, formula):
+    assert main(["--max-tableau-nodes", limit, "validity", formula]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "ERROR: argument --max-tableau-nodes: not an integer of at least 1: "
+        f"{limit!r}")
 
 
 def test_reduce_deep_negation(capsys):
@@ -445,7 +458,8 @@ _PARSER = {
         (("--mode",), "mode", None, ["detl", "ydel", "rdetl"], _STORE,
          "detl", "semantics used by eval/update", None),
         (("--max-tableau-nodes",), "max_tableau_nodes", None, None, _STORE,
-         1000000, None, "int"),
+         1000000, "tableau nodes validity may expand, at least 1",
+         "_positive_int"),
         (("--permissive-ydel",), "permissive_ydel", 0, None,
          "_StoreTrueAction", False,
          "allow ydel operations on non-restricted models", None)],

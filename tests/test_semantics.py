@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -107,6 +109,48 @@ def test_product_empty(M):
         yesterday=(), pre={"e": parse("false", SIG)}, name="D")
     with pytest.raises(EmptyProductError):
         product_update(M, dead)
+
+
+def _rebuilt(F):
+    """A new frame equal to F, sharing none of its cached views."""
+    if isinstance(F, KripkeModel):
+        return KripkeModel(F.sig, F.worlds, F.epistemic, F.yesterday,
+                           F.valuation)
+    return ActionModel(F.sig, F.events, F.epistemic, F.yesterday, F.pre,
+                       F.name)
+
+
+def test_product_lives_while_its_model_and_action_do(ws, M, M8):
+    # with the collector off, each free asserted below is by reference count
+    gc.disable()
+    try:
+        U2, U8 = ws.actions["U2"][0], ws.actions["U8"][0]
+        assert product_update(M, U2) is product_update(M, U2)
+        assert ydel_update(M8, U8) is ydel_update(M8, U8)
+
+        N = _rebuilt(M)
+        P = weakref.ref(product_update(N, U2))
+        assert P() is product_update(N, U2)
+        del N
+        assert P() is None
+
+        # the product found through a formula goes with its action once
+        # that formula is dropped too, while the model lives on
+        N, U = _rebuilt(M), _rebuilt(U2)
+        f = Update(U, "s", Atom("q"))
+        assert evaluate(N, "w", f) == evaluate(M, "w", Update(U2, "s", Atom("q")))
+        P = weakref.ref(product_update(N, U))
+        assert P() is not None
+        del U, f
+        assert P() is None
+        assert N._products.get(U2) is None
+
+        # equal models built apart build equal products apart
+        A, B = _rebuilt(M), _rebuilt(M)
+        assert product_update(A, U2) == product_update(B, U2)
+        assert product_update(A, U2) is not product_update(B, U2)
+    finally:
+        gc.enable()
 
 
 def test_pair_name_inverse():
