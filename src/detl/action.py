@@ -44,11 +44,12 @@ class ActionModel(Frame):
     require_event = Frame._require
 
     def _post_init(self):
-        object.__setattr__(self, "events", self._canonicalise())
+        events, arrows, pos = self._canonicalise()
         pre_in = dict(self.pre)
-        if pre_in.keys() != self._pos.keys():
+        if pre_in.keys() != pos.keys():
             raise ValueError("exactly one precondition per event required")
-        object.__setattr__(self, "pre", tuple((e, pre_in[e]) for e in self.events))
+        self._store(arrows, pos, events=events,
+                    pre=tuple((e, pre_in[e]) for e in events))
         # what an update by it adds to its body's occurrences, itself aside
         occ = (frozenset(), frozenset(self.sig.agents), frozenset())
         object.__setattr__(self, "_occ", reduce(

@@ -92,6 +92,8 @@ class Signature(Value):
 
     def _post_init(self):
         object.__setattr__(self, "agents", tuple(sorted(set(self.agents))))
+        # each agent's place in `agents`, which orders relation stores
+        object.__setattr__(self, "_place", {a: i for i, a in enumerate(self.agents)})
         object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
         if not self.agents:
             raise ValueError("signature needs at least one agent")

@@ -46,9 +46,15 @@ class PropertyReport(Value):
         return self.holds
 
 
+def _shared(succ) -> tuple:
+    """succ as a tuple in which equal successor tuples are one object."""
+    seen = {}
+    return tuple([seen.setdefault(js, js) for js in succ])
+
+
 def _successors(pairs, pos: dict, relation: str, kind: str) -> tuple:
-    """By position x, the sorted distinct ys of the pairs (x, y); only an
-    arrow off the node set sorts the pairs, to name the first such."""
+    """By position x, the sorted distinct ys of the pairs (x, y), `_shared`;
+    only an arrow off the node set sorts the pairs, to name the first such."""
     if not pairs:
         return ((),) * len(pos)
     out = [[] for _ in pos]
@@ -59,7 +65,7 @@ def _successors(pairs, pos: dict, relation: str, kind: str) -> tuple:
         x, y = min(e for e in [(x, y), *map(tuple, pairs)]
                    if not pos.keys() >= set(e))
         raise ValueError(f"{relation} arrow {x}->{y} off the {kind} set") from None
-    return tuple([tuple(sorted(set(ys)) if len(ys) > 1 else ys) for ys in out])
+    return _shared([tuple(sorted(set(ys)) if len(ys) > 1 else ys) for ys in out])
 
 
 class Frame(Value):
@@ -74,14 +80,15 @@ class Frame(Value):
     every node position the sorted successor positions.  `epistemic` and
     `yesterday` build the pair tuples from it on each access, and `succ`
     and `yesterdays` name one node's neighbours on each call; equality,
-    the hash and the cached views below read the store.
+    the hash and the cached views below read the store.  Within one
+    relation, equal successor sets are one tuple object.
     """
 
     _val_masks = None  # the valuation view of a Kripke model; actions have none
 
     def _canonicalise(self) -> tuple:
-        """Store the relations, repeats dropped, and return the sorted node
-        tuple; reject, in this order, no node, a bad node name, an
+        """The sorted nodes, the relation store (repeats dropped) and the
+        node positions; reject, in this order, no node, a bad node name, an
         epistemic arrow off the nodes, an unknown agent, then yesterday's."""
         kind, given = self._KIND, self.__dict__
         nodes = tuple(dict.fromkeys(sorted(self.nodes)))
@@ -96,8 +103,14 @@ class Frame(Value):
         if extra := set(epi_in) - set(self.sig.agents):
             raise ValueError(f"unknown agents in epistemic relation: {sorted(extra)}")
         yesterday = _successors(given.pop("yesterday"), pos, "yesterday", kind)
-        given.update(_arrows=(yesterday, *epi), _pos=pos)  # mask bit i: nodes[i]
-        return nodes
+        return nodes, (yesterday, *epi), pos
+
+    def _store(self, arrows: tuple, pos: dict, **fields):
+        """Set the relation store, the node positions (mask bit i: nodes[i])
+        and the canonical fields given: the one place they are set, by the
+        constructors and by `product_update`."""
+        self.__dict__.update(fields, _arrows=arrows, _pos=pos)
+        return self
 
     def _pairs(self, succ) -> tuple:
         nodes = self.nodes
@@ -131,23 +144,23 @@ class Frame(Value):
 
     @cached_property
     def _parent_pos(self) -> tuple:
-        """By position, the sorted positions one tick before it."""
+        """By position, the sorted positions one tick before it, `_shared`."""
         out = [[] for _ in self.nodes]
         for x, ys in enumerate(self._arrows[0]):
             for y in ys:
                 out[y].append(x)
-        return tuple(map(tuple, out))
+        return _shared(map(tuple, out))
 
     def _masks(self, succ) -> list:
         """By position, the mask of its positions in succ and the mask of
-        the nodes sharing it: one shared pair per distinct mask."""
-        bits = [1 << i for i in range(len(succ))]
-        out = [sum(map(bits.__getitem__, js)) for js in succ]
+        the nodes sharing them: one pair per distinct successor tuple,
+        told apart by value, so each mask is summed once."""
         twins = {}
-        for i, m in enumerate(out):
-            twins[m] = twins.get(m, 0) | bits[i]
-        shared = {m: (m, ts) for m, ts in twins.items()}
-        return [shared[m] for m in out]
+        for i, js in enumerate(succ):
+            twins[js] = twins.get(js, 0) | 1 << i
+        shared = {js: (sum([1 << j for j in js]), ts)
+                  for js, ts in twins.items()}
+        return [shared[js] for js in succ]
 
     @cached_property
     def _succ_masks(self) -> dict[str, list]:
@@ -202,7 +215,7 @@ class Frame(Value):
 
     def succ(self, agent: str, n: str) -> tuple:
         """The sorted agent-successors of n; KeyError for an unknown name."""
-        arrows = dict(zip(self.sig.agents, self._arrows[1:]))[agent]
+        arrows = self._arrows[1 + self.sig._place[agent]]
         return tuple(map(self.nodes.__getitem__, arrows[self._pos[n]]))
 
     def yesterdays(self, n: str) -> tuple:
@@ -239,18 +252,18 @@ class KripkeModel(Frame):
     require_world = Frame._require
 
     def _post_init(self):
-        object.__setattr__(self, "worlds", self._canonicalise())
+        worlds, arrows, pos = self._canonicalise()
         val_in = dict(self.valuation)
         val = []
         for p in self.sig.atoms:
             ws = tuple(dict.fromkeys(sorted(val_in.get(p, ()))))
-            if not self._pos.keys() >= set(ws):
+            if not pos.keys() >= set(ws):
                 raise ValueError(f"valuation of {p} mentions unknown worlds")
             val.append((p, ws))
         extra = set(val_in) - set(self.sig.atoms)
         if extra:
             raise ValueError(f"unknown atoms in valuation: {sorted(extra)}")
-        object.__setattr__(self, "valuation", tuple(val))
+        self._store(arrows, pos, worlds=worlds, valuation=tuple(val))
 
     @cached_property
     def val(self) -> dict[str, frozenset[str]]:

@@ -14,7 +14,8 @@ from .action import (ActionModel, is_atemporal_action, is_lrdetl_action,
                      sharp_action, sharp_formula)
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, Update,
                       Value, Yesterday, dia_yesterday, diamond)
-from .kripke import KripkeModel, PointedModel, is_restricted
+from .kripke import (KripkeModel, PointedModel, _check_world_name, _shared,
+                     is_restricted)
 
 SEP = "|"
 
@@ -169,38 +170,51 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     memos, worlds = {}, M.worlds
     everywhere = (1 << len(worlds)) - 1
     ext = [_ext(M, U.pre_map[t], everywhere, memos) for t in U.events]
-    # the surviving pairs by the positions of their world and event
-    names = {(v, t): pair_name(w, e)
+    # the surviving pairs (world position, event position) by name
+    names = {pair_name(w, e): (v, t)
              for v, w in enumerate(worlds) for t, e in enumerate(U.events)
              if ext[t] >> v & 1}
     if not names:
         raise EmptyProductError("no world satisfies any precondition")
-    # per agent, join the two successor positions of each surviving pair,
-    # so the cost follows the arrows
+    P_worlds = tuple(sorted(names))
+    for x in P_worlds:
+        _check_world_name(x)
+    pairs = list(map(names.__getitem__, P_worlds))
+    # rank[v][t]: the position in P of the pair (v, t), None if it died
+    rank = [[None] * len(U.events) for _ in worlds]
+    for i, (v, t) in enumerate(pairs):
+        rank[v][t] = i
+    # per agent, a pair's successors are the surviving pairs of its world's
+    # and its event's successors: joined once per distinct two successor
+    # tuples, and equal results kept as one tuple
     (m_next, *ms), (u_next, *us) = M._arrows, U._arrows
-    epistemic = {a: [(x, names[v2, t2])
-                     for (v, t), x in names.items()
-                     for v2 in m[v] for t2 in u[t] if (v2, t2) in names]
-                 for a, m, u in zip(M.sig.agents, ms, us)}
-    u_past = U._parent_pos
-    yesterday = []
-    for (v, t), x in names.items():
+    epi = []
+    for m, u in zip(ms, us):
+        joins, seen, succ = {}, {}, []
+        for v, t in pairs:
+            key = m[v], u[t]
+            js = joins.get(key)
+            if js is None:
+                js = tuple(sorted([r for row in map(rank.__getitem__, key[0])
+                                   for t2 in key[1] if (r := row[t2]) is not None]))
+                js = joins[key] = seen.setdefault(js, js)
+            succ.append(js)
+        epi.append(tuple(succ))
+    # asynchronous yesterday: U's step on the same world, and M's step
+    # under a past-state event
+    u_past, yesterday = U._parent_pos, []
+    for v, t in pairs:
+        row = rank[v]
+        later = [r for t2 in u_next[t] if (r := row[t2]) is not None]
         if not u_past[t]:
-            for v2 in m_next[v]:
-                if (v2, t) in names:
-                    yesterday.append((x, names[v2, t]))
-        for t2 in u_next[t]:
-            if (v, t2) in names:
-                yesterday.append((x, names[v, t2]))
-    valuation = {p: [x for (v, _), x in names.items() if m >> v & 1]
-                 for p, m in M._val_masks.items()}
-    P = M._products[U] = KripkeModel(
-        sig=M.sig,
-        worlds=tuple(names.values()),
-        epistemic=epistemic,
-        yesterday=yesterday,
-        valuation=valuation,
-    )
+            later += [r for v2 in m_next[v] if (r := rank[v2][t]) is not None]
+        yesterday.append(tuple(sorted(later)))
+    valuation = tuple((p, tuple([x for x, (v, _) in zip(P_worlds, pairs)
+                                 if worlds[v] in ws]))
+                      for p, ws in M.val.items())
+    P = M._products[U] = object.__new__(KripkeModel)._store(
+        (_shared(yesterday), *epi), dict(zip(P_worlds, range(len(pairs)))),
+        sig=M.sig, worlds=P_worlds, valuation=valuation)
     return P
 
 

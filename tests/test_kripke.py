@@ -11,10 +11,11 @@ from detl.kripke import (INFINITE, KRIPKE_PROPERTIES, RESTRICTED_PROPERTIES,
                          generated_submodel, is_initial, is_restricted,
                          relation_closure)
 from detl.semantics import product_update, ydel_update
-from detl.serialize import Workspace, save_action, save_model
+from detl.serialize import (Workspace, document_to_object, model_to_document,
+                            save_action, save_model)
 
-from generate import (DEFAULT_SIG, rand_forest_action, rand_kripke,
-                      rand_restricted, rand_sync_kripke,
+from generate import (DEFAULT_SIG, rand_atemporal_action, rand_forest_action,
+                      rand_kripke, rand_restricted, rand_sync_kripke,
                       rand_temporal_action)
 
 SIG = DEFAULT_SIG
@@ -539,3 +540,36 @@ def test_product_relations_sorted_where_names_reorder():
                             epistemic={a: set(ps) for a, ps in P.epistemic},
                             yesterday=set(P.yesterday),
                             valuation={p: set(ws) for p, ws in P.valuation})
+
+
+def _grouped(F, pairs):
+    """Per position, the mask of its successors in pairs and the mask of
+    the positions with the same successor set, by brute force."""
+    n = F.nodes
+    succ = [frozenset(n.index(y) for x2, y in pairs if x2 == x) for x in n]
+    return [(sum(1 << j for j in s), sum(1 << i for i, s2 in enumerate(succ)
+                                         if s2 == s)) for s in succ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_twin_masks_group_positions_by_successor_set(seed):
+    rng = random.Random(seed)
+    M, U = rand_kripke(rng, SIG, max_worlds=8), rand_temporal_action(rng, SIG)
+    R = rand_restricted(rng, SIG)
+    frames = [M, U, rand_forest_action(rng, SIG),
+              relation_closure(M, "s5"), product_update(M, U),
+              ydel_update(R, rand_atemporal_action(rng, SIG))]
+    frames += [document_to_object(model_to_document(F))[1]
+               for F in frames if isinstance(F, KripkeModel)]
+    for F in frames:
+        for a, pairs in F.epistemic:
+            assert F._succ_masks[a] == _grouped(F, pairs)
+        assert F._parent_masks == _grouped(F, [(y, x) for x, y in F.yesterday])
+
+
+def test_reloaded_s5_model_holds_one_tuple_per_class():
+    rng = random.Random(7)
+    M = relation_closure(rand_kripke(rng, SIG, max_worlds=12), "s5")
+    _, N, _ = document_to_object(model_to_document(M))
+    for succ in N._arrows[1:]:
+        assert len(set(map(id, succ))) == len(set(succ)) < len(succ)

@@ -9,8 +9,8 @@ from detl.action import ActionModel, check_history_preservation, \
     action_depth, is_past_state, sharp_action
 from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
                           Update, Yesterday, diamond, parse, subformulas)
-from detl.kripke import (INFINITE, KripkeModel, depth, generated_submodel,
-                         is_restricted, relation_closure)
+from detl.kripke import (INFINITE, KripkeModel, close_pairs, depth,
+                         generated_submodel, is_restricted, relation_closure)
 from detl.logic import bisimilar
 from detl.kripke import PointedModel
 from detl.semantics import (EmptyProductError, ProbeVerdict, Verdict,
@@ -269,6 +269,45 @@ def test_updates_equal_definition():
         # restricted models by forest actions
         F = rand_forest_action(rng)
         assert product_update(R, F) == _product_by_definition(R, F)
+
+
+def test_products_are_written_as_the_constructor_stores_them():
+    rng = random.Random(23)
+    for _ in range(60):
+        # past ten worlds, "w1|e" sorts after "w10|e"
+        N, R = rand_kripke(rng, max_worlds=12), rand_restricted(rng)
+        V = rand_atemporal_action(rng)
+        for make in (lambda: product_update(N, rand_temporal_action(rng)),
+                     lambda: product_update(R, V),
+                     lambda: ydel_update(R, V),
+                     lambda: ydel_update(N, V, True),
+                     lambda: product_update(R, rand_forest_action(rng))):
+            try:
+                P = make()
+            except EmptyProductError:
+                continue
+            Q = KripkeModel(P.sig, P.worlds, P.epistemic, P.yesterday,
+                            P.valuation)
+            assert (P.worlds, P._arrows, P._pos, P.valuation) \
+                == (Q.worlds, Q._arrows, Q._pos, Q.valuation)
+            for succ in (*P._arrows, P._parent_pos):
+                assert all(list(js) == sorted(set(js)) for js in succ)
+
+
+def test_s5_products_hold_one_successor_tuple_per_class():
+    rng = random.Random(29)
+    twins = 0
+    for _ in range(40):
+        M = relation_closure(rand_kripke(rng, max_worlds=6), "s5")
+        V = rand_temporal_action(rng)
+        U = ActionModel(V.sig, V.events,
+                        {a: close_pairs(ps, V.events, "s5")
+                         for a, ps in V.epistemic}, V.yesterday, V.pre)
+        for succ in product_update(M, U)._arrows[1:]:
+            # equal successor sets are one object, unequal ones are not
+            assert len(set(map(id, succ))) == len(set(succ))
+            twins += len(succ) - len(set(succ))
+    assert twins  # worlds did share their successors
 
 
 def test_oplus_sharpens_updates_inside_preconditions():
