@@ -1,13 +1,17 @@
 """The package imports in one direction: each module imports its layers
 at the top, none from inside a function or class body, and the modules'
 top-level imports form no cycle.  The command line imports neither
-`dataclasses` nor `inspect`."""
+`dataclasses` nor `inspect`.  The package resolves its public names on
+first use, and each entry point loads only the layers it needs."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import detl
 from conftest import FIXTURES
 
 PACKAGE = FIXTURES.parent
@@ -85,3 +89,72 @@ def test_cli_imports_without_dataclasses():
                           str(PACKAGE.parent)], capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == []
+
+
+PUBLIC_NAMES = [
+    "ACTION_PROPERTIES", "ActionModel", "And", "Atom", "BOT", "Bisimulation",
+    "Bottom", "Box", "DEFAULT_NODE_LIMIT", "EmptyProductError", "FLAT",
+    "Formula", "INFINITE", "KRIPKE_PROPERTIES", "KripkeModel", "Not",
+    "ParseError", "PointedAction", "PointedModel", "ProbeVerdict",
+    "PropertyReport", "RESTRICTED_PROPERTIES", "Signature", "TOP",
+    "TableauLimit", "Update", "Verdict", "Workspace", "Yesterday", "action",
+    "action_depth", "action_to_document", "actions_in", "agents_in",
+    "atoms_in", "bisimilar", "canonical_document", "canonical_dumps",
+    "check_action_property", "check_history_preservation",
+    "check_past_preservation", "check_property", "check_time_advancing",
+    "close_pairs", "conj", "depth", "depth_formula", "dia_update",
+    "dia_yesterday", "diamond", "disj", "document_to_object", "eval_rdetl",
+    "eval_ydel", "evaluate", "formula", "formula_pool", "generated_submodel",
+    "iff", "implies", "is_atemporal", "is_atemporal_action",
+    "is_epistemic_past_state", "is_initial", "is_lrdetl_action",
+    "is_past_state", "is_restricted", "is_setl", "is_valid", "kripke",
+    "language_equivalence_probe", "logic", "model_to_document", "pair_name",
+    "parse", "pretty", "product_update", "reduce_formula", "relation_closure",
+    "save_action", "save_model", "semantics", "serialize", "sharp_action",
+    "sharp_formula", "split_pair", "subformulas", "validity",
+    "y_nesting_depth", "ydel_update"]
+LAYERS = ("action", "formula", "kripke", "logic", "semantics", "serialize")
+
+
+def test_public_names_unchanged():
+    assert detl.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(detl))
+
+
+def test_star_import_binds_each_name_from_its_module():
+    names = {}
+    exec("from detl import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == PUBLIC_NAMES
+    for name, value in names.items():
+        module = sys.modules[f"detl.{detl._MODULE_OF[name]}"]
+        assert value is (module if name in LAYERS else getattr(module, name))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        getattr(detl, "nope")
+    assert not hasattr(detl, "nope")
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import detl", []),
+    ("import detl; detl.validity", ["formula", "kripke", "logic"]),
+    ("import detl; detl.ActionModel",
+     ["action", "formula", "kripke", "logic"]),
+    ("import detl; detl.evaluate",
+     ["action", "formula", "kripke", "logic", "semantics"]),
+    ("import detl; detl.Workspace",
+     ["action", "formula", "kripke", "logic", "serialize"]),
+    ("import detl.cli", ["action", "cli", "formula", "kripke", "logic",
+                         "semantics", "serialize"]),
+])
+def test_entry_point_loads_only_its_layers(code, loaded):
+    # pinned as measured: a new top-level import between the layers shows
+    # up here.  A child without site packages, as above
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); {code}; "
+            "print(*sorted(m for m in sys.modules if m.startswith('detl.')))")
+    out = subprocess.run([sys.executable, "-S", "-c", code,
+                          str(PACKAGE.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == [f"detl.{m}" for m in loaded]
