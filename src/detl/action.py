@@ -180,6 +180,8 @@ def sharp_action(U: ActionModel) -> ActionModel:
     action model."""
     if not is_atemporal_action(U):
         raise ValueError("♯ is defined on atemporal actions only")
+    if FLAT in U._pos:
+        raise ValueError(f"♯ adds a fresh event ♭, and {U.name} has one")
     return U._sharp
 
 

@@ -228,8 +228,7 @@ class Frame(Value):
 
 
 # a world name is an identifier, then one "|event" per update that made it,
-# the event an identifier or the flat marker ♭; one match per name, as
-# every update result checks all its names again
+# the event an identifier or the flat marker ♭
 _IDENT = r"(?!(?:%s)\b)[A-Za-z_][A-Za-z0-9_]*" % "|".join(sorted(RESERVED))
 _WORLD_RE = re.compile(rf"{_IDENT}(?:\|(?:{_IDENT}|♭))*\Z")
 
@@ -419,15 +418,6 @@ def generated_submodel(M: KripkeModel, w: str) -> KripkeModel:
     )
 
 
-def _transitive(pairs: set) -> set:
-    """Pairs (x, z) with z reachable from x in one or more steps."""
-    succ: dict[str, list] = {n: [] for e in pairs for n in e}
-    for x, y in pairs:
-        succ[x].append(y)
-    return {(x, z) for x, ys in succ.items()
-            for z in _reachable(ys, succ.__getitem__)}
-
-
 def close_pairs(pairs, nodes, mode: str) -> set:
     if mode not in CLOSURE_MODES:
         raise ValueError(f"unknown closure mode {mode!r}")
@@ -437,7 +427,12 @@ def close_pairs(pairs, nodes, mode: str) -> set:
     if mode in ("symmetric", "s5"):
         out |= {(y, x) for x, y in out}
     if mode in ("transitive", "s5"):
-        out = _transitive(out)
+        # (x, z) for every z reachable from x in one or more steps
+        succ: dict[str, list] = {n: [] for e in out for n in e}
+        for x, y in out:
+            succ[x].append(y)
+        out = {(x, z) for x, ys in succ.items()
+               for z in _reachable(ys, succ.__getitem__)}
     return out
 
 

@@ -296,12 +296,12 @@ class Bisimulation(Value):
     _fields = ("relation",)  # a frozenset of (world, world) pairs
 
 
-def bisimilar(A: PointedModel, B: PointedModel) -> Bisimulation | None:
-    """Largest bisimulation between the two models if it links the two
-    points, else None.
+def _refine(models: tuple[KripkeModel, ...]) -> list[int]:
+    """The block of every node of the disjoint union of the models, which
+    share a signature, the blocks being the bisimilarity classes.
 
-    Partition refinement over the disjoint union, a node numbered by its
-    model's offset plus its position and each arrow once; the refinement
+    Partition refinement over the union, a node numbered by its model's
+    offset plus its position and each arrow once; the refinement
     relations are the step toward the past (relation 0) and the epistemic
     successors (the future direction does not discriminate).  Each arrow
     carries the code block[target] * nrel + relation, and a node's
@@ -321,19 +321,15 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Bisimulation | None:
     move, so a node moves O(log n) times (Hopcroft's "process the smaller
     half", as in Paige–Tarjan and Valmari's O(m log n) refinement).
     """
-    if A.model.sig != B.model.sig:
-        raise ValueError("bisimulation requires a shared signature")
-    nrel = len(A.model.sig.agents) + 1
+    nrel = len(models[0].sig.agents) + 1
     # per node its seed block; per arrow its source, target and relation
     block: list[int] = []
     seed: dict[tuple, int] = {}
     src: list[int] = []
     tgt: list[int] = []
     rel: list[int] = []
-    points = []
-    for pm in (A, B):
-        M, off = pm.model, len(block)
-        points.append(off + M._pos[pm.point])
+    for M in models:
+        off = len(block)
         atoms = [()] * len(M.worlds)
         for p, ws in M.valuation:
             for w in ws:
@@ -385,9 +381,18 @@ def bisimilar(A: PointedModel, B: PointedModel) -> Bisimulation | None:
                         for i in into[y]:
                             code[i] += shift
                             dirty.add(src[i])
-    if block[points[0]] != block[points[1]]:
-        return None
+    return block
+
+
+def bisimilar(A: PointedModel, B: PointedModel) -> Bisimulation | None:
+    """Largest bisimulation between the two models, the pairs of worlds
+    `_refine` puts in one block, if it links the two points, else None."""
+    if A.model.sig != B.model.sig:
+        raise ValueError("bisimulation requires a shared signature")
+    block = _refine((A.model, B.model))
     n = len(A.model.worlds)
+    if block[A.model._pos[A.point]] != block[n + B.model._pos[B.point]]:
+        return None
     by_block: dict[int, list[str]] = {}
     for v, b in zip(B.model.worlds, block[n:]):
         by_block.setdefault(b, []).append(v)

@@ -14,8 +14,7 @@ from .action import (ActionModel, is_atemporal_action, is_lrdetl_action,
                      sharp_action, sharp_formula)
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, Update,
                       Value, Yesterday, dia_yesterday, diamond)
-from .kripke import (KripkeModel, PointedModel, _check_world_name, _shared,
-                     is_restricted)
+from .kripke import KripkeModel, PointedModel, _shared, is_restricted
 
 SEP = "|"
 
@@ -177,8 +176,6 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
     if not names:
         raise EmptyProductError("no world satisfies any precondition")
     P_worlds = tuple(sorted(names))
-    for x in P_worlds:
-        _check_world_name(x)
     pairs = list(map(names.__getitem__, P_worlds))
     # rank[v][t]: the position in P of the pair (v, t), None if it died
     rank = [[None] * len(U.events) for _ in worlds]

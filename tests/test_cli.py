@@ -574,6 +574,24 @@ def test_sharp(tmp_path, capsys):
     assert sorted(map(tuple, doc["yesterday"])) == [("♭", "s"), ("♭", "t")]
 
 
+def test_sharp_of_an_action_with_a_flat_event(tmp_path, capsys):
+    # ♯ adds one fresh event ♭, so an action that already has one is
+    # rejected by `sharp` and by the ⊕ update and evaluation
+    shutil.copy(FIXTURES / "M8.json", tmp_path)
+    (tmp_path / "V.json").write_text(json.dumps({
+        "type": "action", "agents": ["a", "b"], "atoms": ["p", "q"],
+        "events": ["♭", "e"], "pre": {"♭": "p", "e": "true"},
+        "epistemic": {}, "yesterday": [], "closure": "s5"}), encoding="utf-8")
+    out_file = tmp_path / "S.json"
+    for argv in (("sharp", "V", str(out_file)),
+                 ("--mode", "ydel", "update", "M8", "V", str(out_file)),
+                 ("--mode", "ydel", "eval", "M8", "w", "[V@e]p")):
+        assert main(["--workspace", str(tmp_path), *argv]) == 3
+        assert capsys.readouterr() == (
+            "", "ERROR: ♯ adds a fresh event ♭, and V has one\n")
+    assert not out_file.exists()
+
+
 # each figure's claims, in the order `demo` prints them
 _DEMO_KEYS = {
     "fig1": ["neither-knows-p", "restricted"],

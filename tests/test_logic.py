@@ -12,7 +12,7 @@ from detl.formula import (BOT, TOP, And, Atom, Bottom, Box, Not, Signature,
 from detl.kripke import INFINITE, KripkeModel, PointedModel, depth
 from detl.logic import (TableauLimit, bisimilar, is_valid, reduce_formula,
                         validity)
-from detl.semantics import (evaluate, language_equivalence_probe,
+from detl.semantics import (eval_ydel, evaluate, language_equivalence_probe,
                             product_update, ydel_update)
 
 from generate import (DEFAULT_SIG, rand_atemporal_action, rand_formula,
@@ -632,6 +632,33 @@ def test_bisimilar_on_deep_refinements():
     assert linked >= 8
 
 
+def test_refine_blocks_are_bisimilarity_classes():
+    # on one model and on the union of three: two nodes share a block
+    # exactly when the greatest bisimulation of their models relates them.
+    # The third model is the ⊕ update of the first, so the union links
+    # worlds of different models too
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(24):
+        N = rand_kripke(rng, max_worlds=5, density=0.2)
+        union = (N, _deep_forest(rng, rng.randint(6, 10)),
+                 ydel_update(N, rand_atemporal_action(rng), True))
+        for models in [(M,) for M in union] + [union]:
+            block, offs = logic._refine(models), [0]
+            for M in models:
+                offs.append(offs[-1] + len(M.worlds))
+            assert len(block) == offs[-1]
+            for (j, MA), (k, MB) in itertools.product(enumerate(models),
+                                                      repeat=2):
+                R = greatest_bisimulation(MA, MB)
+                for w, v in itertools.product(MA.worlds, MB.worlds):
+                    same = (block[offs[j] + MA._pos[w]]
+                            == block[offs[k] + MB._pos[v]])
+                    assert same == ((w, v) in R), (j, w, k, v)
+                    seen.add((j == k, same))
+    assert len(seen) == 4
+
+
 def test_bisimilar_moves_the_part_not_recomputed():
     # p marks c0 and d0; c1 … c5 and d1 … d7 are chains of a-arrows back
     # to them, and x0 … x4 hang off c5, all at depth 0.  Each round
@@ -705,6 +732,16 @@ def test_sharp_action(ws):
         assert U8.epi[a] <= S.epi[a]
     with pytest.raises(ValueError):
         sharp_action(ws.actions["U2"][0])
+
+
+def test_sharp_rejects_an_action_with_a_flat_event(ws, M8):
+    # ♯ adds one fresh event ♭; merged with the action's own ♭, the ⊕
+    # result would lose ♭'s precondition and gain a yesterday loop
+    V = ActionModel(SIG, ("♭", "e"), {}, (), {"♭": Atom("p"), "e": TOP}, "V")
+    for make in (lambda: sharp_action(V), lambda: ydel_update(M8, V),
+                 lambda: eval_ydel(M8, "w", Update(V, "e", Atom("p")))):
+        with pytest.raises(ValueError, match="fresh event ♭, and V has one"):
+            make()
 
 
 def test_sharp_formula(ws):
