@@ -53,8 +53,9 @@ def _shared(succ) -> tuple:
 
 
 def _successors(pairs, pos: dict, relation: str, kind: str) -> tuple:
-    """By position x, the sorted distinct ys of the pairs (x, y), `_shared`;
-    only an arrow off the node set sorts the pairs, to name the first such."""
+    """By position x, the sorted distinct ys of the pairs (x, y), each list
+    of ys sorted once and equal results one tuple object; only an arrow off
+    the node set sorts the pairs, to name the first such."""
     if not pairs:
         return ((),) * len(pos)
     out = [[] for _ in pos]
@@ -65,7 +66,13 @@ def _successors(pairs, pos: dict, relation: str, kind: str) -> tuple:
         x, y = min(e for e in [(x, y), *map(tuple, pairs)]
                    if not pos.keys() >= set(e))
         raise ValueError(f"{relation} arrow {x}->{y} off the {kind} set") from None
-    return _shared([tuple(sorted(set(ys)) if len(ys) > 1 else ys) for ys in out])
+    memo = {}  # a list of ys, or a result, -> the result
+    for x, ys in enumerate(map(tuple, out)):
+        if (js := memo.get(ys)) is None:
+            js = tuple(sorted(set(ys)))
+            js = memo[ys] = memo.setdefault(js, js)
+        out[x] = js
+    return tuple(out)
 
 
 class Frame(Value):

@@ -1,11 +1,11 @@
 """JSON file format for models and actions, plus the workspace registry.
 
 One JSON document per file.  Canonical form fixes the key order and
-sorts every array and the keys of every object, so `fmt` output and the bundled fixtures are stable
-byte-for-byte.  The optional "closure" key applies the drawing
-convention (relations implicitly closed) at load time; canonical
-reprinting happens at the document level, so a fixture keeps its closure
-key instead of listing the closed relation.
+sorts every array and the keys of every object, so `fmt` output and the
+bundled fixtures are stable byte-for-byte.  `_layout` writes them all in
+one join, each relation from successor positions (a frame's store, or
+`fmt`'s sorted pairs).  The optional "closure" key closes the drawn
+relations at load time, so a fixture keeps its closure key.
 """
 
 from __future__ import annotations
@@ -48,61 +48,88 @@ def canonical_document(doc: dict) -> dict:
 
 def canonical_dumps(doc: dict) -> str:
     """The canonical document as `json.dumps(..., ensure_ascii=False,
-    indent=2)` lays it out, plus a newline.  Every value has one of the
-    document shapes (str, list of str, list of string pairs, dict of
-    those), written here with each string encoded once by the C
-    encoder."""
-    return _write(canonical_document(doc), 0) + "\n"
+    indent=2)` lays it out, plus a newline (see `_layout`)."""
+    doc = canonical_document(doc)
+    epi = doc.get("epistemic", {})
+    names = sorted(set(chain(*chain(doc.get("yesterday", ()), *epi.values()))))
+    pos = {n: i for i, n in enumerate(names)}
+
+    def positions(pairs) -> tuple:  # sorted, so the pairs keep their order
+        succ = [[] for _ in names]
+        for x, y in pairs:
+            succ[pos[x]].append(pos[y])
+        return tuple(succ)
+
+    if "epistemic" in doc:
+        doc["epistemic"] = {a: positions(pairs) for a, pairs in epi.items()}
+    if "yesterday" in doc:
+        doc["yesterday"] = positions(doc["yesterday"])
+    return _layout(doc, names)
 
 
-# per nesting level: the line break and indent before a value's items,
-# and a string pair laid out as an item of a list at that level
-_BREAK = ["\n" + "  " * k for k in range(5)]
-_PAIR = ["[%s%%s,%s%%s%s]" % (_BREAK[k + 2], _BREAK[k + 2], _BREAK[k + 1])
-         for k in range(3)]
+_BREAK = ["\n" + "  " * k for k in range(5)]  # a break at each nesting level
 
 
-def _write(v, level: int) -> str:
-    """v, a value of a document that passed `_check_shapes` or that
-    `_frame_document` built, laid out at the given nesting level."""
-    if type(v) is str:
-        return encode_basestring(v)
-    if not v:
-        return "[]" if type(v) is list else "{}"
-    inner, close = _BREAK[level + 1], _BREAK[level]
-    if type(v) is dict:
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring(k) + ": " + _write(x, level + 1)
-             for k, x in v.items()]) + close + "}"
-    if type(v[0]) is str:
-        items = map(encode_basestring, v)
-    else:  # string pairs
-        pair = _PAIR[level]
-        items = [pair % (encode_basestring(x), encode_basestring(y))
-                 for x, y in v]
-    return "[" + inner + ("," + inner).join(items) + close + "]"
+def _layout(doc: dict, names) -> str:
+    """doc as `json.dumps(doc, ensure_ascii=False, indent=2)` lays it out,
+    plus a newline, in one join.  doc is in canonical order, each relation
+    as a store holds it: by position x in names, the js of (x, j) pairs."""
+    enc = list(map(encode_basestring, names))
+    # by a relation's nesting level, each name's head and tail in a pair
+    ends = {k: (["[" + _BREAK[k + 2] + e + "," + _BREAK[k + 2] for e in enc],
+                [e + _BREAK[k + 1] + "]" for e in enc]) for k in (1, 2)}
+    out = []
+
+    def put(v, level: int):
+        if type(v) is str:
+            return out.append(encode_basestring(v))
+        inner, close = _BREAK[level + 1], _BREAK[level]
+        if type(v) is dict:
+            sep = "{" + inner
+            for k, x in v.items():
+                out.append(sep + encode_basestring(k) + ": ")
+                put(x, level + 1)
+                sep = "," + inner
+            return out.append(close + "}" if v else "{}")
+        if type(v) is tuple:  # a relation: each pair the head of x + tail of j
+            heads, tails = ends[level]
+            items = [h + tails[j] for h, js in zip(heads, v) for j in js]
+        else:
+            items = list(map(encode_basestring, v))
+        out.extend(("[" + inner, ("," + inner).join(items), close + "]")
+                   if items else ("[]",))
+
+    put(doc, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def model_to_document(M: KripkeModel, point: str | None = None) -> dict:
-    return _frame_document(M, "kripke", "worlds", "val", {
-        p: list(ws) for p, ws in M.valuation}, point)
+    """The document of a model, or of an action (`action_to_document`)."""
+    return _document(M, point, lambda names, succ: [
+        [x, names[j]] for x, js in zip(names, succ) for j in js])
 
 
 def action_to_document(U: ActionModel, point: str | None = None) -> dict:
-    return _frame_document(U, "action", "events", "pre", {
-        e: pretty(p) for e, p in U.pre}, point)
+    return model_to_document(U, point)
 
 
-def _frame_document(F, kind: str, nodes: str, key: str, value: dict,
-                    point: str | None) -> dict:
-    """The document of a model or action, with `value` under `key`."""
-    names = F.nodes
-    yesterday, *epi = [[[x, names[j]] for x, js in zip(names, succ) for j in js]
-                       for succ in F._arrows]
+def _document(F, point: str | None, relation) -> dict:
+    """The document of a model or action, each relation of its store given
+    as relation(nodes, successor positions); KeyError, as loading the
+    document would raise, for a point off the nodes."""
+    if isinstance(F, KripkeModel):
+        kind, nodes, key, value = "kripke", "worlds", "val", {
+            p: list(ws) for p, ws in F.valuation}
+    else:
+        kind, nodes, key, value = "action", "events", "pre", {
+            e: pretty(p) for e, p in F.pre}
+    yesterday, *epi = [relation(F.nodes, succ) for succ in F._arrows]
     doc = {"type": kind, "agents": list(F.sig.agents),
-           "atoms": list(F.sig.atoms), nodes: list(names), key: value,
+           "atoms": list(F.sig.atoms), nodes: list(F.nodes), key: value,
            "epistemic": dict(zip(F.sig.agents, epi)), "yesterday": yesterday}
     if point is not None:
+        F._require(point)
         doc["point"] = point
     return doc
 
@@ -214,17 +241,13 @@ def _check_shapes(doc):
         raise ValueError(f"unknown keys in document: {sorted(unknown)}")
 
 
-# model_to_document and action_to_document build canonical documents, so
-# saving writes them as they are
-
 def save_model(path, M: KripkeModel, point: str | None = None):
-    Path(path).write_text(_write(model_to_document(M, point), 0) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(_layout(_document(M, point, lambda _, s: s),
+                                  M.nodes), encoding="utf-8")
 
 
 def save_action(path, U: ActionModel, point: str | None = None):
-    Path(path).write_text(_write(action_to_document(U, point), 0) + "\n",
-                          encoding="utf-8")
+    save_model(path, U, point)
 
 
 def error_message(exc: Exception):

@@ -567,9 +567,51 @@ def test_twin_masks_group_positions_by_successor_set(seed):
         assert F._parent_masks == _grouped(F, [(y, x) for x, y in F.yesterday])
 
 
-def test_reloaded_s5_model_holds_one_tuple_per_class():
+def test_reloaded_s5_model_holds_one_tuple_per_class(tmp_path):
+    # read from its document, from a saved file and from a drawing closed
+    # at load time, each relation keeps equal successor sets as one object
     rng = random.Random(7)
-    M = relation_closure(rand_kripke(rng, SIG, max_worlds=12), "s5")
-    _, N, _ = document_to_object(model_to_document(M))
-    for succ in N._arrows[1:]:
-        assert len(set(map(id, succ))) == len(set(succ)) < len(succ)
+    for k in range(4):
+        M = relation_closure(rand_kripke(rng, SIG, max_worlds=12), "s5")
+        drawn = dict(model_to_document(M), closure="s5", epistemic={
+            a: [[x, y] for x, y in pairs if x <= y] for a, pairs in M.epistemic})
+        save_model(tmp_path / f"M{k}.json", M)
+        loaded = [document_to_object(model_to_document(M))[1],
+                  document_to_object(drawn)[1],
+                  Workspace.load_dir(tmp_path).models[f"M{k}"][0]]
+        for N in loaded:
+            assert N == M
+            for succ in N._arrows:
+                assert len(set(map(id, succ))) == len(set(succ))
+            for succ in N._arrows[1:]:
+                assert len(set(succ)) < len(succ)
+        (tmp_path / f"M{k}.json").unlink()
+
+
+def test_successors_sort_each_distinct_list_once():
+    # v's arrows come out of order and repeated, and x's raw list (w, x)
+    # equals v's sorted one; b's arrows give u, v and w one successor set
+    doc = {"type": "kripke", "agents": ["a", "b"], "atoms": [],
+           "worlds": ["x", "w", "v", "u"],
+           "epistemic": {
+               "a": [["v", "x"], ["x", "w"], ["v", "w"], ["u", "x"],
+                     ["v", "x"], ["x", "x"], ["w", "u"]],
+               "b": [["w", "v"], ["u", "u"], ["v", "u"], ["u", "v"],
+                     ["w", "u"], ["v", "v"], ["w", "u"]]},
+           "yesterday": [["w", "x"], ["u", "w"], ["u", "v"], ["u", "w"]]}
+    _, M, _ = document_to_object(doc)
+    pos = {n: i for i, n in enumerate(M.worlds)}
+    relations = [doc["yesterday"], *doc["epistemic"].values()]
+    assert M._arrows == tuple(
+        tuple(tuple(sorted({pos[y] for x2, y in pairs if x2 == x}))
+              for x in M.worlds) for pairs in relations)
+    a, b = M._arrows[1:]
+    assert a[pos["x"]] is a[pos["v"]] == (pos["w"], pos["x"])
+    assert b[pos["u"]] is b[pos["v"]] is b[pos["w"]]
+    for succ in M._arrows:
+        assert len(set(map(id, succ))) == len(set(succ))
+    # an arrow off the node set keeps its message
+    doc["epistemic"]["b"].append(["w", "z"])
+    with pytest.raises(ValueError,
+                       match=re.escape("epistemic arrow w->z off the world set")):
+        document_to_object(doc)

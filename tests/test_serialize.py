@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detl import serialize
-from detl.kripke import CLOSURE_MODES, close_pairs
+from detl.action import sharp_action
+from detl.cli import main
+from detl.formula import Signature
+from detl.kripke import CLOSURE_MODES, KripkeModel, close_pairs
 from detl.semantics import product_update, ydel_update
 from detl.serialize import (Workspace, action_to_document, canonical_document,
                             canonical_dumps, check_document,
@@ -204,10 +207,24 @@ def test_writer_falls_back_outside_the_shapes(doc):
             read(doc)
 
 
+def _saved_frames(ws):
+    """Models and actions whose saves are checked byte for byte: ⊕ and
+    forest products of the fixture models (names with | and ♭), the ♯ of
+    the atemporal fixture action with its ♭ event, and a model without
+    atoms whose agent b has no arrows."""
+    M, M8 = ws.models["M"][0], ws.models["M8"][0]
+    U2, U4, U6, U8 = (ws.actions[n][0] for n in ("U2", "U4", "U6", "U8"))
+    bare = KripkeModel(sig=Signature(("a", "b"), ()), worlds=("v", "w"),
+                       epistemic={"a": {("w", "v"), ("v", "v")}},
+                       yesterday={("v", "w")}, valuation={})
+    return [ydel_update(M, U8), ydel_update(M8, U8), product_update(M, U2),
+            product_update(M, U4), product_update(M8, U6),
+            product_update(ydel_update(M, U8), U4), sharp_action(U8), bare]
+
+
 def test_save_writes_the_canonical_bytes(ws, tmp_path):
-    # save_model and save_action write their documents without sorting
-    # them again, as model_to_document and action_to_document build them
-    # in canonical order
+    # save_model and save_action lay their documents out straight from the
+    # frame's store, in the bytes canonical_dumps gives the document
     docs, saved = _shaped_documents(ws), 0
     for i, doc in enumerate(docs):
         if not doc["agents"]:
@@ -223,6 +240,124 @@ def test_save_writes_the_canonical_bytes(ws, tmp_path):
         assert path.read_text(encoding="utf-8") == want, i
         saved += 1
     assert saved == len(docs) - 1
+    # and each saved frame, with and without a point, reads back equal
+    frames = _saved_frames(ws)
+    assert any("♭" in n for F in frames for n in F.nodes)
+    for i, F in enumerate(frames):
+        for point in (None, F.nodes[-1]):
+            directory = tmp_path / f"frame{i}-{point is None}"
+            directory.mkdir()
+            path = directory / "F.json"
+            if isinstance(F, KripkeModel):
+                save_model(path, F, point)
+                want = canonical_dumps(model_to_document(F, point))
+                loaded = Workspace.load_dir(directory).models["F"]
+            else:
+                save_action(path, F, point)
+                want = canonical_dumps(action_to_document(F, point))
+                loaded = Workspace.load_dir(directory).actions["F"]
+            assert path.read_text(encoding="utf-8") == want, (i, point)
+            assert loaded == (F, point), (i, point)
+
+
+def test_savers_reject_a_point_off_the_nodes(ws, tmp_path):
+    # the KeyError loading the file would raise, and no file is written
+    M, U8 = ws.models["M"][0], ws.actions["U8"][0]
+    for save, F, kind in ((save_model, M, "world"), (save_action, U8, "event"),
+                          (save_model, ydel_update(M, U8), "world"),
+                          (save_action, sharp_action(U8), "event")):
+        path = tmp_path / "F.json"
+        with pytest.raises(KeyError, match=f"^\"unknown {kind} 'nope'\"$"):
+            save(path, F, "nope")
+        assert not path.exists()
+    with pytest.raises(KeyError):
+        model_to_document(M, "nope")
+    with pytest.raises(KeyError):
+        action_to_document(U8, "w")
+
+
+# repeated and unsorted pairs, agents, atoms, worlds and keys; ♭ sorts
+# after every ASCII letter and is written as itself
+_UNSORTED = {
+    "closure": "none", "yesterday": [["w|♭", "w|e"], ["u|♭", "u|e"],
+                                     ["w|♭", "w|e"]],
+    "point": "w|e",
+    "epistemic": {"b": [], "a": [["w|e", "u|e"], ["u|e", "w|e"],
+                                 ["u|e", "u|e"], ["w|e", "u|e"]]},
+    "val": {"q": [], "p": ["w|e", "u|e"]},
+    "worlds": ["w|e", "w|♭", "u|♭", "u|e"], "atoms": ["q", "p"],
+    "agents": ["b", "a"], "type": "kripke"}
+
+_UNSORTED_FMT = """{
+  "type": "kripke",
+  "agents": [
+    "a",
+    "b"
+  ],
+  "atoms": [
+    "p",
+    "q"
+  ],
+  "worlds": [
+    "u|e",
+    "u|♭",
+    "w|e",
+    "w|♭"
+  ],
+  "val": {
+    "p": [
+      "u|e",
+      "w|e"
+    ],
+    "q": []
+  },
+  "epistemic": {
+    "a": [
+      [
+        "u|e",
+        "u|e"
+      ],
+      [
+        "u|e",
+        "w|e"
+      ],
+      [
+        "w|e",
+        "u|e"
+      ],
+      [
+        "w|e",
+        "u|e"
+      ]
+    ],
+    "b": []
+  },
+  "yesterday": [
+    [
+      "u|♭",
+      "u|e"
+    ],
+    [
+      "w|♭",
+      "w|e"
+    ],
+    [
+      "w|♭",
+      "w|e"
+    ]
+  ],
+  "point": "w|e",
+  "closure": "none"
+}
+"""
+
+
+def test_fmt_sorts_and_keeps_repeated_pairs(tmp_path, capsys):
+    assert canonical_dumps(_UNSORTED) == _UNSORTED_FMT
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps(_UNSORTED), encoding="utf-8")
+    assert main(["fmt", str(path)]) == 0
+    assert capsys.readouterr().out == _UNSORTED_FMT
 
 
 _BASE_DOCUMENTS = [json.loads((FIXTURES / name).read_text(encoding="utf-8"))
