@@ -91,16 +91,15 @@ def cmd_update(args) -> int:
     ws = load_workspace(args)
     M, mpoint = _named(ws.models, args.model, "model")
     U, upoint = _named(ws.actions, args.action, "action")
+    if args.mode == "rdetl" and not (is_restricted(M) and is_lrdetl_action(U)):
+        out("RESULT", "not-in-scope")  # as eval_rdetl answers
+        return 2
     if args.mode == "ydel":
         P = semantics.ydel_update(M, U, permissive=args.permissive_ydel)
     else:
         P = semantics.product_update(M, U)
-    point = None
-    if mpoint and upoint:
-        name = semantics.pair_name(mpoint, upoint)
-        if name in set(P.worlds):
-            point = name
-    save_model(args.out, P, point)
+    name = mpoint and upoint and semantics.pair_name(mpoint, upoint)
+    save_model(args.out, P, name if name in P._pos else None)
     out("WORLDS", len(P.worlds))
     out("WROTE", args.out)
     return 0

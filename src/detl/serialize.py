@@ -2,10 +2,9 @@
 
 One JSON document per file.  Canonical form fixes the key order and
 sorts every array and the keys of every object, so `fmt` output and the
-bundled fixtures are stable byte-for-byte.  `_layout` writes them all in
-one join, each relation from successor positions (a frame's store, or
-`fmt`'s sorted pairs).  The optional "closure" key closes the drawn
-relations at load time, so a fixture keeps its closure key.
+bundled fixtures are stable byte-for-byte: `fmt` through `json.dumps`,
+the savers in its bytes by `_layout`, from a frame's store.  A "closure"
+key closes the drawn relations at load time, so a fixture keeps it.
 """
 
 from __future__ import annotations
@@ -47,33 +46,20 @@ def canonical_document(doc: dict) -> dict:
 
 
 def canonical_dumps(doc: dict) -> str:
-    """The canonical document as `json.dumps(..., ensure_ascii=False,
-    indent=2)` lays it out, plus a newline (see `_layout`)."""
-    doc = canonical_document(doc)
-    epi = doc.get("epistemic", {})
-    names = sorted(set(chain(*chain(doc.get("yesterday", ()), *epi.values()))))
-    pos = {n: i for i, n in enumerate(names)}
-
-    def positions(pairs) -> tuple:  # sorted, so the pairs keep their order
-        succ = [[] for _ in names]
-        for x, y in pairs:
-            succ[pos[x]].append(pos[y])
-        return tuple(succ)
-
-    if "epistemic" in doc:
-        doc["epistemic"] = {a: positions(pairs) for a, pairs in epi.items()}
-    if "yesterday" in doc:
-        doc["yesterday"] = positions(doc["yesterday"])
-    return _layout(doc, names)
+    """The canonical document as `json.dumps` lays it out with indent=2,
+    plus a newline: the bytes the savers write (see `_layout`)."""
+    return json.dumps(canonical_document(doc), ensure_ascii=False,
+                      indent=2) + "\n"
 
 
 _BREAK = ["\n" + "  " * k for k in range(5)]  # a break at each nesting level
 
 
 def _layout(doc: dict, names) -> str:
-    """doc as `json.dumps(doc, ensure_ascii=False, indent=2)` lays it out,
-    plus a newline, in one join.  doc is in canonical order, each relation
-    as a store holds it: by position x in names, the js of (x, j) pairs."""
+    """doc as `canonical_dumps` prints it, laid out here in one join since
+    indent=2 makes `json.dumps` use its pure-Python encoder.  doc is a frame's
+    document in canonical order, each relation as its store holds it: by
+    position x in names, the js of (x, j) pairs."""
     enc = list(map(encode_basestring, names))
     # by a relation's nesting level, each name's head and tail in a pair
     ends = {k: (["[" + _BREAK[k + 2] + e + "," + _BREAK[k + 2] for e in enc],
@@ -110,8 +96,7 @@ def model_to_document(M: KripkeModel, point: str | None = None) -> dict:
         [x, names[j]] for x, js in zip(names, succ) for j in js])
 
 
-def action_to_document(U: ActionModel, point: str | None = None) -> dict:
-    return model_to_document(U, point)
+action_to_document = model_to_document
 
 
 def _document(F, point: str | None, relation) -> dict:
@@ -242,12 +227,12 @@ def _check_shapes(doc):
 
 
 def save_model(path, M: KripkeModel, point: str | None = None):
+    """Write the document of a model, or of an action (`save_action`)."""
     Path(path).write_text(_layout(_document(M, point, lambda _, s: s),
                                   M.nodes), encoding="utf-8")
 
 
-def save_action(path, U: ActionModel, point: str | None = None):
-    save_model(path, U, point)
+save_action = save_model
 
 
 def error_message(exc: Exception):

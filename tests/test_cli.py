@@ -202,6 +202,32 @@ def test_update_ydel(tmp_path, capsys):
     assert "w|♭" in doc["worlds"] and "v|♭" in doc["worlds"]
 
 
+def test_update_rdetl_not_in_scope(tmp_path, capsys):
+    # N fails persistence_of_facts and U5 perfect_recall, so rdetl answers
+    # not-in-scope for their products, as eval does, and writes no file
+    work = tmp_path / "work"
+    shutil.copytree(FIXTURES, work)
+    (work / "N.json").write_text(json.dumps({
+        "type": "kripke", "agents": ["a", "b"], "atoms": ["p", "q"],
+        "worlds": ["u", "w"], "val": {"p": ["w"], "q": []}, "epistemic": {},
+        "yesterday": [["u", "w"]], "closure": "s5"}), encoding="utf-8")
+    argv = ("--workspace", str(work), "--mode", "rdetl")
+    code, out = run(capsys, *argv, "eval", "N", "w", "[U2@s]p")
+    assert code == 2 and out == "RESULT: not-in-scope\n"
+    for model, action in [("N", "U2"), ("M", "U5")]:
+        out_file = tmp_path / f"{model}{action}.json"
+        code, out = run(capsys, *argv, "update", model, action, str(out_file))
+        assert code == 2 and out == "RESULT: not-in-scope\n", model
+        assert not out_file.exists(), model
+    # a product in scope is written as the detl mode writes it
+    for mode in ("rdetl", "detl"):
+        code, out = run(capsys, *argv[:2], "--mode", mode, "update", "M",
+                        "U2", str(tmp_path / f"{mode}.json"))
+        assert code == 0 and "WORLDS: 5\n" in out
+    assert ((tmp_path / "rdetl.json").read_bytes()
+            == (tmp_path / "detl.json").read_bytes())
+
+
 def _two_pasts(tmp_path):
     """A workspace with N, p everywhere and w one tick after both u and v
     (so N fails only uniqueness of past), and A, one event firing always."""

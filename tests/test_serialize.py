@@ -128,16 +128,16 @@ def test_workspace_parse_uses_registry(ws):
 
 
 def _reference_dumps(doc):
-    """The writer canonical_dumps replaced, kept as the reference."""
+    """The canonical bytes by definition: `fmt`'s, and the savers'."""
     return json.dumps(canonical_document(doc), ensure_ascii=False,
                       indent=2) + "\n"
 
 
 def _shaped_documents(ws):
-    """Documents of the shapes canonical_dumps writes itself: every
-    fixture, seeded products and ⊕ results (with ♭ world names), action
-    documents with preconditions and a point, a closure key and empty
-    relations."""
+    """Documents of every shape the format holds: every fixture, seeded
+    products and ⊕ results (with ♭ world names), action documents with
+    preconditions and a point, a closure key and empty relations, and
+    names json.dumps escapes."""
     docs = [json.loads(p.read_text(encoding="utf-8"))
             for p in sorted(FIXTURES.glob("*.json"))]
     rng = random.Random(11)
@@ -161,17 +161,28 @@ def _shaped_documents(ws):
     return docs
 
 
-def test_writer_matches_json_dumps(ws, monkeypatch):
+def test_writer_matches_json_dumps(ws, tmp_path, monkeypatch):
     docs = _shaped_documents(ws)
-    want = [_reference_dumps(doc) for doc in docs]
-    # every document shape is written without the json.dumps fallback
+    for doc in docs:
+        assert canonical_dumps(doc) == _reference_dumps(doc)
+    # the savers lay out every frame these documents load, and the frames
+    # of the save test, themselves, never through json.dumps
+    saved = [document_to_object(doc, ws.actions_by_name())[1:]
+             for doc in docs if doc["agents"]]  # no agents, no model
+    saved += [(F, point) for F in _saved_frames(ws)
+              for point in (None, F.nodes[-1])]
+    want = [_reference_dumps(model_to_document(F, point))
+            for F, point in saved]
 
     def no_fallback(*args, **kwargs):
-        raise AssertionError("fallback used on a document shape")
+        raise AssertionError("json.dumps used by a saver")
 
     monkeypatch.setattr(serialize.json, "dumps", no_fallback)
-    for doc, text in zip(docs, want):
-        assert canonical_dumps(doc) == text
+    for i, ((F, point), text) in enumerate(zip(saved, want)):
+        path = tmp_path / f"{i}.json"
+        (save_model if isinstance(F, KripkeModel) else save_action)(
+            path, F, point)
+        assert path.read_text(encoding="utf-8") == text, i
 
 
 @pytest.mark.parametrize("doc", [
@@ -198,8 +209,8 @@ def test_writer_matches_json_dumps(ws, monkeypatch):
         "no-agents", "no-type"])
 def test_writer_falls_back_outside_the_shapes(doc):
     # a value outside the document shapes is one no workspace can load,
-    # so the writer rejects it as document_to_object does; there is no
-    # json.dumps fallback.  An unknown closure mode is rejected even
+    # so fmt rejects it as document_to_object does, before json.dumps
+    # could print it.  An unknown closure mode is rejected even
     # where no arrow is drawn (bad-closure), and so is a document without
     # a key the reader needs (no-agents, no-type)
     for read in (canonical_document, canonical_dumps, document_to_object):
