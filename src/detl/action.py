@@ -6,6 +6,8 @@ worlds and a precondition formula per event; canonicalisation, the
 relation store, the neighbour and depth queries and the frame properties
 are the ones Kripke models use.  The temporal properties (history and past
 preservation, time-advancing) ask `logic.is_valid` about preconditions.
+History preservation and `lrdetl` join the frame's reports in its one
+cache (`ActionModel._check`); `sharp_action` alone rejects temporal ones.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from functools import cached_property, reduce
 
 from .formula import (Formula, TOP, Update, Value, _join, _reachable,
                       check_ident, implies, map_updates, subformulas)
-from .kripke import (KRIPKE_PROPERTIES, Frame, PropertyReport,
-                     depth as action_depth, is_initial as is_past_state,
-                     is_restricted)
+from .kripke import (KRIPKE_PROPERTIES, RESTRICTED_PROPERTIES, Frame,
+                     PropertyReport, depth as action_depth,
+                     is_initial as is_past_state)
 from .logic import is_valid
 
 FLAT = "♭"
@@ -39,6 +41,7 @@ class ActionModel(Frame):
     name = "U"
 
     _KIND = "event"
+    REPORTS = ACTION_PROPERTIES + ("history_preservation", "lrdetl")
     _check_name = staticmethod(_check_event_name)
     nodes = property(lambda self: self.events)
     require_event = Frame._require
@@ -72,35 +75,30 @@ class ActionModel(Frame):
             name=self.name + "_sharp",
         )
 
-    @cached_property
-    def _history(self) -> PropertyReport:
-        """The report of `check_history_preservation`, built once."""
-        for s2, s in self.yesterday:
-            if not is_valid(implies(self.pre_map[s], self.pre_map[s2])):
-                return PropertyReport("history_preservation", False,
-                                      (s2, s, "precondition"))
-        for s in self.events:
-            if not self.yesterdays(s) and not is_epistemic_past_state(self, s):
-                return PropertyReport("history_preservation", False,
-                                      (s, "past_state_not_epistemic"))
-        return PropertyReport("history_preservation", True)
-
-    @cached_property
-    def _lrdetl(self) -> PropertyReport:
-        """The report of `is_lrdetl_action`, built once."""
-        rep = is_restricted(self)
-        if not rep.holds:
-            return PropertyReport("lrdetl_action", False, (self.name,) + rep.witness)
-        if not self._history.holds:
-            return PropertyReport("lrdetl_action", False,
-                                  (self.name, "history_preservation")
-                                  + self._history.witness)
+    def _check(self, name: str) -> PropertyReport:
+        """History preservation and `lrdetl` (see `check_history_preservation`
+        and `is_lrdetl_action`), else a frame report."""
+        if name == "history_preservation":
+            for s2, s in self.yesterday:
+                if not is_valid(implies(self.pre_map[s], self.pre_map[s2])):
+                    return PropertyReport(name, False, (s2, s, "precondition"))
+            for s in self.events:
+                if not self.yesterdays(s) and not is_epistemic_past_state(self, s):
+                    return PropertyReport(name, False,
+                                          (s, "past_state_not_epistemic"))
+            return PropertyReport(name, True)
+        if name != "lrdetl":
+            return super()._check(name)
+        for prop in (*RESTRICTED_PROPERTIES, "history_preservation"):
+            if not (rep := self._report(prop)):
+                return PropertyReport("lrdetl_action", False,
+                                      (self.name, prop) + rep.witness)
         # in preorder, so the witness is the first failing action as written;
         # each inner action's check recurses into its own preconditions
         for _, pre in self.pre:
             for g in subformulas(pre):
-                if isinstance(g, Update) and not g.action._lrdetl.holds:
-                    return g.action._lrdetl
+                if isinstance(g, Update) and not (rep := g.action._report(name)):
+                    return rep
         return PropertyReport("lrdetl_action", True)
 
 
@@ -128,14 +126,14 @@ def is_epistemic_past_state(U: ActionModel, s: str) -> bool:
 def check_history_preservation(U: ActionModel) -> PropertyReport:
     """Predecessors can always fire first, and every source of the forest
     is a proper epistemic past state.  Computed once per action model."""
-    return U._history
+    return U._report("history_preservation")
 
 
 def check_past_preservation(A: PointedAction) -> PropertyReport:
     """History preservation plus: every event backward-reachable from the
     point can reach some past state, continuing backward."""
     U = A.action
-    hp = U._history
+    hp = check_history_preservation(U)
     if not hp.holds:
         return PropertyReport("past_preservation", False, hp.witness)
     parents = U._parent_pos
@@ -171,7 +169,7 @@ def is_lrdetl_action(U: ActionModel) -> PropertyReport:
     to the action models inside preconditions.  Persistence of facts is
     vacuous here since actions carry no valuation.  The report is computed
     once per action model."""
-    return U._lrdetl
+    return U._report("lrdetl")
 
 
 def sharp_action(U: ActionModel) -> ActionModel:

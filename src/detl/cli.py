@@ -12,13 +12,12 @@ import sys
 from pathlib import Path
 
 from . import logic, semantics
-from .action import (ACTION_PROPERTIES, PointedAction,
-                     check_history_preservation, check_past_preservation,
+from .action import (PointedAction, check_past_preservation,
                      check_time_advancing, is_epistemic_past_state,
                      is_lrdetl_action, sharp_action)
 from .formula import ParseError, depth_formula, pretty
-from .kripke import (KRIPKE_PROPERTIES, KripkeModel, PointedModel,
-                     check_property, depth, is_restricted)
+from .kripke import (KripkeModel, PointedModel, check_property, depth,
+                     is_restricted)
 from .serialize import (Workspace, canonical_dumps, check_document,
                         error_message, model_to_document, save_action,
                         save_model)
@@ -112,16 +111,9 @@ def _checks(obj):
         checks = {"past_preservation": check_past_preservation,
                   "time_advancing": check_time_advancing}
         return checks, list(checks)
-    kripke = type(obj) is KripkeModel
-    props = KRIPKE_PROPERTIES if kripke else ACTION_PROPERTIES
-    checks = {p: (lambda F, p=p: check_property(F, p)) for p in props}
-    if kripke:
-        checks["restricted"] = is_restricted
-        return checks, list(props)
-    checks["history_preservation"] = check_history_preservation
-    defaults = list(checks)
-    checks["lrdetl"] = is_lrdetl_action
-    return checks, defaults
+    names = obj.REPORTS  # the last is printed only when asked for
+    return ({p: (lambda F, p=p: check_property(F, p)) for p in names},
+            list(names[:-1]))
 
 
 def cmd_check(args) -> int:
@@ -372,6 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.mode != "detl" and args.func in (cmd_reduce, cmd_validity):
+            raise CliError(f"--mode {args.mode} is read by eval and update only")
         return args.func(args)
     except (CliError, ParseError, KeyError, ValueError, OSError,
             logic.TableauLimit) as exc:

@@ -5,11 +5,11 @@ A frame is a set of nodes (the worlds of a Kripke model, the events of an
 action model) with per-agent epistemic arrows and a yesterday relation of
 pairs (x, y) meaning x lies one tick before y.  `Frame` validates both
 once, keeps them as successor positions over its sorted nodes, builds
-their pair tuples only when asked and caches the views that evaluation,
-property checks and depth queries read.  Depth of a node is the length
-of the longest history (a backward path that cannot be extended further
-into the past) ending at it, and is infinite when a backward-reachable
-cycle makes histories unbounded.
+their pair tuples only when asked and caches the views that evaluation
+and depth queries read, and every report it gives (see `Frame._report`).
+Depth of a node is the length of the longest history (a backward path
+that cannot be extended further into the past) ending at it, and is
+infinite when a backward-reachable cycle makes histories unbounded.
 """
 
 from __future__ import annotations
@@ -81,14 +81,15 @@ class Frame(Value):
 
     Subclasses are values whose fields begin `sig`, the node tuple,
     `epistemic` and `yesterday`.  They expose the node tuple as `nodes`,
-    name a node in messages with `_KIND` and check a node name with
-    `_check_name`.  The relations are kept in one store, `_arrows`:
-    yesterday's, then each agent's in signature order, each holding at
-    every node position the sorted successor positions.  `epistemic` and
-    `yesterday` build the pair tuples from it on each access, and `succ`
-    and `yesterdays` name one node's neighbours on each call; equality,
-    the hash and the cached views below read the store.  Within one
-    relation, equal successor sets are one tuple object.
+    name a node in messages with `_KIND`, check a node name with
+    `_check_name` and list their report names in `REPORTS`, last the one
+    `detl check` prints only when asked.  The relations are kept in one
+    store, `_arrows`: yesterday's, then each agent's in signature order,
+    each holding at every node position the sorted successor positions.
+    `epistemic` and `yesterday` build the pair tuples from it on each
+    access, and `succ` and `yesterdays` name one node's neighbours on each
+    call; equality, the hash and the cached views below read the store.
+    Within one relation, equal successor sets are one tuple object.
     """
 
     _val_masks = None  # the valuation view of a Kripke model; actions have none
@@ -203,22 +204,25 @@ class Frame(Value):
 
     @cached_property
     def _reports(self) -> dict[str, PropertyReport]:
-        """The report of each frame property checked so far."""
+        """The report of each name checked so far."""
         return {}
 
-    def _report(self, prop: str) -> PropertyReport:
-        rep = self._reports.get(prop)
+    def _report(self, name: str) -> PropertyReport:
+        """The report of that name, computed by `_check` once per frame."""
+        rep = self._reports.get(name)
         if rep is None:
-            rep = self._reports[prop] = check_frame_property(prop, self)
+            rep = self._reports[name] = self._check(name)
         return rep
 
-    @cached_property
-    def _restricted(self) -> PropertyReport:
+    def _check(self, name: str) -> PropertyReport:
+        """A frame property, or `restricted`: the first of the six
+        restricted properties that fails.  Action models add two names."""
+        if name != "restricted":
+            return check_frame_property(name, self)
         for prop in RESTRICTED_PROPERTIES:
-            rep = self._report(prop)
-            if not rep.holds:
-                return PropertyReport("restricted", False, (prop,) + rep.witness)
-        return PropertyReport("restricted", True)
+            if not (rep := self._report(prop)):
+                return PropertyReport(name, False, (prop,) + rep.witness)
+        return PropertyReport(name, True)
 
     def succ(self, agent: str, n: str) -> tuple:
         """The sorted agent-successors of n; KeyError for an unknown name."""
@@ -253,6 +257,7 @@ class KripkeModel(Frame):
     _compared = ("sig", "worlds", "_arrows", "valuation")
 
     _KIND = "world"
+    REPORTS = KRIPKE_PROPERTIES + ("restricted",)
     _check_name = staticmethod(_check_world_name)
     nodes = property(lambda self: self.worlds)
     require_world = Frame._require
@@ -395,15 +400,18 @@ def check_frame_property(prop: str, frame: Frame) -> PropertyReport:
     raise ValueError(f"unknown property {prop!r}")
 
 
-def check_property(M: KripkeModel, prop: str) -> PropertyReport:
-    return M._report(prop)
+def check_property(F: Frame, name: str) -> PropertyReport:
+    """The report named, one of `F.REPORTS`: the names `detl check` takes."""
+    if name not in F.REPORTS:
+        raise ValueError(f"unknown property {name!r}")
+    return F._report(name)
 
 
 def is_restricted(M: Frame) -> PropertyReport:
     """Forest-likeness: the six conditions short of synchronicity (which
     then follows), checked once per model.  Persistence of facts is
     vacuous on an action model."""
-    return M._restricted
+    return M._report("restricted")
 
 
 # ---------------------------------------------------------------------------

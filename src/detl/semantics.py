@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 
-from .action import (ActionModel, is_atemporal_action, is_lrdetl_action,
-                     sharp_action, sharp_formula)
+from .action import ActionModel, is_lrdetl_action, sharp_action, sharp_formula
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, Update,
                       Value, Yesterday, dia_yesterday, diamond)
 from .kripke import KripkeModel, PointedModel, _shared, is_restricted
@@ -229,9 +228,7 @@ def _require_restricted(M: KripkeModel, use: str, permissive: bool):
 def ydel_update(M: KripkeModel, U: ActionModel,
                 permissive: bool = False) -> KripkeModel:
     """M ⊕ U, the ♭-copy of M as the shared yesterday of all event worlds:
-    the product M[U♯]."""
-    if not is_atemporal_action(U):
-        raise ValueError("ydel update requires an atemporal action")
+    the product M[U♯]; `sharp_action` rejects a temporal U."""
     _require_restricted(M, "update", permissive)
     return product_update(M, sharp_action(U))
 
@@ -240,12 +237,9 @@ def eval_ydel(M: KripkeModel, w: str, f: Formula,
               permissive: bool = False) -> bool:
     """Truth with the ⊕ reading of updates, which is the product reading
     of f♯; defined on restricted models and formulas whose embedded
-    actions are atemporal."""
+    actions are atemporal (`sharp_action` rejects the rest)."""
     M.require_world(w)
     _check_formula_sig(M, f)
-    for U in f.actions:
-        if not is_atemporal_action(U):
-            raise ValueError("formula outside the atemporal-action fragment")
     _require_restricted(M, "evaluation", permissive)
     return bool(_ext(M, sharp_formula(f), 1 << M._pos[w], {}))
 
@@ -255,11 +249,8 @@ def eval_rdetl(M: KripkeModel, w: str, f: Formula) -> Verdict:
     forest-like actions; anything else is out of scope, not false."""
     M.require_world(w)
     _check_formula_sig(M, f)
-    if not is_restricted(M).holds:
+    if not (is_restricted(M) and all(map(is_lrdetl_action, f.actions))):
         return Verdict.NOT_IN_SCOPE
-    for U in f.actions:
-        if not is_lrdetl_action(U).holds:
-            return Verdict.NOT_IN_SCOPE
     return Verdict.TRUE if _ext(M, f, 1 << M._pos[w], {}) else Verdict.FALSE
 
 

@@ -8,7 +8,8 @@ from detl.action import (ACTION_PROPERTIES, ActionModel, PointedAction, action_d
                          is_atemporal_action, is_epistemic_past_state,
                          is_lrdetl_action, is_past_state, sharp_action)
 from detl.formula import TOP, parse
-from detl.kripke import KripkeModel, PropertyReport, check_property
+from detl.kripke import (KRIPKE_PROPERTIES, KripkeModel, PropertyReport,
+                         check_property, is_restricted)
 
 from generate import (DEFAULT_SIG, rand_atemporal_action,
                       rand_forest_action, rand_temporal_action)
@@ -196,6 +197,27 @@ def test_is_lrdetl_action(ws):
     # the report is kept per action model
     U2 = ws.actions["U2"][0]
     assert is_lrdetl_action(U2) is is_lrdetl_action(U2)
+
+
+@pytest.mark.parametrize("target,frame_names,named,others", [
+    ("M", KRIPKE_PROPERTIES, {"restricted": is_restricted},
+     ["lrdetl", "history_preservation", "past_preservation", "bogus"]),
+    ("U5", ACTION_PROPERTIES,
+     {"history_preservation": check_history_preservation,
+      "lrdetl": is_lrdetl_action},
+     ["persistence_of_facts", "restricted", "time_advancing", "bogus"])])
+def test_check_property_takes_the_names_check_takes(ws, target, frame_names,
+                                                    named, others):
+    # a kind's frame properties, then its further reports, each the one its
+    # own function gives; what `detl check` rejects for the kind is a
+    # ValueError here
+    F = {**ws.models, **ws.actions}[target][0]
+    assert F.REPORTS == (*frame_names, *named)
+    for name, report in named.items():
+        assert check_property(F, name) is report(F)
+    for name in others:
+        with pytest.raises(ValueError, match=f"^unknown property '{name}'$"):
+            check_property(F, name)
 
 
 def test_is_lrdetl_recurses_into_preconditions(ws):

@@ -425,6 +425,28 @@ def test_check_action_fail_reports_witness(capsys):
     assert code == 1 and "synchronicity: FAIL" in out
 
 
+@pytest.mark.parametrize("argv,code,first", [
+    (("reduce", "[U8@t]<Y>true"), 0, "REDUCED: <Y>true"),
+    (("validity", "p -> [Y]p"), 1, "VERDICT: INVALID")])
+def test_reduce_and_validity_read_the_product_mode_only(capsys, argv, code,
+                                                        first):
+    # their answers are the product reading's; [U8@t]<Y>true holds under ⊕
+    # and p -> [Y]p on every restricted model, so under --mode ydel or
+    # rdetl both commands refuse rather than answer for the wrong reading
+    got, out = run(capsys, "--mode", "detl", *argv)
+    assert got == code and out.splitlines()[0] == first
+    for mode in ("ydel", "rdetl"):
+        assert main(["--mode", mode, *argv]) == 3
+        assert capsys.readouterr() == (
+            "", f"ERROR: --mode {mode} is read by eval and update only\n")
+
+
+def test_empty_workspace_is_a_data_error(tmp_path, capsys):
+    assert main(["--workspace", str(tmp_path), "eval", "M", "w", "p"]) == 3
+    assert capsys.readouterr() == (
+        "", f"ERROR: no *.json files in {tmp_path}\n")
+
+
 def test_reduce(capsys):
     code, out = run(capsys, "reduce", "[U2@s]q")
     assert code == 0 and out == "REDUCED: p -> q\n"

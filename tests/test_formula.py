@@ -8,6 +8,7 @@ from detl import formula
 from detl.action import ActionModel
 from detl.formula import (And, Atom, BOT, Bottom, Box, Not, ParseError,
                           Signature, TOP, UnknownAction, Update, Yesterday,
+                          actions_in, agents_in, atoms_in, conj,
                           depth_formula, dia_yesterday, is_atemporal, is_setl,
                           parse, pretty, subformulas, y_nesting_depth)
 
@@ -315,6 +316,19 @@ def test_occurrence_sets_match_walk():
         assert (f.atoms, f.agents, f.actions) == (atoms, agents, actions)
         assert is_setl(f) == (not actions)
         assert is_atemporal(f) == all(not U.yesterday for U in actions)
+
+
+def test_public_builders_and_readers(ws):
+    # an update counts the atoms of its action's preconditions and every
+    # agent of the signature; pretty names what is not a formula
+    f = ws.parse("<U5@r><b>q")
+    assert conj([]) is TOP and ~f is Not(f)
+    assert actions_in(f) == {ws.actions["U5"][0]}
+    assert atoms_in(f) == {"p", "q"} and agents_in(f) == {"a", "b"}
+    assert (actions_in(Yesterday(Atom("q"))), agents_in(Atom("q"))) == (
+        frozenset(), frozenset())
+    with pytest.raises(TypeError, match="not a formula: 3"):
+        pretty(3)
 
 
 def test_subformulas_preorder_with_repeats():

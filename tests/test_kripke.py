@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from detl.action import ActionModel, check_action_property
 from detl.formula import TOP
 from detl.kripke import (INFINITE, KRIPKE_PROPERTIES, RESTRICTED_PROPERTIES,
-                         KripkeModel, PropertyReport, check_property, depth,
-                         generated_submodel, is_initial, is_restricted,
-                         relation_closure)
+                         KripkeModel, PropertyReport, check_property,
+                         close_pairs, depth, generated_submodel, is_initial,
+                         is_restricted, relation_closure)
 from detl.semantics import product_update, ydel_update
 from detl.serialize import (Workspace, document_to_object, model_to_document,
                             save_action, save_model)
@@ -288,6 +288,11 @@ def _reachability(pairs, nodes):
         reach |= {(x, z) for x in nodes for z in nodes
                   if (x, k) in reach and (k, z) in reach}
     return reach
+
+
+def test_close_pairs_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown closure mode 'euclidean'"):
+        close_pairs((), ("w",), "euclidean")
 
 
 def test_relation_closure_monotone_idempotent(rng):

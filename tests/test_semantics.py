@@ -13,10 +13,11 @@ from detl.kripke import (INFINITE, KripkeModel, close_pairs, depth,
                          generated_submodel, is_restricted, relation_closure)
 from detl.logic import bisimilar
 from detl.kripke import PointedModel
-from detl.semantics import (EmptyProductError, ProbeVerdict, Verdict,
-                            eval_rdetl, eval_ydel, evaluate, formula_pool,
-                            language_equivalence_probe, pair_name,
-                            product_update, split_pair, ydel_update)
+from detl.semantics import (POOL_LIMIT, EmptyProductError, ProbeVerdict,
+                            Verdict, eval_rdetl, eval_ydel, evaluate,
+                            formula_pool, language_equivalence_probe,
+                            pair_name, product_update, split_pair,
+                            ydel_update)
 
 from generate import (DEFAULT_SIG, rand_atemporal_action,
                       rand_forest_action, rand_formula, rand_kripke,
@@ -683,3 +684,20 @@ def test_probe_matches_per_formula_evaluation(ws, M):
     assert verdicts[0].agree and not verdicts[1].agree
     for i, ((A, B), verdict) in enumerate(zip(pairs, verdicts)):
         assert verdict == _probe_by_evaluate(A, B, 3 if i < 2 else 2)
+
+
+def test_probe_rejects_two_signatures(ws, M):
+    other = KripkeModel(sig=Signature(("a",), ("p",)), worlds=("w",),
+                        epistemic={}, yesterday=(), valuation={})
+    with pytest.raises(ValueError, match="shared signature"):
+        language_equivalence_probe(PointedModel(M, "w"),
+                                   PointedModel(other, "w"))
+
+
+def test_formula_pool_is_cut_at_its_limit():
+    # three agents and two atoms pass the limit within depth 4; the cut
+    # keeps the pool's order, so the shallower pool is a prefix of it
+    sig = Signature(("a", "b", "c"), ("p", "q"))
+    pool, shallower = formula_pool(sig, 4), formula_pool(sig, 3)
+    assert len(shallower) < POOL_LIMIT == len(pool)
+    assert pool[:len(shallower)] == shallower
