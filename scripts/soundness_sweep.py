@@ -11,7 +11,10 @@ relations shuffled with repeats, that a closure key reads the drawn
 relations of the round's model and of one of its actions alike, and
 that `bisimilar` between the round's model and each of its products,
 its ⊕ update and itself agrees with a brute-force greatest bisimulation
-and links only what a re-check from the definition accepts.
+and links only what a re-check from the definition accepts, and that
+every frame-property report those products inherit from their factors,
+whose reports are computed on a random subset first, is the one the
+direct check gives.
 Useful for longer runs than the test suite's fixed budgets.
 """
 
@@ -24,7 +27,8 @@ from typing import Optional
 
 from detl.formula import Atom, BOT, Box, Not, Yesterday, iff, implies
 from detl.kripke import (CLOSURE_MODES, KripkeModel, PointedModel,
-                         is_restricted, relation_closure)
+                         check_frame_property, check_property, is_restricted,
+                         relation_closure)
 from detl.logic import bisimilar, reduce_formula, validity
 from detl.semantics import (EmptyProductError, evaluate, product_update,
                             ydel_update)
@@ -140,9 +144,11 @@ def sweep(cfg: SweepConfig) -> int:
     shuffle_rng = random.Random(f"{cfg.seed}:shuffle")
     closure_rng = random.Random(f"{cfg.seed}:closure")
     bisim_rng = random.Random(f"{cfg.seed}:bisim")
+    report_rng = random.Random(f"{cfg.seed}:reports")
     sig = DEFAULT_SIG
     axioms = temporal_axioms(sig)
     reduction_checks = axiom_checks = rebuild_checks = closure_checks = 0
+    inherited_checks = 0
     verdicts = {True: 0, False: 0}
     linked = {True: 0, False: 0}
     for i in range(cfg.rounds):
@@ -150,12 +156,25 @@ def sweep(cfg: SweepConfig) -> int:
         updates = (rand_atemporal_action(rng, sig, name="V"),
                    rand_temporal_action(rng, sig, name="W"))
         actions = tuple((U, e) for U in updates for e in U.events)
+        # the premises of inheritance, sometimes missing
+        for F in (M, *updates):
+            for name in F.REPORTS[:-1]:
+                if report_rng.random() < 0.7:
+                    check_property(F, name)
         models = [M]
         for U in updates:
             try:
                 models.append(product_update(M, U))
             except EmptyProductError:
                 pass
+        plus = ydel_update(M, updates[0], True)
+        for K in models[1:] + [plus]:
+            for name, rep in dict(K._reports).items():
+                if rep != check_frame_property(name, K):
+                    print(f"FAIL: inherited {name} differs from the check "
+                          f"at round {i}")
+                    return 1
+                inherited_checks += 1
         for P in models:
             bad = rebuild_problem(shuffle_rng, P)
             if bad:
@@ -167,7 +186,7 @@ def sweep(cfg: SweepConfig) -> int:
             print(f"FAIL: {bad} at round {i}")
             return 1
         closure_checks += 1
-        for K in models + [ydel_update(M, updates[0], True)]:
+        for K in models + [plus]:
             bad = bisimulation_problem(bisim_rng, M, K, linked)
             if bad:
                 print(f"FAIL: {bad} at round {i}")
@@ -204,7 +223,7 @@ def sweep(cfg: SweepConfig) -> int:
           f"checked, {axiom_checks} axiom checks, {rebuild_checks} rebuild "
           f"checks, {closure_checks} closure checks, {linked[True]} "
           f"BISIMILAR and {linked[False]} NOT-BISIMILAR verdicts checked, "
-          f"{cfg.rounds} rounds")
+          f"{inherited_checks} inherited reports checked, {cfg.rounds} rounds")
     return 0
 
 

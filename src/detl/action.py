@@ -64,8 +64,10 @@ class ActionModel(Frame):
 
     @cached_property
     def _sharp(self) -> "ActionModel":
-        """The ♯ translation (see `sharp_action`), built once."""
-        return ActionModel(
+        """The ♯ translation (see `sharp_action`), built once, its frame
+        properties and history preservation known: ♭, with precondition ⊤
+        and self-loops only, lies below every event of an atemporal U."""
+        A = ActionModel(
             sig=self.sig,
             events=self.events + (FLAT,),
             epistemic={a: pairs + ((FLAT, FLAT),)
@@ -74,6 +76,9 @@ class ActionModel(Frame):
             pre={**{e: sharp_formula(p) for e, p in self.pre}, FLAT: TOP},
             name=self.name + "_sharp",
         )
+        A._reports.update((p, PropertyReport(p, True)) for p in
+                          (*ACTION_PROPERTIES, "history_preservation"))
+        return A
 
     def _check(self, name: str) -> PropertyReport:
         """History preservation and `lrdetl` (see `check_history_preservation`

@@ -612,6 +612,7 @@ def parse(text: str, sig: Signature,
 # printing
 
 _CONSTANTS = {f: word for word, f in _WORDS.items()}
+_CLOSE = object()  # on pretty's stack, the end of a parenthesised operand
 
 
 def _match_imp(f: Formula):
@@ -627,11 +628,11 @@ def pretty(f: Formula) -> str:
     One loop, no recursion: it follows the left operand of each binary
     operator and defers the operator and its right operand on a stack."""
     out = []
-    todo = [("", f, 0)]  # text, then a formula read at a precedence, or None
+    todo = [("", f, 0)]  # text, then a formula read at a precedence, or _CLOSE
     while todo:
         text, f, ctx = todo.pop()
         out.append(text)
-        while f is not None:
+        while f is not _CLOSE:
             t = type(f)
             if t is And:
                 l, r = _match_imp(f.left), _match_imp(f.right)
@@ -672,7 +673,7 @@ def pretty(f: Formula) -> str:
             prec, up_left, up_right, _ = _BINARY[op]
             if prec < ctx:
                 out.append("(")
-                todo.append((")", None, 0))
+                todo.append((")", _CLOSE, 0))
             todo.append((f" {op} ", m[1], prec + up_right))
             f, ctx = m[0], prec + up_left
     return "".join(out)

@@ -204,7 +204,7 @@ class Frame(Value):
 
     @cached_property
     def _reports(self) -> dict[str, PropertyReport]:
-        """The report of each name checked so far."""
+        """The report of each name checked so far, or a product inherited."""
         return {}
 
     def _report(self, name: str) -> PropertyReport:
@@ -401,7 +401,8 @@ def check_frame_property(prop: str, frame: Frame) -> PropertyReport:
 
 
 def check_property(F: Frame, name: str) -> PropertyReport:
-    """The report named, one of `F.REPORTS`: the names `detl check` takes."""
+    """The report named, one of `F.REPORTS`: the names `detl check` takes; a
+    product's passing ones may be inherited (see `semantics._inherited`)."""
     if name not in F.REPORTS:
         raise ValueError(f"unknown property {name!r}")
     return F._report(name)
@@ -410,7 +411,7 @@ def check_property(F: Frame, name: str) -> PropertyReport:
 def is_restricted(M: Frame) -> PropertyReport:
     """Forest-likeness: the six conditions short of synchronicity (which
     then follows), checked once per model.  Persistence of facts is
-    vacuous on an action model."""
+    vacuous on an action model.  A product's six may be inherited."""
     return M._report("restricted")
 
 

@@ -13,7 +13,8 @@ import enum
 from .action import ActionModel, is_lrdetl_action, sharp_action, sharp_formula
 from .formula import (And, Atom, Bottom, Box, Formula, Not, Signature, Update,
                       Value, Yesterday, dia_yesterday, diamond)
-from .kripke import KripkeModel, PointedModel, _shared, is_restricted
+from .kripke import (KRIPKE_PROPERTIES, KripkeModel, PointedModel,
+                     PropertyReport, _shared, is_restricted)
 
 SEP = "|"
 
@@ -210,8 +211,20 @@ def product_update(M: KripkeModel, U: ActionModel) -> KripkeModel:
                       for p, ws in M.val.items())
     P = M._products[U] = object.__new__(KripkeModel)._store(
         (_shared(yesterday), *epi), dict(zip(P_worlds, range(len(pairs)))),
-        sig=M.sig, worlds=P_worlds, valuation=valuation)
+        sig=M.sig, worlds=P_worlds, valuation=valuation,
+        _reports=_inherited(M, U))
     return P
+
+
+def _inherited(M: KripkeModel, U: ActionModel) -> dict:
+    """The passing reports M[U] inherits by the preservation theorems (see
+    README).  Premises are read from M's cache and U's; U's frame reports
+    are computed if missing, history preservation (the tableau) is not."""
+    hp = U._reports.get("history_preservation")
+    return {p: PropertyReport(p, True) for p in KRIPKE_PROPERTIES
+            if M._reports.get(p) and (p == "persistence_of_facts" or (
+                p in ("depth_definedness", "uniqueness_of_past") or hp)
+                and U._report(p))}
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,12 @@ def test_is_lrdetl_action(ws):
     bad = mk_action(("s", "t"), {"s": "p", "t": "true"},
                     yesterday={("s", "t")})  # pre(t)=true, pre(s)=p: ⊤→p not valid
     assert not is_lrdetl_action(bad).holds
-    assert is_lrdetl_action(sharp_action(ws.actions["U8"][0])).holds
+    # the ♯ action as built, which starts with most of its reports, and an
+    # equal action that checks them all
+    S = sharp_action(ws.actions["U8"][0])
+    assert is_lrdetl_action(S).holds
+    assert is_lrdetl_action(ActionModel(S.sig, S.events, S.epistemic,
+                                        S.yesterday, S.pre, S.name)).holds
     # the report is kept per action model
     U2 = ws.actions["U2"][0]
     assert is_lrdetl_action(U2) is is_lrdetl_action(U2)

@@ -327,8 +327,9 @@ def test_public_builders_and_readers(ws):
     assert atoms_in(f) == {"p", "q"} and agents_in(f) == {"a", "b"}
     assert (actions_in(Yesterday(Atom("q"))), agents_in(Atom("q"))) == (
         frozenset(), frozenset())
-    with pytest.raises(TypeError, match="not a formula: 3"):
-        pretty(3)
+    for bad in (3, None):
+        with pytest.raises(TypeError, match=f"^not a formula: {bad}$"):
+            pretty(bad)
 
 
 def test_subformulas_preorder_with_repeats():

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from detl.action import ActionModel, check_action_property
 from detl.formula import TOP
 from detl.kripke import (INFINITE, KRIPKE_PROPERTIES, RESTRICTED_PROPERTIES,
-                         KripkeModel, PropertyReport, check_property,
-                         close_pairs, depth, generated_submodel, is_initial,
-                         is_restricted, relation_closure)
+                         KripkeModel, PropertyReport, check_frame_property,
+                         check_property, close_pairs, depth,
+                         generated_submodel, is_initial, is_restricted,
+                         relation_closure)
 from detl.semantics import product_update, ydel_update
 from detl.serialize import (Workspace, document_to_object, model_to_document,
                             save_action, save_model)
@@ -62,7 +63,7 @@ def test_synchronicity_fails_two_step(ws, M):
     # the a-arrow between the two-step world and the one-step world
     # relates different depths
     P = product_update(M, ws.actions["U5"][0])
-    rep = check_property(P, "synchronicity")
+    rep = check_frame_property("synchronicity", P)
     assert not rep.holds
     w, a, v, dw, dv = rep.witness
     assert depth(P, w) == dw != dv == depth(P, v)
@@ -74,7 +75,7 @@ def test_synchronicity_fails_two_step(ws, M):
 
 def test_uniqueness_of_past_on_product(ws, M):
     P = product_update(M, ws.actions["U2"][0])
-    assert check_property(P, "uniqueness_of_past").holds
+    assert check_frame_property("uniqueness_of_past", P).holds
 
 
 def test_witnesses_recheck(rng):

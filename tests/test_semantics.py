@@ -5,12 +5,15 @@ from functools import lru_cache
 
 import pytest
 
-from detl.action import ActionModel, check_history_preservation, \
-    action_depth, is_past_state, sharp_action
+from detl import kripke
+from detl.action import ACTION_PROPERTIES, ActionModel, \
+    check_history_preservation, action_depth, is_past_state, sharp_action
 from detl.formula import (And, Atom, Bottom, Box, Not, Signature, TOP,
                           Update, Yesterday, diamond, parse, subformulas)
-from detl.kripke import (INFINITE, KripkeModel, close_pairs, depth,
-                         generated_submodel, is_restricted, relation_closure)
+from detl.kripke import (INFINITE, KRIPKE_PROPERTIES, RESTRICTED_PROPERTIES,
+                         KripkeModel, check_frame_property, check_property,
+                         close_pairs, depth, generated_submodel,
+                         is_restricted, relation_closure)
 from detl.logic import bisimilar
 from detl.kripke import PointedModel
 from detl.semantics import (POOL_LIMIT, EmptyProductError, ProbeVerdict,
@@ -21,7 +24,8 @@ from detl.semantics import (POOL_LIMIT, EmptyProductError, ProbeVerdict,
 
 from generate import (DEFAULT_SIG, rand_atemporal_action,
                       rand_forest_action, rand_formula, rand_kripke,
-                      rand_restricted, rand_temporal_action)
+                      rand_literal_formula, rand_restricted,
+                      rand_sync_kripke, rand_temporal_action)
 from bisimulation import verify_bisimulation
 
 SIG = DEFAULT_SIG
@@ -614,7 +618,94 @@ def test_ydel_closure(rng, ws):
         N = rand_restricted(rng, max_worlds=3)
         U = rand_atemporal_action(rng)
         Y = ydel_update(N, U)
+        # checked on Y itself, and the report Y answers with agrees
+        assert all(check_frame_property(p, Y) for p in RESTRICTED_PROPERTIES)
         assert is_restricted(Y).holds
+
+
+def _unruly_forest(rng):
+    """A forest action with fresh literal preconditions, so that it keeps
+    its frame properties but mostly fails history preservation."""
+    F = rand_forest_action(rng, max_extra=3)
+    return ActionModel(F.sig, F.events, F.epistemic, F.yesterday,
+                       {e: rand_literal_formula(rng, F.sig) for e in F.events})
+
+
+_STEPS = (rand_temporal_action,
+          lambda rng: rand_forest_action(rng, max_extra=3),
+          _unruly_forest,
+          rand_atemporal_action,
+          lambda rng: sharp_action(rand_atemporal_action(rng)))
+
+
+def test_inherited_reports_match_the_direct_check():
+    # every report a product of a random chain starts with, inherited from
+    # its factors, is the one the direct check gives; the factors' reports
+    # are computed on a random subset, so premises are sometimes missing
+    rng = random.Random(36)
+    seeded = dict.fromkeys(KRIPKE_PROPERTIES, 0)
+    for i in range(300):
+        M = rng.choice((rand_restricted, rand_sync_kripke, rand_kripke))(
+            rng, max_worlds=3)
+        for _ in range(rng.randint(2, 3)):
+            U = rng.choice(_STEPS)(rng)
+            for F in (M, U):
+                for name in F.REPORTS[:-1]:
+                    if rng.random() < 0.7:
+                        check_property(F, name)
+            try:
+                P = product_update(M, U)
+            except EmptyProductError:
+                break
+            for name, rep in dict(P._reports).items():
+                assert rep == check_frame_property(name, P), (i, name)
+                seeded[name] += 1
+            M = P
+    assert min(seeded.values()) >= 20, seeded
+
+
+def test_sharp_reports_match_a_fresh_check():
+    # the ♯ action starts with its frame reports and history preservation,
+    # each the one an equal action with an empty cache computes
+    rng = random.Random(37)
+    for _ in range(150):
+        S = sharp_action(rand_atemporal_action(rng, max_events=3))
+        seeded = dict(S._reports)
+        assert tuple(seeded) == (*ACTION_PROPERTIES, "history_preservation")
+        fresh = ActionModel(S.sig, S.events, S.epistemic, S.yesterday, S.pre,
+                            S.name)
+        for name, rep in seeded.items():
+            assert check_property(fresh, name) == rep, name
+
+
+def test_inherited_reports_spare_the_checks(monkeypatch):
+    # counted work, no wall time: a restricted model whose reports are all
+    # known, ⊕ an atemporal action, answers the seven properties and
+    # is_restricted without a check; a model whose reports were not asked
+    # for leaves one check per property to its ⊕ update
+    calls, check = [], kripke.check_frame_property
+
+    def counted(name, F):
+        calls.append((name, F))
+        return check(name, F)
+
+    monkeypatch.setattr(kripke, "check_frame_property", counted)
+    rng = random.Random(38)
+    for _ in range(20):
+        N = rand_restricted(rng, max_worlds=3)
+        twin = KripkeModel(N.sig, N.worlds, N.epistemic, N.yesterday,
+                           N.valuation)
+        U = rand_atemporal_action(rng)
+        assert all(check_property(N, p) for p in KRIPKE_PROPERTIES)
+        calls.clear()
+        Y = ydel_update(N, U)
+        assert all(check_property(Y, p) for p in KRIPKE_PROPERTIES)
+        assert is_restricted(Y) and calls == []
+        Y = ydel_update(twin, U, True)
+        assert all(check_property(Y, p) for p in KRIPKE_PROPERTIES)
+        assert is_restricted(Y)
+        assert [name for name, _ in calls] == list(KRIPKE_PROPERTIES)
+        assert all(F is Y for _, F in calls)
 
 
 def test_ydel_equals_sharp_product(ws, M8):
